@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -348,17 +347,23 @@ def _cmd_k0(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.window is not None:
-        # same cap the environment variable applies; the flag wins for this run
-        os.environ["WEYLGRADED_MAX_WINDOW"] = str(args.window)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    passed, failed, results = run_suites(names, seed=args.seed)
-    for name, ok, detail in results:
-        tag = "PASS" if ok else "FAIL"
-        suffix = f"  [{detail}]" if detail else ""
+    passed, failed, results = run_suites(names, seed=args.seed, window=args.window)
+    for name, cases, failure in results:
+        tag = "PASS" if failure is None else "FAIL"
+        suffix = f"  [{cases}]" if cases else ""
         print(f"{tag}  {name}{suffix}")
+        if failure is not None:
+            print(f"      first failing input: {json.dumps(failure, sort_keys=True)}")
     print(f"{passed} passed, {failed} failed")
     return 0 if failed == 0 else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run invariant sweeps")
     vf.add_argument("--suite", default="all", choices=["all", *sorted(SUITES)])
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--window", type=int, default=None, help="cap sweep window sizes")
+    vf.add_argument(
+        "--window", type=_positive_int, default=None, help="cap the window-shaped sweep sizes"
+    )
     return parser
 
 

@@ -14,7 +14,6 @@ from weylgraded.lattices import (
     hom_generator,
     iota_lattice,
     is_A_module,
-    lattice_dset,
     lattice_intersect,
     lattice_scale,
     simple_factor,
@@ -94,13 +93,6 @@ class TestIntersect:
     def test_containment(self):
         assert lattice_intersect(A, iota_lattice(fs(0))) == iota_lattice(fs(0))
 
-    def test_fold_equals_direct(self):
-        for J in subsets(range(-2, 3), 3):
-            folded = A
-            for i in sorted(J):
-                folded = lattice_intersect(folded, iota_lattice(fs(i)))
-            assert folded == iota_lattice(J)
-
 
 class TestScale:
     def test_scale_by_one(self):
@@ -120,18 +112,8 @@ class TestScale:
         with pytest.raises(ValueError):
             lattice_scale(A, RationalPoly.zero())
 
-    def test_iota_squared_is_z(self):
-        for J in subsets(range(-2, 3), 2):
-            L = iota_lattice(J)
-            assert L.involute(0).involute(0) == lattice_scale(L, Z)
-
 
 class TestIsAModule:
-    def test_iota_family_sweep(self):
-        for J in subsets(range(-3, 4), 3):
-            for s in range(-2, 3):
-                assert is_A_module(iota_lattice(J, s))
-
     def test_x_closure_violation(self):
         L = GradedLattice.from_generators({0: Z, 1: Z + 1, 2: ONE})
         assert not is_A_module(L)
@@ -170,18 +152,6 @@ class TestDSet:
         E = to_dset(fs(0, 4))
         assert 1 in E and 0 not in E and 4 not in E and -3 not in E
 
-    def test_lattice_reading_matches_formula(self):
-        for J in subsets(range(-3, 4), 3):
-            for s in range(-2, 3):
-                assert lattice_dset(iota_lattice(J, s)) == to_dset(J, s)
-
-    def test_factor_iff_in_dset(self):
-        for J in subsets(range(-3, 4), 3):
-            for s in range(-2, 3):
-                L, E = iota_lattice(J, s), to_dset(J, s)
-                for j in range(-5, 6):
-                    assert (simple_factor(L, j).kind == "X") == (j in E)
-
 
 class TestHomGenerator:
     def test_endomorphisms_of_free(self):
@@ -212,14 +182,6 @@ class TestCokernelSupport:
 
     def test_no_quotient(self):
         assert cokernel_support(A, A) == ()
-
-    def test_schanuel_identity(self):
-        subs = subsets(range(4))
-        for J in subs:
-            for K in subs:
-                left = cokernel_support(iota_lattice(J | K), iota_lattice(K))
-                right = cokernel_support(iota_lattice(J), iota_lattice(J & K))
-                assert left == right
 
 
 class TestExtTable:

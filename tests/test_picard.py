@@ -1,10 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from weylgraded.zfin import FinSet, affine_image
-from weylgraded.lattices import DSet, SimpleLabel, iota_lattice, lattice_dset, to_dset
+from weylgraded.zfin import FinSet
+from weylgraded.lattices import DSet, SimpleLabel
 from weylgraded.picard import (
     PicElement,
     act_on_dset,
@@ -17,7 +16,6 @@ from weylgraded.picard import (
     is_generative,
     is_numerically_trivial,
     omega,
-    power,
     shift,
     sign_rank,
 )
@@ -27,22 +25,11 @@ def fs(*xs):
     return FinSet(xs)
 
 
-pic_elements = st.builds(
-    PicElement,
-    st.sampled_from([1, -1]),
-    st.integers(-10, 10),
-    st.frozensets(st.integers(-10, 10), max_size=4).map(FinSet),
-)
-
-
 class TestCompose:
     def test_shift_involution_square(self):
         F = compose(shift(1), iota(fs(0)))
         assert F == PicElement(1, 1, fs(0))
         assert compose(F, F) == PicElement(1, 2, fs(-1, 0))
-
-    def test_omega_involution(self):
-        assert compose(omega(), omega()) == identity()
 
     def test_identity_laws(self):
         F = PicElement(-1, 3, fs(1, 4))
@@ -58,10 +45,6 @@ class TestCompose:
         got = compose(compose(omega(), iota(fs(3))), omega())
         assert got == iota(fs(-4))
 
-    @given(pic_elements, pic_elements, pic_elements)
-    def test_associativity(self, F, G, H):
-        assert compose(compose(F, G), H) == compose(F, compose(G, H))
-
 
 class TestInverse:
     def test_even_example(self):
@@ -72,11 +55,6 @@ class TestInverse:
 
     def test_omega_self_inverse(self):
         assert inverse(omega()) == omega()
-
-    @given(pic_elements)
-    def test_two_sided(self, F):
-        assert compose(F, inverse(F)) == identity()
-        assert compose(inverse(F), F) == identity()
 
 
 class TestSignRank:
@@ -91,28 +69,9 @@ class TestSignRank:
         assert sign_rank(iota(fs(0, 5))) == (1, 0)
         assert is_numerically_trivial(iota(fs(2)))
 
-    @given(pic_elements, pic_elements)
-    def test_homomorphism_to_affine_maps(self, F, G):
-        a1, r1 = sign_rank(F)
-        a2, r2 = sign_rank(G)
-        assert sign_rank(compose(F, G)) == (a1 * a2, a1 * r2 + r1)
-
-    @given(pic_elements)
-    def test_kernel_is_involution_subgroup(self, F):
-        assert (sign_rank(F) == (1, 0)) == (F.a == 1 and F.b == 0)
-
     def test_kernel_composes_as_xor(self):
         J, K = fs(-2, 1), fs(1, 3)
         assert compose(iota(J), iota(K)) == iota(J ^ K)
-
-
-class TestOddElements:
-    @given(st.integers(-6, 6), st.frozensets(st.integers(-6, 6), max_size=4).map(FinSet))
-    def test_square_and_fourth_power(self, b, J):
-        F = PicElement(-1, b, J)
-        sq = compose(F, F)
-        assert sq == PicElement(1, 0, affine_image(J, 1, b) ^ affine_image(J, -1, -1))
-        assert power(F, 4) == identity()
 
 
 class TestActOnSimple:
@@ -131,11 +90,6 @@ class TestActOnSimple:
         got = act_on_simple(omega(), SimpleLabel.M(Fraction(1, 2)))
         assert got == SimpleLabel.M(Fraction(-3, 2))
 
-    @given(pic_elements, pic_elements, st.integers(-4, 4), st.booleans())
-    def test_action_axiom(self, F, G, n, use_x):
-        S = SimpleLabel.X(n) if use_x else SimpleLabel.Y(n)
-        assert act_on_simple(compose(F, G), S) == act_on_simple(F, act_on_simple(G, S))
-
 
 class TestActOnDSet:
     def test_identity(self):
@@ -144,34 +98,6 @@ class TestActOnDSet:
 
     def test_omega_fixes_free_class(self):
         assert act_on_dset(omega(), DSet(FinSet())) == DSet(FinSet())
-
-    def test_iterated_shift_involution(self):
-        F = PicElement(1, 1, fs(0))
-        for n in range(1, 6):
-            got = act_on_dset(power(F, n), DSet(FinSet()))
-            assert got == to_dset(fs(0, n))
-
-    @given(
-        pic_elements,
-        pic_elements,
-        st.frozensets(st.integers(-5, 5), max_size=4).map(FinSet),
-    )
-    def test_action_axiom(self, F, G, exc):
-        E = DSet(exc)
-        assert act_on_dset(compose(F, G), E) == act_on_dset(F, act_on_dset(G, E))
-
-
-class TestLatticeOracle:
-    def test_action_matches_lattice_factors(self):
-        from itertools import combinations
-
-        universe = range(-2, 3)
-        all_J = [FinSet(c) for k in range(6) for c in combinations(universe, k)]
-        for b in range(-2, 3):
-            for J in all_J:
-                F = PicElement(1, b, J)
-                predicted = act_on_dset(F, DSet(FinSet()))
-                assert lattice_dset(iota_lattice(J, b)) == predicted
 
 
 class TestGenerativity:

@@ -1,0 +1,46 @@
+import json
+import os
+
+import pytest
+
+from weylgraded.cli import run_command
+from weylgraded.verification import SUITES, Check, run_suites
+
+CHECKS = [check for suite in sorted(SUITES) for check in SUITES[suite]]
+IDS = [f"{check.suite}.{check.fn.__name__.lstrip('_')}" for check in CHECKS]
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=IDS)
+def test_registered_check(check):
+    failure = check.run(seed=0)
+    assert failure is None, f"{check.name}: first failing input {json.dumps(failure)}"
+
+
+def test_window_does_not_leak_into_later_runs(capsys):
+    assert run_command(["verify", "--suite", "zfin", "--window", "1"]) == 0
+    assert "[n <= 1]" in capsys.readouterr().out
+    assert "WEYLGRADED_MAX_WINDOW" not in os.environ
+    _, _, results = run_suites(["zfin"])
+    cases = {r.name: r.cases for r in results}
+    assert cases["necklace enumeration matches counting formula"] == "n <= 12"
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_window_must_be_positive(window, capsys):
+    assert run_command(["verify", "--suite", "zfin", "--window", window]) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_run_suites_rejects_nonpositive_window():
+    with pytest.raises(ValueError):
+        run_suites(["zfin"], window=0)
+
+
+def test_failing_check_reports_its_input(monkeypatch, capsys):
+    failing = Check("failing", "always fails", "one case", lambda rng: {"J": [0, 2], "n": 3})
+    monkeypatch.setitem(SUITES, "failing", [failing])
+    assert run_command(["verify", "--suite", "failing"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL  always fails  [one case]"
+    assert json.loads(lines[1].split(": ", 1)[1]) == {"J": [0, 2], "n": 3}
+    assert lines[-1] == "0 passed, 1 failed"
