@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from weylgraded.zfin import AdmissiblePair, FinSet
+from weylgraded.zfin import AdmissiblePair, FinSet, necklace_canonical, necklace_count
 from weylgraded.picard import PicElement, compose, inverse, iota, omega, shift
 from weylgraded.classify import (
     canonical_admissible,
@@ -11,6 +13,11 @@ from weylgraded.classify import (
 
 def fs(*xs):
     return FinSet(xs)
+
+
+def subsets(universe):
+    items = sorted(universe)
+    return [FinSet(c) for k in range(len(items) + 1) for c in combinations(items, k)]
 
 
 def conjugate(g, F):
@@ -73,3 +80,11 @@ class TestClassCounts:
         assert morita_class_count(1) == 2
         assert morita_class_count(2) == 3
         assert morita_class_count(4) == 6
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_completeness_at_rank_n(self, n):
+        classes = {
+            necklace_canonical(canonical_admissible(PicElement(1, n, J))[0])
+            for J in subsets(range(n))
+        }
+        assert len(classes) == necklace_count(n)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylgraded.zfin import FinSet
 from weylgraded.picard import PicElement, identity
@@ -18,6 +19,13 @@ from weylgraded.ktheory import (
 
 def fs(*xs):
     return FinSet(xs)
+
+
+summands = st.tuples(
+    st.frozensets(st.integers(-4, 6), max_size=3).map(FinSet),
+    st.integers(-3, 3),
+)
+sums = st.lists(summands, max_size=4).map(lambda parts: ProjectiveSum(tuple(parts)))
 
 
 class TestAbsorbShift:
@@ -98,6 +106,21 @@ class TestTheta:
     def test_zero(self):
         assert theta_map({}) == identity()
 
+    @given(
+        st.frozensets(st.integers(-6, 6), max_size=4).map(FinSet),
+        st.frozensets(st.integers(-6, 6), max_size=4).map(FinSet),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    )
+    def test_homomorphism(self, J, K, a, b):
+        combo = [(J, a), (K, b)]
+        expected = FinSet()
+        if a % 2:
+            expected = expected ^ J
+        if b % 2:
+            expected = expected ^ K
+        assert theta_map(combo) == PicElement(1, 0, expected)
+
 
 class TestK0Class:
     def test_free_module(self):
@@ -110,6 +133,10 @@ class TestK0Class:
     def test_two_summand_class(self):
         got = k0_class(ProjectiveSum.of(fs(1, 3)))
         assert got == K0Class({4: 1, 2: 1, 0: 1, 3: -1, 1: -1})
+
+    @given(sums, sums)
+    def test_separates_iso_classes(self, S1, S2):
+        assert iso_test(S1, S2) == (k0_class(S1) == k0_class(S2))
 
     def test_reduced_drops_free_generator(self):
         c = K0Class({0: 5, 2: 1})

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylgraded.zfin import FinSet
 from weylgraded.lattices import DSet, SimpleLabel
@@ -23,6 +24,14 @@ from weylgraded.picard import (
 
 def fs(*xs):
     return FinSet(xs)
+
+
+pic_elements = st.builds(
+    PicElement,
+    st.sampled_from([1, -1]),
+    st.integers(-10, 10),
+    st.frozensets(st.integers(-10, 10), max_size=4).map(FinSet),
+)
 
 
 class TestCompose:
@@ -90,6 +99,11 @@ class TestActOnSimple:
         got = act_on_simple(omega(), SimpleLabel.M(Fraction(1, 2)))
         assert got == SimpleLabel.M(Fraction(-3, 2))
 
+    @given(pic_elements, pic_elements, st.integers(-4, 4), st.booleans())
+    def test_action_axiom(self, F, G, n, use_x):
+        S = SimpleLabel.X(n) if use_x else SimpleLabel.Y(n)
+        assert act_on_simple(compose(F, G), S) == act_on_simple(F, act_on_simple(G, S))
+
 
 class TestActOnDSet:
     def test_identity(self):
@@ -98,6 +112,15 @@ class TestActOnDSet:
 
     def test_omega_fixes_free_class(self):
         assert act_on_dset(omega(), DSet(FinSet())) == DSet(FinSet())
+
+    @given(
+        pic_elements,
+        pic_elements,
+        st.frozensets(st.integers(-5, 5), max_size=4).map(FinSet),
+    )
+    def test_action_axiom(self, F, G, exc):
+        E = DSet(exc)
+        assert act_on_dset(compose(F, G), E) == act_on_dset(F, act_on_dset(G, E))
 
 
 class TestGenerativity:

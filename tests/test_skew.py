@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from weylgraded.skew import (
@@ -85,6 +86,14 @@ class TestDefiningRelations:
     def test_x_times_z(self):
         zel = SkewElement.from_poly(Z)
         assert x() * zel == SkewElement.monomial(Z + 1, 1)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_xm_ym_rising_product(self, m):
+        lhs = x() ** m * y() ** m
+        assert lhs == SkewElement.from_poly(RationalPoly.rising(m))
+        if m == 2:
+            # hand expansion: x z y = x y (z+1) = z(z+1)
+            assert lhs == SkewElement.from_poly(Z * (Z + 1))
 
     def test_y_power_negative(self):
         assert SkewElement.y_power(1) * SkewElement.y_power(-1) == SkewElement.one()

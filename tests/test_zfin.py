@@ -90,6 +90,10 @@ class TestBoundary:
     def test_empty(self):
         assert boundary(FinSet(), 5) == FinSet()
 
+    @given(finsets, finsets, moduli)
+    def test_additive(self, I, J, n):
+        assert boundary(I ^ J, n) == boundary(I, n) ^ boundary(J, n)
+
 
 class TestInverseBoundary:
     def test_paired_run(self):
@@ -103,6 +107,19 @@ class TestInverseBoundary:
     def test_odd_parity_rejected(self):
         with pytest.raises(NotInImageError):
             inverse_boundary(fs(0), 1)
+
+    @given(finsets, moduli)
+    def test_left_inverse(self, K, n):
+        assert inverse_boundary(boundary(K, n), n) == K
+
+    @given(finsets, moduli)
+    def test_image_characterization(self, J, n):
+        even = all(len(slice(J, n, i)) % 2 == 0 for i in range(n))
+        if even:
+            assert boundary(inverse_boundary(J, n), n) == J
+        else:
+            with pytest.raises(NotInImageError):
+                inverse_boundary(J, n)
 
 
 class TestNecklaces:
@@ -124,6 +141,13 @@ class TestNecklaces:
         b = necklace_canonical(AdmissiblePair(fs(0, 3, 5), 6))
         assert a != b
 
+    @given(st.integers(1, 8), st.data())
+    def test_rotation_invariance(self, n, data):
+        J = FinSet(data.draw(st.frozensets(st.integers(0, n - 1))))
+        r = data.draw(st.integers(-12, 12))
+        rotated = AdmissiblePair(FinSet((j + r) % n for j in J), n)
+        assert necklace_canonical(rotated) == necklace_canonical(AdmissiblePair(J, n))
+
     def test_count_values(self):
         assert [necklace_count(n) for n in range(1, 7)] == [2, 3, 4, 6, 8, 14]
 
@@ -144,6 +168,10 @@ class TestNecklaces:
             AdmissiblePair(fs(0, 1), 2),
         ]
         assert len(necklace_enumerate(3)) == necklace_count(3) == 4
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_enumerate_agrees_with_count(self, n):
+        assert len(necklace_enumerate(n)) == necklace_count(n)
 
 
 class TestAdmissiblePair:
