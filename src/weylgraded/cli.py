@@ -162,7 +162,10 @@ def _parse_sum(text: str) -> ProjectiveSum:
     text = text.strip()
     if not text or text == "0":
         return ProjectiveSum(())
-    return ProjectiveSum(tuple(_parse_summand(t) for t in text.split("+")))
+    parts = text.split("+")
+    if not all(part.strip() for part in parts):
+        raise ExpressionError(f"empty summand in {text!r}; write {{}} for A", 0)
+    return ProjectiveSum(tuple(_parse_summand(part) for part in parts))
 
 
 def _parse_combo(text: str) -> list[tuple[FinSet, int]]:
@@ -202,10 +205,6 @@ def _emit(args, human: str, payload) -> None:
         print(human)
 
 
-def _pieces_payload(pieces) -> dict:
-    return pieces.to_json()
-
-
 def _pieces_human(pieces) -> str:
     lines = []
     for j, (h, p) in sorted(pieces.pieces.items()):
@@ -230,37 +229,27 @@ def _support_payload(support) -> list[dict]:
 
 def _cmd_pic(args) -> int:
     F = parse_expression(args.expr)
-    if args.cmd == "eval":
-        _emit(args, str(F), F.to_json())
-    elif args.cmd == "pow":
-        G = power(F, args.k)
-        _emit(args, str(G), G.to_json())
+    if args.cmd == "pow":
+        F = power(F, args.k)
     elif args.cmd == "inv":
-        G = inverse(F)
-        _emit(args, str(G), G.to_json())
+        F = inverse(F)
     elif args.cmd == "conj":
         g = parse_expression(args.by)
-        G = compose(g, compose(F, inverse(g)))
-        _emit(args, str(G), G.to_json())
-    elif args.cmd == "canonical":
-        return _do_canonical(args, F)
-    return 0
-
-
-def _do_canonical(args, F: PicElement) -> int:
-    pair, g = canonical_admissible(F)
-    _emit(
-        args,
-        f"pair: {pair}\nconjugator: {g}",
-        {"pair": pair.to_json(), "conjugator": g.to_json()},
-    )
+        F = compose(g, compose(F, inverse(g)))
+    _emit(args, str(F), F.to_json())
     return 0
 
 
 def _cmd_classify(args) -> int:
-    if args.cmd == "canonical":
-        return _do_canonical(args, parse_expression(args.expr))
     F = parse_expression(args.expr)
+    if args.cmd == "canonical":
+        pair, g = canonical_admissible(F)
+        _emit(
+            args,
+            f"pair: {pair}\nconjugator: {g}",
+            {"pair": pair.to_json(), "conjugator": g.to_json()},
+        )
+        return 0
     G = parse_expression(args.other)
     same = same_morita_class(F, G)
     _emit(args, "same graded Morita class" if same else "different graded Morita classes",
@@ -291,7 +280,7 @@ def _cmd_ring(args) -> int:
         _emit(args, human, p.to_json())
     elif args.cmd in ("pieces", "oracle"):
         pieces = gwa.ring_pieces(J, args.n, args.min, args.max, oracle=args.cmd == "oracle")
-        _emit(args, _pieces_human(pieces), _pieces_payload(pieces))
+        _emit(args, _pieces_human(pieces), pieces.to_json())
     else:  # verify
         closure = gwa.verify_ring_closure(J, args.n, args.window)
         embed = gwa.verify_gwa_embedding(J, args.n)
@@ -349,12 +338,13 @@ def _cmd_k0(args) -> int:
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     passed, failed, results = run_suites(names, seed=args.seed, window=args.window)
-    for name, cases, failure in results:
-        tag = "PASS" if failure is None else "FAIL"
-        suffix = f"  [{cases}]" if cases else ""
-        print(f"{tag}  {name}{suffix}")
-        if failure is not None:
-            print(f"      first failing input: {json.dumps(failure, sort_keys=True)}")
+    for r in results:
+        suffix = f"  [{r.cases}]" if r.cases else ""
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}{suffix}")
+        if r.raised is not None:
+            print(f"      raised {r.raised}")
+        elif r.failure is not None:
+            print(f"      first failing input: {json.dumps(r.failure, sort_keys=True)}")
     print(f"{passed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
@@ -389,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(pic, "conj", help="conjugate EXPR by BY")
     p.add_argument("expr")
     p.add_argument("by")
-    leaf(pic, "canonical", help="canonical admissible form").add_argument("expr")
 
     cl = sub.add_parser("classify", help="graded Morita classification").add_subparsers(
         dest="cmd", required=True
@@ -416,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--min", type=int, default=-2)
             p.add_argument("--max", type=int, default=2)
         if name == "verify":
-            p.add_argument("--window", type=int, default=3)
+            p.add_argument("--window", type=_positive_int, default=3)
 
     md = sub.add_parser("mod", help="rank-1 graded projective modules").add_subparsers(
         dest="cmd", required=True

@@ -154,6 +154,8 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     generators implies closure of all products.
     """
     J = _validated(J, n)
+    if window < 1:
+        raise ValueError(f"window must be a positive integer, got {window}")
     gens = {j: _piece_generator(J, n, j) for j in range(-window, window + 1)}
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .zfin import FinSet, affine_image, shift_delta
+from .zfin import FinSet, absorb_shift
 from .picard import PicElement, identity
 from .lattices import DSet
 
@@ -83,13 +83,6 @@ class K0Class:
         return " + ".join(
             f"{c}[A<{n}>]" for n, c in sorted(self.coefficients.items())
         )
-
-
-def absorb_shift(J: FinSet, s: int) -> FinSet:
-    """The K with iota_K A isomorphic to iota_J(A)<s>: translate then flip the ray."""
-    if not s:
-        return J
-    return affine_image(J, 1, s) ^ shift_delta(s)
 
 
 def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .zfin import FinSet, affine_image, shift_delta
+from .zfin import FinSet, absorb_shift
 from .skew import RationalPoly, fractional_lcm
 
 
@@ -165,18 +165,22 @@ class GradedLattice:
         lo, hi = min(self._lo, j), max(self._hi, j + 1)
         gens = [self.generator_at(m) for m in range(lo, hi + 1)]
         zj = RationalPoly.linear(j)
-        drop = (self.generator_at(j) / self.generator_at(j + 1)).multiplicity(j)
-        if drop == 0:
+        if not self._drops_at(j):
             gens = [g * zj if lo + i <= j else g for i, g in enumerate(gens)]
         else:
             gens = [g * zj if lo + i >= j + 1 else g for i, g in enumerate(gens)]
         return GradedLattice(lo, gens)
+
+    def _drops_at(self, j: int) -> bool:
+        """Whether the exponent of (z+j) drops between degrees j and j+1."""
+        return (self.generator_at(j) / self.generator_at(j + 1)).multiplicity(j) != 0
 
     def shifted(self, s: int) -> "GradedLattice":
         """Left multiplication by x^s: the degree shift functor on lattices."""
         return GradedLattice(self._lo + s, [g.shift(s) for g in self._gens])
 
     def scaled(self, f: RationalPoly) -> "GradedLattice":
+        """Left-multiply every degree piece by the nonzero rational function f."""
         if not isinstance(f, RationalPoly):
             f = RationalPoly(f)
         if f.is_zero():
@@ -231,11 +235,6 @@ def lattice_intersect(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:
     return GradedLattice(lo, gens)
 
 
-def lattice_scale(L: GradedLattice, f: RationalPoly) -> GradedLattice:
-    """Left-multiply every degree piece by the nonzero rational function f."""
-    return L.scaled(f)
-
-
 def is_A_module(L: GradedLattice) -> bool:
     """Check the x/y divisibility closures on the window (tails hold by shape)."""
     for m in range(L.lo - 1, L.hi + 1):
@@ -249,14 +248,12 @@ def is_A_module(L: GradedLattice) -> bool:
 
 def simple_factor(L: GradedLattice, j: int) -> SimpleLabel:
     """F_j(L): X(j) when the root line z=-j does not drop at j, else Y(j)."""
-    drop = (L.generator_at(j) / L.generator_at(j + 1)).multiplicity(j)
-    return SimpleLabel.X(j) if drop == 0 else SimpleLabel.Y(j)
+    return SimpleLabel.Y(j) if L._drops_at(j) else SimpleLabel.X(j)
 
 
 def to_dset(J: FinSet | Iterable[int], shift: int = 0) -> DSet:
     """DSet of iota_J(A)<shift> by pure set arithmetic: (ray xor J) + shift."""
-    J = FinSet(J)
-    return DSet(affine_image(J, 1, shift) ^ shift_delta(shift) if shift else J)
+    return DSet(absorb_shift(FinSet(J), shift))
 
 
 def lattice_dset(L: GradedLattice) -> DSet:

@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .zfin import (
-    AdmissiblePair,
-    FinSet,
-    affine_image,
-    shift_delta,
-)
+from .zfin import AdmissiblePair, FinSet, absorb_shift, affine_image
 from .lattices import DSet, SimpleLabel
 
 
@@ -147,10 +142,7 @@ def act_on_dset(F: PicElement, E: DSet) -> DSet:
     exc = E.exceptions
     if F.a == -1:
         exc = affine_image(exc, -1, -1)
-    exc = exc ^ F.J
-    if F.b:
-        exc = affine_image(exc, 1, F.b) ^ shift_delta(F.b)
-    return DSet(exc)
+    return DSet(absorb_shift(exc ^ F.J, F.b))
 
 
 def coverage_witness(
@@ -165,15 +157,6 @@ def coverage_witness(
     AdmissiblePair(J, n)  # validates admissibility
     if window < 1:
         raise ValueError("window must be positive")
-    out: dict[int, FinSet] = {}
-    for j in range(1, window + 1):
-        gamma = FinSet()
-        for i in range(1, j + 1):
-            gamma = gamma ^ affine_image(J, 1, n * i)
-        out[j] = gamma ^ shift_delta(n * j)
-    for j in range(-1, -window - 1, -1):
-        gamma = FinSet()
-        for i in range(0, -j):
-            gamma = gamma ^ affine_image(J, 1, -n * i)
-        out[j] = gamma ^ shift_delta(n * j)
-    return out
+    F, A = PicElement(1, n, J), DSet(FinSet())
+    steps = [*range(1, window + 1), *range(-1, -window - 1, -1)]
+    return {j: act_on_dset(power(F, j), A).exceptions for j in steps}

@@ -189,9 +189,6 @@ class RationalPoly:
     def is_polynomial(self) -> bool:
         return self._den == _ONE
 
-    def is_constant(self) -> bool:
-        return len(self._num) <= 1 and self._den == _ONE
-
     def is_one(self) -> bool:
         return self._num == _ONE and self._den == _ONE
 
@@ -200,11 +197,6 @@ class RationalPoly:
         if not self.is_polynomial():
             raise ValueError(f"{self} is not a polynomial")
         return len(self._num) - 1
-
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return self._num[-1] / self._den[-1]
 
     def monic(self) -> "RationalPoly":
         if self.is_zero():
@@ -313,12 +305,6 @@ class RationalPoly:
             d = q
         return count
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        v = Fraction(x)
-        num = sum((c * v ** i for i, c in enumerate(self._num)), Fraction(0))
-        den = sum((c * v ** i for i, c in enumerate(self._den)), Fraction(0))
-        return num / den
-
     # comparison / presentation ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -370,18 +356,6 @@ def _poly_str(cs: _Coeffs) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def poly_gcd(f: RationalPoly, g: RationalPoly) -> RationalPoly:
-    if not (f.is_polynomial() and g.is_polynomial()):
-        raise ValueError("gcd is defined for polynomial values")
-    return RationalPoly(_pgcd(f.num, g.num))
-
-
-def poly_lcm(f: RationalPoly, g: RationalPoly) -> RationalPoly:
-    if not (f.is_polynomial() and g.is_polynomial()):
-        raise ValueError("lcm is defined for polynomial values")
-    return RationalPoly(_plcm(f.num, g.num))
 
 
 def fractional_lcm(values: Iterable[RationalPoly]) -> RationalPoly:
@@ -455,10 +429,6 @@ class SkewElement:
 
     # structure -------------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[int, RationalPoly]:
-        return dict(self._terms)
-
     def coefficient(self, m: int) -> RationalPoly:
         return self._terms.get(m, RationalPoly.zero())
 
@@ -467,9 +437,6 @@ class SkewElement:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_single_term(self) -> bool:
-        return len(self._terms) == 1
 
     # arithmetic ------------------------------------------------------------
 
@@ -551,16 +518,6 @@ def x() -> SkewElement:
 
 def y() -> SkewElement:
     return SkewElement.y_power(1)
-
-
-def skew_multiply(u: SkewElement, v: SkewElement) -> SkewElement:
-    """Product in D; bilinear extension of (f x^m)(g x^n) = f g(z+m) x^{m+n}."""
-    return u * v
-
-
-def conjugate_by_power(f: RationalPoly, m: int) -> RationalPoly:
-    """Coefficient transport: x^m f(z) = f(z+m) x^m."""
-    return f.shift(m)
 
 
 def weyl_membership(u: SkewElement) -> bool:

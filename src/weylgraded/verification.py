@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import zfin
 from .zfin import AdmissiblePair, FinSet, NotInImageError
-from .skew import RationalPoly, SkewElement, skew_multiply, weyl_membership
+from .skew import RationalPoly, SkewElement, weyl_membership
 from .lattices import (
     DSet,
     GradedLattice,
@@ -29,7 +29,6 @@ from .lattices import (
     is_A_module,
     lattice_dset,
     lattice_intersect,
-    lattice_scale,
     simple_factor,
     to_dset,
 )
@@ -39,7 +38,6 @@ from .classify import canonical_admissible, morita_class_count, same_morita_clas
 from . import gwa
 from .ktheory import (
     ProjectiveSum,
-    absorb_shift,
     iso_test,
     k0_class,
     normalize_sum,
@@ -77,6 +75,11 @@ class CheckResult(NamedTuple):
     name: str
     cases: str
     failure: object  # None when the check passed
+    raised: str | None = None  # "<type>: <message>" when the check raised instead
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None and self.raised is None
 
 
 SUITES: dict[str, list[Check]] = {}
@@ -95,7 +98,10 @@ def register(suite: str, name: str, cases: str = "", window: int | None = None):
 def run_suites(
     names: Iterable[str], seed: int = 0, window: int | None = None
 ) -> tuple[int, int, list[CheckResult]]:
-    """Run the named suites; returns (passed, failed, results)."""
+    """Run the named suites; returns (passed, failed, results).
+
+    A check that raises fails with the exception recorded, and the run goes on.
+    """
     if window is not None and window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
     results: list[CheckResult] = []
@@ -103,8 +109,13 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
         for check in SUITES[name]:
-            results.append(CheckResult(check.name, check.describe(window), check.run(seed, window)))
-    failed = sum(1 for r in results if r.failure is not None)
+            cases = check.describe(window)
+            try:
+                failure, raised = check.run(seed, window), None
+            except Exception as exc:
+                failure, raised = None, f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(check.name, cases, failure, raised))
+    failed = sum(1 for r in results if not r.passed)
     return len(results) - failed, failed, results
 
 
@@ -159,6 +170,17 @@ def _boundary_image(rng: random.Random) -> object:
             hit = False
         if hit != even:
             return {"J": J.to_json(), "n": n}
+    return None
+
+
+@register("zfin", "shift re-encoding is a Z-action", "300 random (J, s, t)")
+def _absorb_shift_action(rng: random.Random) -> object:
+    for _ in range(300):
+        J = _random_finset(rng, -10, 10, 5)
+        s, t = rng.randint(-8, 8), rng.randint(-8, 8)
+        twice = zfin.absorb_shift(zfin.absorb_shift(J, s), t)
+        if zfin.absorb_shift(J, 0) != J or twice != zfin.absorb_shift(J, s + t):
+            return {"J": J.to_json(), "s": s, "t": t}
     return None
 
 
@@ -240,7 +262,7 @@ def _ring_axioms(rng: random.Random) -> object:
 def _weyl_closed(rng: random.Random) -> object:
     for _ in range(200):
         u, v = _random_weyl(rng), _random_weyl(rng)
-        if not (weyl_membership(u) and weyl_membership(v) and weyl_membership(skew_multiply(u, v))):
+        if not (weyl_membership(u) and weyl_membership(v) and weyl_membership(u * v)):
             return {"u": u.to_json(), "v": v.to_json()}
     return None
 
@@ -310,7 +332,7 @@ def _schanuel(rng: random.Random) -> object:
 def _iota_squared(rng: random.Random) -> object:
     for J in _subsets(range(-2, 3), 2):
         L = iota_lattice(J)
-        if L.involute(0).involute(0) != lattice_scale(L, RationalPoly.z()):
+        if L.involute(0).involute(0) != L.scaled(RationalPoly.z()):
             return {"J": J.to_json()}
     return None
 
@@ -583,7 +605,7 @@ def _counts(summands: Iterable[tuple[FinSet, int]]) -> dict[int, int]:
     """How often each point lies in the shift-absorbed sets of the summands."""
     counts: dict[int, int] = {}
     for J, s in summands:
-        for t in absorb_shift(J, s):
+        for t in zfin.absorb_shift(J, s):
             counts[t] = counts.get(t, 0) + 1
     return counts
 

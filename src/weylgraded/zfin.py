@@ -112,11 +112,6 @@ class NecklaceClass:
         return self.representative.to_json()
 
 
-def symmetric_difference(K: FinSet, J: FinSet) -> FinSet:
-    """Group operation: (K ∪ J) minus (K ∩ J)."""
-    return K ^ J
-
-
 def affine_image(J: FinSet, scale: int, offset: int) -> FinSet:
     """Image of J under j -> scale*j + offset; scale must be nonzero."""
     if scale == 0:
@@ -167,6 +162,13 @@ def shift_delta(s: int) -> FinSet:
     {0, ..., s-1} for s >= 0 and {s, ..., -1} for s < 0.
     """
     return FinSet(range(0, s) if s >= 0 else range(s, 0))
+
+
+def absorb_shift(J: FinSet, s: int) -> FinSet:
+    """The K with iota_K A isomorphic to iota_J(A)<s>: (J + s) xor shift_delta(s)."""
+    if not s:
+        return J
+    return affine_image(J, 1, s) ^ shift_delta(s)
 
 
 def necklace_canonical(p: AdmissiblePair) -> NecklaceClass:

@@ -82,10 +82,9 @@ class TestRunCommand:
         assert data["pair"] == {"J": [], "n": 2}
         assert data["conjugator"] == {"a": 1, "b": 0, "J": [2]}
 
-    def test_pic_canonical_alias(self, capsys):
-        assert run_command(["pic", "canonical", "S^2 * i{0,2}", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["pair"] == {"J": [], "n": 2}
+    def test_pic_canonical_is_removed(self, capsys):
+        assert run_command(["pic", "canonical", "S^2 * i{0,2}", "--json"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_classify_same_class(self, capsys):
         code = run_command(["classify", "same-class", "S^2 * i{0}", "S^2 * i{1}", "--json"])
@@ -155,6 +154,11 @@ class TestRunCommand:
         assert run_command(["ring", "verify", "--J", "0,2", "--n", "3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"closure": True, "embedding": True}
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_ring_verify_window_must_be_positive(self, window, capsys):
+        assert run_command(["ring", "verify", "--J", "0", "--n", "1", "--window", window]) == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_ring_inadmissible_exit_one(self, capsys):
         assert run_command(["ring", "present", "--J", "5", "--n", "2"]) == 1
 
@@ -195,6 +199,19 @@ class TestRunCommand:
             ["k0", "iso", "{1,3}+{0,1,2}+{0}", "{0,1,2,3}+{0,1}+{}", "--json"]
         ) == 0
         assert json.loads(capsys.readouterr().out) == {"isomorphic": True}
+
+    @pytest.mark.parametrize("text", ["+", "{0}+", "{0}++{1}"])
+    def test_k0_empty_summand_exit_two(self, text, capsys):
+        assert run_command(["k0", "normalize", text]) == 2
+        assert run_command(["k0", "iso", "{0}", text]) == 2
+        err = capsys.readouterr().err
+        assert err.count("empty summand") == 2
+
+    def test_k0_free_and_empty_sums(self, capsys):
+        assert run_command(["k0", "normalize", "{}"]) == 0
+        assert run_command(["k0", "normalize", "0"]) == 0
+        assert run_command(["k0", "normalize", ""]) == 0
+        assert capsys.readouterr().out.splitlines() == ["i{}A", "0", "0"]
 
     def test_k0_witness(self, capsys):
         assert run_command(["k0", "witness", "--J", "1,3", "--json"]) == 0

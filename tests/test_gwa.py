@@ -116,6 +116,10 @@ class TestRingStructure:
     def test_weyl_case_relations(self):
         assert verify_gwa_embedding(FinSet(), 1)
 
+    def test_closure_rejects_nonpositive_window(self):
+        with pytest.raises(ValueError):
+            verify_ring_closure(FinSet([0]), 1, -5)
+
 
 class TestRingPieces:
     def test_table_shape(self):

@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from weylgraded.zfin import FinSet
+from weylgraded.zfin import FinSet, absorb_shift
 from weylgraded.picard import PicElement, identity
 from weylgraded.ktheory import (
     K0Class,
     ProjectiveSum,
-    absorb_shift,
     iso_test,
     k0_class,
     normalize_sum,

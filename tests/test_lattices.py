@@ -15,7 +15,6 @@ from weylgraded.lattices import (
     iota_lattice,
     is_A_module,
     lattice_intersect,
-    lattice_scale,
     simple_factor,
     to_dset,
 )
@@ -97,20 +96,20 @@ class TestIntersect:
 class TestScale:
     def test_scale_by_one(self):
         L = iota_lattice(fs(1))
-        assert lattice_scale(L, ONE) == L
+        assert L.scaled(ONE) == L
 
     def test_principal_scaling(self):
-        L = lattice_scale(A, Z + 5)
+        L = A.scaled(Z + 5)
         assert L.generator_at(0) == Z + 5
 
     def test_inverse_involution_normalizes(self):
         # z^{-1} iota_0(iota_0 A) = A
         twice = iota_lattice(fs(0)).involute(0)
-        assert lattice_scale(twice, ONE / Z) == A
+        assert twice.scaled(ONE / Z) == A
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            lattice_scale(A, RationalPoly.zero())
+            A.scaled(RationalPoly.zero())
 
 
 class TestIsAModule:

@@ -1,14 +1,11 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from weylgraded.skew import (
     RationalPoly,
     SkewElement,
-    conjugate_by_power,
     fractional_lcm,
-    skew_multiply,
     weyl_membership,
     x,
     y,
@@ -43,10 +40,10 @@ class TestRationalPoly:
         assert (Z ** 2 - 1) / (Z - 1) == Z + 1
 
     def test_shift(self):
-        assert conjugate_by_power(Z, 1) == Z + 1
-        assert conjugate_by_power(Z ** 2, -2) == (Z - 2) ** 2
+        assert Z.shift(1) == Z + 1
+        assert (Z ** 2).shift(-2) == (Z - 2) ** 2
         f = poly(3, -1, 2)
-        assert conjugate_by_power(f, 0) == f
+        assert f.shift(0) == f
 
     def test_multiplicity(self):
         f = RationalPoly.linear(3) ** 2 * RationalPoly.linear(-1)
@@ -78,22 +75,18 @@ class TestRationalPoly:
 
 class TestDefiningRelations:
     def test_x_times_y_is_z(self):
-        assert skew_multiply(x(), y()) == SkewElement.from_poly(Z)
+        assert x() * y() == SkewElement.from_poly(Z)
 
     def test_y_times_x(self):
-        assert skew_multiply(y(), x()) == SkewElement.from_poly(Z - 1)
+        assert y() * x() == SkewElement.from_poly(Z - 1)
 
     def test_x_times_z(self):
         zel = SkewElement.from_poly(Z)
         assert x() * zel == SkewElement.monomial(Z + 1, 1)
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_xm_ym_rising_product(self, m):
-        lhs = x() ** m * y() ** m
-        assert lhs == SkewElement.from_poly(RationalPoly.rising(m))
-        if m == 2:
-            # hand expansion: x z y = x y (z+1) = z(z+1)
-            assert lhs == SkewElement.from_poly(Z * (Z + 1))
+    def test_x2_y2_hand_expansion(self):
+        # x z y = x y (z+1) = z(z+1)
+        assert x() ** 2 * y() ** 2 == SkewElement.from_poly(Z * (Z + 1))
 
     def test_y_power_negative(self):
         assert SkewElement.y_power(1) * SkewElement.y_power(-1) == SkewElement.one()

@@ -36,6 +36,21 @@ def test_run_suites_rejects_nonpositive_window():
         run_suites(["zfin"], window=0)
 
 
+def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
+    def boom(rng):
+        raise ValueError("boom")
+
+    checks = [Check("raising", "raises", "", boom), Check("raising", "passes", "", lambda rng: None)]
+    monkeypatch.setitem(SUITES, "raising", checks)
+    assert run_command(["verify", "--suite", "raising"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  raises",
+        "      raised ValueError: boom",
+        "PASS  passes",
+        "1 passed, 1 failed",
+    ]
+
+
 def test_failing_check_reports_its_input(monkeypatch, capsys):
     failing = Check("failing", "always fails", "one case", lambda rng: {"J": [0, 2], "n": 3})
     monkeypatch.setitem(SUITES, "failing", [failing])
