@@ -1,10 +1,19 @@
 """Command-line front end.
 
-Picard elements are written in a small expression language, composed
-left-to-right with the leftmost functor applied last:
+Every expression argument is read by one scanner with this grammar:
 
     element := term ('*' term)*
-    term    := 'S' ('^' int)? | 'i' '{' int (',' int)* '}' | 'w' | 'e'
+    term    := 'S' ('^' int)? | 'i' set | 'w' | 'e'
+    set     := '{' (int (',' int)*)? '}'
+    sum     := summand ('+' summand)* | '0' | ''
+    summand := set ('@' int)?
+    combo   := (('+' | '-')? int? set (('+' | '-') int? set)*)?
+
+Picard elements compose left-to-right with the leftmost functor applied last.
+A sum lists the summands iota_J(A)<s> of a graded projective, and ``{}`` is A.
+A set may drop its braces in a ``--J`` value and in a summand (``--J 0,3``,
+``1,3+0@2``); a blank ``--J`` is the empty set. Whitespace between tokens is
+ignored, and a syntax error names the position of the token that broke it.
 
 Exit codes: 0 success, 1 domain error (for example a non-generative input to
 ``classify``), 2 usage or expression-syntax error.
@@ -14,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .zfin import (
     FinSet,
@@ -48,7 +57,7 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-# --- Picard expression parser -------------------------------------------------
+# --- expression grammar -------------------------------------------------------
 
 
 class _Scanner:
@@ -56,66 +65,66 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self) -> None:
+    def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        c = self.peek()
+    def accept(self, c: str) -> bool:
+        """Consume the token ``c`` if it comes next."""
+        if self.peek() != c:
+            return False
         self.pos += 1
-        return c
+        return True
+
+    def fail(self, wanted: str) -> NoReturn:
+        got = self.peek()
+        found = f", found {got!r}" if got else ""
+        raise ExpressionError(f"expected {wanted}{found}", self.pos)
 
     def expect(self, c: str) -> None:
-        got = self.peek()
-        if got != c:
-            raise ExpressionError(f"expected {c!r}, found {got!r}" if got else f"expected {c!r}", self.pos)
-        self.pos += 1
+        if not self.accept(c):
+            self.fail(repr(c))
+
+    def end(self) -> None:
+        if self.peek():
+            raise ExpressionError(f"trailing input {self.text[self.pos:]!r}", self.pos)
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise ExpressionError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        signed = self.peek() in ("+", "-")
+        start, end = self.pos, self.pos + signed
+        while end < len(self.text) and self.text[end].isdecimal():
+            end += 1
+        if end == start + signed:
+            self.fail("an integer")
+        self.pos = end
+        return int(self.text[start:end])
+
+    def int_set(self, bare: bool = False) -> FinSet:
+        """'{' int, ... '}'; with ``bare`` the braces may be left out, but not the ints."""
+        braced = not bare or self.peek() == "{"
+        if braced:
+            self.expect("{")
+            if self.accept("}"):
+                return FinSet()
+        values = [self.integer()]
+        while self.accept(","):
+            values.append(self.integer())
+        if braced:
+            self.expect("}")
+        return FinSet(values)
 
 
 def _parse_term(sc: _Scanner) -> PicElement:
-    c = sc.peek()
-    if c == "S":
-        sc.take()
-        b = 1
-        if sc.peek() == "^":
-            sc.take()
-            b = sc.integer()
-        return PicElement(1, b, FinSet())
-    if c == "i":
-        sc.take()
-        sc.expect("{")
-        values = [sc.integer()]
-        while sc.peek() == ",":
-            sc.take()
-            values.append(sc.integer())
-        sc.expect("}")
-        return PicElement(1, 0, FinSet(values))
-    if c == "w":
-        sc.take()
+    if sc.accept("S"):
+        return PicElement(1, sc.integer() if sc.accept("^") else 1, FinSet())
+    if sc.accept("i"):
+        return PicElement(1, 0, sc.int_set())
+    if sc.accept("w"):
         return PicElement(-1, 0, FinSet())
-    if c == "e":
-        sc.take()
+    if sc.accept("e"):
         return PicElement(1, 0, FinSet())
-    raise ExpressionError(
-        f"expected a term (S, i{{...}}, w, or e), found {c!r}" if c else "unexpected end of input",
-        sc.pos,
-    )
+    sc.fail("a term (S, i{...}, w, or e)")
 
 
 def parse_expression(text: str) -> PicElement:
@@ -124,74 +133,41 @@ def parse_expression(text: str) -> PicElement:
     if not sc.peek():
         raise ExpressionError("empty expression", 0)
     out = _parse_term(sc)
-    while sc.peek() == "*":
-        sc.take()
+    while sc.accept("*"):
         out = compose(out, _parse_term(sc))
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ExpressionError(f"trailing input {sc.text[sc.pos:]!r}", sc.pos)
+    sc.end()
     return out
 
 
-# --- small argument parsers ---------------------------------------------------
-
-
 def _parse_int_set(text: str) -> FinSet:
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1]
-    if not text:
-        return FinSet()
-    try:
-        return FinSet(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ExpressionError(f"bad integer set {text!r}: {exc}", 0) from None
-
-
-def _parse_summand(text: str) -> tuple[FinSet, int]:
-    if "@" in text:
-        body, _, shift = text.partition("@")
-        try:
-            return (_parse_int_set(body), int(shift))
-        except ValueError:
-            raise ExpressionError(f"bad shift in summand {text!r}", 0) from None
-    return (_parse_int_set(text), 0)
+    sc = _Scanner(text)
+    J = sc.int_set(bare=True) if sc.peek() else FinSet()
+    sc.end()
+    return J
 
 
 def _parse_sum(text: str) -> ProjectiveSum:
-    text = text.strip()
-    if not text or text == "0":
+    if text.strip() in ("", "0"):
         return ProjectiveSum(())
-    parts = text.split("+")
-    if not all(part.strip() for part in parts):
-        raise ExpressionError(f"empty summand in {text!r}; write {{}} for A", 0)
-    return ProjectiveSum(tuple(_parse_summand(part) for part in parts))
+    sc = _Scanner(text)
+    summands: list[tuple[FinSet, int]] = []
+    while not summands or sc.accept("+"):
+        if sc.peek() in ("+", ""):
+            raise ExpressionError("empty summand; write {} for A", sc.pos)
+        summands.append((sc.int_set(bare=True), sc.integer() if sc.accept("@") else 0))
+    sc.end()
+    return ProjectiveSum(tuple(summands))
 
 
 def _parse_combo(text: str) -> list[tuple[FinSet, int]]:
     """Integer combination of classes, e.g. '2{0,3} - {1} + {}'."""
+    sc = _Scanner(text)
     out: list[tuple[FinSet, int]] = []
-    i, n = 0, len(text)
-    sign = 1
-    while i < n:
-        while i < n and (text[i].isspace() or text[i] in "+-"):
-            if text[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            break
-        j = i
-        while j < n and (text[j].isdigit()):
-            j += 1
-        coeff = int(text[i:j]) if j > i else 1
-        if j >= n or text[j] != "{":
-            raise ExpressionError("expected '{' after coefficient", j)
-        k = text.find("}", j)
-        if k < 0:
-            raise ExpressionError("unterminated set", j)
-        out.append((_parse_int_set(text[j : k + 1]), sign * coeff))
-        i = k + 1
-        sign = 1
+    while op := sc.peek():
+        if not (sc.accept("+") or sc.accept("-")) and out:
+            sc.fail("'+' or '-' between terms")
+        coeff = sc.integer() if sc.peek().isdecimal() else 1
+        out.append((sc.int_set(), -coeff if op == "-" else coeff))
     return out
 
 

@@ -29,13 +29,16 @@ class ProjectiveSum:
 
     @classmethod
     def of(cls, *parts) -> "ProjectiveSum":
-        """Build from FinSets, bare iterables, or (J, shift) pairs."""
+        """Build from parts, each a FinSet (shift 0) or a (FinSet, shift) pair."""
         out = []
         for p in parts:
-            if isinstance(p, tuple) and len(p) == 2 and isinstance(p[1], int):
-                out.append((FinSet(p[0]), p[1]))
-            else:
-                out.append((FinSet(p), 0))
+            pair = (p, 0) if isinstance(p, FinSet) else p
+            if not (
+                isinstance(pair, tuple) and len(pair) == 2
+                and isinstance(pair[0], FinSet) and isinstance(pair[1], int)
+            ):
+                raise TypeError(f"summand must be a FinSet or a (FinSet, shift) pair, got {p!r}")
+            out.append(pair)
         return cls(tuple(out))
 
     def __len__(self) -> int:

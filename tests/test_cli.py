@@ -221,6 +221,33 @@ class TestRunCommand:
         assert run_command(["k0", "theta", "{0,3}-{}", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"a": 1, "b": 0, "J": [0, 3]}
 
+    def test_k0_theta_whitespace_between_tokens(self, capsys):
+        assert run_command(["k0", "theta", "2 {0} - {1}"]) == 0
+        assert capsys.readouterr().out.strip() == "i{1}"
+
+    def test_pic_eval_empty_iota(self, capsys):
+        assert run_command(["pic", "eval", "i{}"]) == 0
+        assert capsys.readouterr().out.strip() == "e"
+
+    def test_k0_bare_summands(self, capsys):
+        assert run_command(["k0", "normalize", "1,3+0@2", "--json"]) == 0
+        bare = json.loads(capsys.readouterr().out)
+        assert run_command(["k0", "normalize", " {1,3} + {0} @ +2 ", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == bare
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (["k0", "normalize", "{0}+{1}+{x}"], 9),
+            (["k0", "normalize", "{0}+{1}@q"], 8),
+            (["mod", "dset", "--J", "0,x"], 2),
+            (["k0", "theta", "{0}{1}"], 3),
+        ],
+    )
+    def test_syntax_error_position(self, argv, position, capsys):
+        assert run_command(argv) == 2
+        assert f"(at position {position})" in capsys.readouterr().err
+
     def test_verify_single_suite(self, capsys):
         assert run_command(["verify", "--suite", "zfin", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -39,6 +39,17 @@ class TestAbsorbShift:
         assert absorb_shift(fs(0), 1) == fs(0, 1)
 
 
+class TestProjectiveSumOf:
+    def test_finsets_and_pairs(self):
+        S = ProjectiveSum.of(FinSet([1, 3]), (FinSet(), 2))
+        assert S.summands == ((fs(1, 3), 0), (FinSet(), 2))
+
+    @pytest.mark.parametrize("part", [(1, 3), [1, 3]])
+    def test_bare_integers_are_rejected(self, part):
+        with pytest.raises(TypeError):
+            ProjectiveSum.of(part)
+
+
 class TestNormalize:
     def test_overlapping_pair(self):
         got = normalize_sum(ProjectiveSum.of(fs(1, 3), fs(0, 1, 2)))
