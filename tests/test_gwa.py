@@ -8,6 +8,7 @@ from weylgraded.gwa import (
     graded_piece_closed_form,
     present,
     ring_pieces,
+    simplicity_root_test,
     twisted_endo_piece_oracle,
     verify_gwa_embedding,
     verify_ring_closure,
@@ -94,6 +95,18 @@ class TestOracle:
 
 
 class TestRingStructure:
+    @pytest.mark.parametrize("pair", admissible_pairs(4))
+    def test_closure(self, pair):
+        assert verify_ring_closure(pair[0], pair[1], 3)
+
+    @pytest.mark.parametrize("pair", admissible_pairs(4))
+    def test_gwa_embedding(self, pair):
+        assert verify_gwa_embedding(pair[0], pair[1])
+
+    @pytest.mark.parametrize("pair", admissible_pairs(4))
+    def test_simplicity_roots(self, pair):
+        assert simplicity_root_test(pair[0], pair[1])
+
     def test_weyl_case_relations(self):
         assert verify_gwa_embedding(FinSet(), 1)
 
