@@ -8,18 +8,22 @@ construction.  Any disagreement would be a bug, so the script fails loudly.
 import argparse
 import sys
 
-from weylgraded import FinSet, graded_piece_closed_form, twisted_endo_piece_oracle
+from weylgraded import graded_piece_closed_form, twisted_endo_piece_oracle
+from weylgraded.cli import ExpressionError, parse_int_set
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--J", default="", help="comma-separated residues, e.g. 0,2")
+    parser.add_argument("--J", default="", help="residue set, e.g. 0,2 or {0,2}")
     parser.add_argument("--n", type=int, default=1)
     parser.add_argument("--min", dest="j_min", type=int, default=-3)
     parser.add_argument("--max", dest="j_max", type=int, default=3)
     args = parser.parse_args()
 
-    J = FinSet(int(t) for t in args.J.split(",") if t.strip())
+    try:
+        J = parse_int_set(args.J)
+    except ExpressionError as exc:
+        parser.error(f"--J: {exc}")
     print(f"graded pieces of S({J}, {args.n}), degrees {args.j_min}..{args.j_max}")
     print(f"{'j':>4}  {'closed form':<34} {'lattice oracle':<34}")
     mismatches = 0

@@ -139,7 +139,11 @@ def parse_expression(text: str) -> PicElement:
     return out
 
 
-def _parse_int_set(text: str) -> FinSet:
+def parse_int_set(text: str) -> FinSet:
+    """A ``--J`` value: a set whose braces may be left out; blank is the empty set.
+
+    A syntax error raises ExpressionError naming its position.
+    """
     sc = _Scanner(text)
     J = sc.int_set(bare=True) if sc.peek() else FinSet()
     sc.end()
@@ -245,7 +249,7 @@ def _cmd_necklace(args) -> int:
 
 
 def _cmd_ring(args) -> int:
-    J = _parse_int_set(args.J)
+    J = parse_int_set(args.J)
     if args.cmd == "present":
         p = gwa.present(J, args.n)
         human = (
@@ -272,15 +276,15 @@ def _cmd_ring(args) -> int:
 
 def _cmd_mod(args) -> int:
     if args.cmd == "dset":
-        E = to_dset(_parse_int_set(args.J), args.shift)
+        E = to_dset(parse_int_set(args.J), args.shift)
         _emit(args, str(E), E.to_json())
     elif args.cmd == "lattice":
-        L = iota_lattice(_parse_int_set(args.J), args.shift)
+        L = iota_lattice(parse_int_set(args.J), args.shift)
         human = "\n".join(f"deg {m}: ({g}) x^{m} k[z]" for m, g in L.generators.items())
         _emit(args, human, L.to_json())
     else:
-        P = iota_lattice(_parse_int_set(args.J), args.shift)
-        Q = iota_lattice(_parse_int_set(args.J2), args.shift2)
+        P = iota_lattice(parse_int_set(args.J), args.shift)
+        Q = iota_lattice(parse_int_set(args.J2), args.shift2)
         if args.cmd == "hom":
             h = hom_generator(P, Q)
             _emit(args, str(h), {"generator": h.to_json()})
@@ -299,7 +303,7 @@ def _cmd_k0(args) -> int:
         same = iso_test(_parse_sum(args.left), _parse_sum(args.right))
         _emit(args, "isomorphic" if same else "not isomorphic", {"isomorphic": same})
     elif args.cmd == "witness":
-        adds, result = stably_free_witness(_parse_int_set(args.J))
+        adds, result = stably_free_witness(parse_int_set(args.J))
         human = (
             "adds:   " + ", ".join(f"A<{l}>" for l in adds) + "\n"
             "result: " + ", ".join(f"A<{m}>" for m in result)

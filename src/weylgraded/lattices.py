@@ -12,15 +12,23 @@ Along each root line z = -j the exponent of (z+j) is constant except for a
 possible single unit drop between degrees j and j+1; the drop occurring is
 exactly "X<j> is a simple factor", which makes isomorphism testing and the
 involution functors completely mechanical.
+
+Every generator is a product of powers of (z+j) with integer j, so it is
+stored as its root-to-exponent map: products add exponents, intersections
+and hom generators take maxima, divisibility compares them, and no
+polynomial gcd is ever taken.  A RationalPoly that does not split over
+integer roots is rejected with ValueError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .zfin import FinSet, absorb_shift
-from .skew import RationalPoly, fractional_lcm
+from .skew import RationalPoly
 
 
 @dataclass(frozen=True)
@@ -94,27 +102,128 @@ class DSet:
         return cls(FinSet.from_json(data["exceptions"]))
 
 
+# A factored generator: sorted pairs (j, e) with integer root j and nonzero
+# exponent e, standing for the product of the (z+j)^e; e < 0 is a denominator.
+_Factored = tuple
+
+
+def _mul(a: _Factored, b: _Factored, sign: int = 1) -> _Factored:
+    """a * b^sign: the exponents add."""
+    exps = dict(a)
+    for j, e in b:
+        exps[j] = exps.get(j, 0) + sign * e
+    return tuple(sorted(p for p in exps.items() if p[1]))
+
+
+def _lcm(a: _Factored, b: _Factored) -> _Factored:
+    """Generator of a k[z] intersected with b k[z]: the larger exponent per root."""
+    ea, eb = dict(a), dict(b)
+    return tuple(sorted(
+        (j, e) for j in ea.keys() | eb.keys() if (e := max(ea.get(j, 0), eb.get(j, 0)))
+    ))
+
+
+def _divides(a: _Factored, b: _Factored) -> bool:
+    """Whether b / a lies in k[z]."""
+    return all(e > 0 for _, e in _mul(b, a, -1))
+
+
+def _exponent(a: _Factored, j: int) -> int:
+    return next((e for r, e in a if r == j), 0)
+
+
+def _deflate(cs: list[int], j: int) -> list[int] | None:
+    """cs / (z+j) by synthetic division, or None when (z+j) does not divide cs."""
+    q = [0] * (len(cs) - 1)
+    acc = 0
+    for i in range(len(cs) - 1, 0, -1):
+        acc = cs[i] - j * acc
+        q[i - 1] = acc
+    return q if cs[0] == j * acc else None
+
+
+def _integer_roots(coeffs: tuple, g: RationalPoly) -> dict[int, int]:
+    """Exponent of each (z+j) in c * prod (z+j); ValueError if coeffs do not split so."""
+    lc = coeffs[-1]
+    monic = coeffs if lc == 1 else [c / lc for c in coeffs]
+    if any(c.denominator != 1 for c in monic):
+        raise ValueError(f"{g} does not split over integer roots")
+    cs = [c.numerator for c in monic]
+    d = len(cs) - 1
+    e1 = cs[d - 1] if d >= 1 else 0
+    e2 = cs[d - 2] if d >= 2 else 0
+    # the squares of the roots sum to e1^2 - 2 e2, which bounds each |j|
+    bound = isqrt(max(e1 * e1 - 2 * e2, 0))
+    roots: dict[int, int] = {}
+    for j in range(-bound, bound + 1):
+        if len(cs) <= 2:
+            break
+        while cs[0] % j == 0 if j else cs[0] == 0:
+            q = _deflate(cs, j)
+            if q is None:
+                break
+            cs = q
+            roots[j] = roots.get(j, 0) + 1
+    if len(cs) == 2:  # the last root is read off z + j
+        roots[cs[0]] = roots.get(cs[0], 0) + 1
+    elif len(cs) > 2:
+        raise ValueError(f"{g} does not split over integer roots")
+    return roots
+
+
+def _factor(g) -> _Factored:
+    """Factor a nonzero rational function over integer roots, dropping its leading constant."""
+    if not isinstance(g, RationalPoly):
+        g = RationalPoly(g)
+    if g.is_zero():
+        raise ValueError("lattice generators must be nonzero")
+    exps = _integer_roots(g.num, g)
+    if not g.is_polynomial():
+        # num and den are coprime, so their roots are distinct
+        exps.update((j, -e) for j, e in _integer_roots(g.den, g).items())
+    return tuple(sorted(exps.items()))
+
+
+def _linear_product(roots: Iterable[int]) -> list[int]:
+    """Integer coefficients, ascending, of the product of the (z+j)."""
+    cs = [1]
+    for j in roots:
+        cs = [j * a + b for a, b in zip(cs + [0], [0] + cs)]
+    return cs
+
+
+def _expand(a: _Factored) -> RationalPoly:
+    """Multiply a factored generator out, in integer arithmetic."""
+    num = _linear_product(j for j, e in a if e > 0 for _ in range(e))
+    den = _linear_product(j for j, e in a if e < 0 for _ in range(-e))
+    return RationalPoly(num, den)
+
+
 class GradedLattice:
-    """Graded submodule of D with one cyclic generator per degree."""
+    """Graded submodule of D with one cyclic generator per degree.
+
+    Generators are stored factored over their integer roots.  They enter as
+    RationalPoly values, which must split over integer roots (ValueError
+    otherwise), and leave multiplied out as RationalPoly values.
+    """
 
     __slots__ = ("_lo", "_hi", "_gens")
 
-    def __init__(self, lo: int, gens: Sequence[RationalPoly]) -> None:
+    def __init__(self, lo: int, gens: Sequence[RationalPoly | _Factored]) -> None:
+        """Lattice with generators gens[i] at degree lo + i.
+
+        Each generator is a nonzero RationalPoly, whose leading constant is
+        dropped, or an already-factored tuple of (root, exponent) pairs.
+        """
         if not gens:
             raise ValueError("a lattice needs at least one stored generator")
-        norm: list[RationalPoly] = []
-        for g in gens:
-            if not isinstance(g, RationalPoly):
-                g = RationalPoly(g)
-            if g.is_zero():
-                raise ValueError("lattice generators must be nonzero")
-            norm.append(g.monic())
+        norm = [g if isinstance(g, tuple) else _factor(g) for g in gens]
         hi = lo + len(norm) - 1
         # canonical window: drop degrees the tail rules reproduce
         while hi > lo and norm[-1] == norm[-2]:
             norm.pop()
             hi -= 1
-        while lo < hi and norm[0] == norm[1] * RationalPoly.linear(lo):
+        while lo < hi and norm[0] == _mul(norm[1], ((lo, 1),)):
             norm.pop(0)
             lo += 1
         self._lo, self._hi = lo, hi
@@ -123,7 +232,7 @@ class GradedLattice:
     @classmethod
     def free(cls) -> "GradedLattice":
         """The lattice of A itself: g_m = 1 for m >= 0, left tail below."""
-        return cls(0, [RationalPoly.one()])
+        return cls(0, [()])
 
     @classmethod
     def from_generators(cls, gens: Mapping[int, RationalPoly]) -> "GradedLattice":
@@ -142,17 +251,17 @@ class GradedLattice:
 
     @property
     def generators(self) -> dict[int, RationalPoly]:
-        return {self._lo + i: g for i, g in enumerate(self._gens)}
+        return {self._lo + i: _expand(g) for i, g in enumerate(self._gens)}
 
     def generator_at(self, m: int) -> RationalPoly:
+        return _expand(self._at(m))
+
+    def _at(self, m: int) -> _Factored:
         if m >= self._hi:
             return self._gens[-1]
         if m >= self._lo:
             return self._gens[m - self._lo]
-        g = self._gens[0]
-        for t in range(m, self._lo):
-            g = g * RationalPoly.linear(t)
-        return g
+        return _mul(self._gens[0], tuple((t, 1) for t in range(m, self._lo)))
 
     # functor actions ---------------------------------------------------------
 
@@ -163,21 +272,21 @@ class GradedLattice:
         Y(j) the degrees >= j+1 are.  Both tail rules survive the ray scaling.
         """
         lo, hi = min(self._lo, j), max(self._hi, j + 1)
-        gens = [self.generator_at(m) for m in range(lo, hi + 1)]
-        zj = RationalPoly.linear(j)
+        gens = [self._at(m) for m in range(lo, hi + 1)]
+        zj = ((j, 1),)
         if not self._drops_at(j):
-            gens = [g * zj if lo + i <= j else g for i, g in enumerate(gens)]
+            gens = [_mul(g, zj) if lo + i <= j else g for i, g in enumerate(gens)]
         else:
-            gens = [g * zj if lo + i >= j + 1 else g for i, g in enumerate(gens)]
+            gens = [_mul(g, zj) if lo + i >= j + 1 else g for i, g in enumerate(gens)]
         return GradedLattice(lo, gens)
 
     def _drops_at(self, j: int) -> bool:
         """Whether the exponent of (z+j) drops between degrees j and j+1."""
-        return (self.generator_at(j) / self.generator_at(j + 1)).multiplicity(j) != 0
+        return _exponent(self._at(j), j) != _exponent(self._at(j + 1), j)
 
     def shifted(self, s: int) -> "GradedLattice":
         """Left multiplication by x^s: the degree shift functor on lattices."""
-        return GradedLattice(self._lo + s, [g.shift(s) for g in self._gens])
+        return GradedLattice(self._lo + s, [tuple((j + s, e) for j, e in g) for g in self._gens])
 
     def scaled(self, f: RationalPoly) -> "GradedLattice":
         """Left-multiply every degree piece by the nonzero rational function f."""
@@ -185,7 +294,8 @@ class GradedLattice:
             f = RationalPoly(f)
         if f.is_zero():
             raise ValueError("cannot scale a lattice by zero")
-        return GradedLattice(self._lo, [g * f for g in self._gens])
+        factors = _factor(f)
+        return GradedLattice(self._lo, [_mul(g, factors) for g in self._gens])
 
     # comparison / presentation -------------------------------------------------
 
@@ -228,20 +338,16 @@ def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
 def lattice_intersect(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:
     """Degreewise intersection; generators are the fractional lcm per degree."""
     lo, hi = min(L1.lo, L2.lo), max(L1.hi, L2.hi)
-    gens = [
-        fractional_lcm([L1.generator_at(m), L2.generator_at(m)])
-        for m in range(lo, hi + 1)
-    ]
-    return GradedLattice(lo, gens)
+    return GradedLattice(lo, [_lcm(L1._at(m), L2._at(m)) for m in range(lo, hi + 1)])
 
 
 def is_A_module(L: GradedLattice) -> bool:
     """Check the x/y divisibility closures on the window (tails hold by shape)."""
     for m in range(L.lo - 1, L.hi + 1):
-        g_m, g_next = L.generator_at(m), L.generator_at(m + 1)
-        if not g_next.divides(g_m):
+        g_m, g_next = L._at(m), L._at(m + 1)
+        if not _divides(g_next, g_m):
             return False
-        if not g_m.divides(g_next * RationalPoly.linear(m)):
+        if not _divides(g_m, _mul(g_next, ((m, 1),))):
             return False
     return True
 
@@ -274,9 +380,12 @@ def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
     The degree-m constraint is q in (g^Q_m / g^P_m) k[z]; the ratios stabilize
     outside the union window, so a finite lcm suffices.
     """
+    return _expand(_hom(P, Q))
+
+
+def _hom(P: GradedLattice, Q: GradedLattice) -> _Factored:
     lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
-    ratios = [Q.generator_at(m) / P.generator_at(m) for m in range(lo - 1, hi + 2)]
-    return fractional_lcm(ratios).monic()
+    return reduce(_lcm, (_mul(Q._at(m), P._at(m), -1) for m in range(lo - 1, hi + 2)))
 
 
 def cokernel_support(
@@ -289,14 +398,14 @@ def cokernel_support(
     between degrees j and j+1, so the multiset is read off the two
     multiplicities there.
     """
-    h = hom_generator(P, Q)
+    h = _hom(P, Q)
     lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
-    cache: dict[int, RationalPoly] = {}
+    cache: dict[int, _Factored] = {}
 
-    def annihilator(m: int) -> RationalPoly:
+    def annihilator(m: int) -> _Factored:
         if m not in cache:
-            q = h * P.generator_at(m) / Q.generator_at(m)
-            if not q.is_polynomial():
+            q = _mul(_mul(h, P._at(m)), Q._at(m), -1)
+            if any(e < 0 for _, e in q):
                 raise ArithmeticError(
                     f"degree-{m} multiplier is not integral; hom generator is wrong"
                 )
@@ -306,13 +415,12 @@ def cokernel_support(
     candidates = range(lo - 2, hi + 2)
     support: dict[Fraction, int] = {}
     for j in candidates:
-        count = annihilator(j).multiplicity(j) + annihilator(j + 1).multiplicity(j)
+        count = _exponent(annihilator(j), j) + _exponent(annihilator(j + 1), j)
         if count:
             support[Fraction(-j)] = count
     # every annihilator on the window must factor into the candidate lines
     for m in range(lo - 1, hi + 2):
-        q = annihilator(m)
-        if sum(q.multiplicity(j) for j in candidates) != q.degree():
+        if any(j not in candidates for j, _ in annihilator(m)):
             raise ValueError(
                 "cokernel is not integrally supported on the expected window; "
                 "inputs are outside the involution family"

@@ -81,15 +81,6 @@ def _pgcd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
     return tuple(c / lc for c in a)
 
 
-def _plcm(a: _Coeffs, b: _Coeffs) -> _Coeffs:
-    if not a or not b:
-        return _ZERO
-    g = _pgcd(a, b)
-    q, _ = _pdivmod(_pmul(a, b), g)
-    lc = q[-1]
-    return tuple(c / lc for c in q)
-
-
 def _pshift(a: _Coeffs, m: int) -> _Coeffs:
     """Taylor shift: coefficients of f(z + m), by Horner in (z + m)."""
     zm = (Fraction(m), Fraction(1))
@@ -117,8 +108,8 @@ class RationalPoly:
         n, d = _coeffs(num), _coeffs(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        if not n:
-            object.__setattr__(self, "_num", _ZERO)
+        if not n or d == _ONE:
+            object.__setattr__(self, "_num", n)
             object.__setattr__(self, "_den", _ONE)
             return
         g = _pgcd(n, d)
@@ -279,32 +270,6 @@ class RationalPoly:
         """The conjugate f(z + m) = x^m f x^{-m}."""
         return RationalPoly(_pshift(self._num, m), _pshift(self._den, m))
 
-    def divides(self, other: "RationalPoly") -> bool:
-        """True when other / self lies in k[z]."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other / self).is_polynomial()
-
-    def multiplicity(self, j: Scalar) -> int:
-        """Order of (z + j) as a factor; negative when it divides the denominator."""
-        lin = (Fraction(j), Fraction(1))
-        count = 0
-        n = self._num
-        while n:
-            q, r = _pdivmod(n, lin)
-            if r:
-                break
-            count += 1
-            n = q
-        d = self._den
-        while len(d) > 1:
-            q, r = _pdivmod(d, lin)
-            if r:
-                break
-            count -= 1
-            d = q
-        return count
-
     # comparison / presentation ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -356,26 +321,6 @@ def _poly_str(cs: _Coeffs) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def fractional_lcm(values: Iterable[RationalPoly]) -> RationalPoly:
-    """Generator of the intersection of the cyclic modules v k[z].
-
-    For fractions, put over a common denominator and lcm the numerators; this
-    is the factor-wise max of (possibly negative) exponents.
-    """
-    out: RationalPoly | None = None
-    for v in values:
-        if out is None:
-            out = v
-            continue
-        den = _plcm(out.den, v.den)
-        a = _pmul(out.num, _pdivmod(den, out.den)[0])
-        b = _pmul(v.num, _pdivmod(den, v.den)[0])
-        out = RationalPoly(_plcm(a, b), den)
-    if out is None:
-        raise ValueError("lcm of an empty family")
-    return out
 
 
 class SkewElement:

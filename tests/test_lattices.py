@@ -182,6 +182,25 @@ class TestCokernelSupport:
     def test_no_quotient(self):
         assert cokernel_support(A, A) == ()
 
+    def test_fixed_table(self):
+        # (J, s, K, t): P = iota_J(A)<s>, Q = iota_K(A)<t>
+        table = [
+            ((1, 2), 0, (-1,), 0, Z - 1, ((-2, 1), (-1, 1), (1, 1))),
+            ((0,), -1, (2,), 1, Z * (Z + 3), ((-3, 1), (0, 1))),
+            ((-2, 1), 1, (0,), -2, ONE / (Z - 1), ((-2, 1), (0, 1))),
+            ((0, 1), 0, (0, 1), 2, (Z + 2) * (Z + 3), ((-3, 1), (-2, 1))),
+        ]
+        for J, s, K, t, hom, support in table:
+            P, Q = iota_lattice(fs(*J), s), iota_lattice(fs(*K), t)
+            assert hom_generator(P, Q) == hom
+            assert cokernel_support(P, Q) == tuple((Fraction(x), c) for x, c in support)
+
+    def test_fractional_lattice(self):
+        B = iota_lattice(fs(0)).scaled(ONE / (Z + 3))
+        assert hom_generator(B, A) == Z + 3
+        assert hom_generator(A, B) == Z / (Z + 3)
+        assert cokernel_support(B, A) == ((Fraction(0), 1),)
+
 
 class TestExtTable:
     def test_cross_pair(self):
@@ -208,6 +227,28 @@ class TestExtTable:
     def test_integral_weight_label_rejected(self):
         with pytest.raises(ValueError):
             SimpleLabel.M(2)
+
+
+class TestFactoredBoundary:
+    @pytest.mark.parametrize("g", [Z * Z + 1, Z + Fraction(1, 2), (Z * Z + 1) / Z])
+    def test_generator_must_split_over_integer_roots(self, g):
+        with pytest.raises(ValueError):
+            GradedLattice(0, [g])
+
+    def test_scale_must_split_over_integer_roots(self):
+        with pytest.raises(ValueError):
+            A.scaled(Z * Z + 1)
+
+    def test_leading_constant_dropped(self):
+        assert GradedLattice(0, [2 * Z]) == GradedLattice(0, [Z])
+
+    def test_generators_and_json_round_trip(self):
+        for J in subsets(range(-3, 4), 3):
+            for s in range(-2, 3):
+                L = iota_lattice(J, s)
+                gens = [L.generator_at(m) for m in range(L.lo, L.hi + 1)]
+                assert GradedLattice(L.lo, gens) == L
+                assert GradedLattice.from_json(L.to_json()) == L
 
 
 class TestCanonicalWindow:

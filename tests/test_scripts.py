@@ -14,13 +14,25 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("morita_classes.py", ["--max-n", "3"]),
         ("ring_tables.py", ["--J", "0", "--n", "2", "--min", "-2", "--max", "2"]),
+        ("ring_tables.py", ["--J", "{0}", "--n", "1", "--min", "-2", "--max", "2"]),
     ],
 )
 def test_script_runs(name, args):
-    done = subprocess.run(
+    done = _run(name, args)
+    assert done.returncode == 0, done.stderr
+    assert "MISMATCH" not in done.stdout
+
+
+def test_ring_tables_bad_set_is_a_usage_error():
+    done = _run("ring_tables.py", ["--J", "x", "--n", "1"])
+    assert done.returncode == 2
+    assert "position" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def _run(name, args):
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
-    assert done.returncode == 0, done.stderr
-    assert "MISMATCH" not in done.stdout

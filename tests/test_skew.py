@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from weylgraded.skew import (
     RationalPoly,
     SkewElement,
-    fractional_lcm,
     weyl_membership,
     x,
     y,
@@ -44,24 +43,6 @@ class TestRationalPoly:
         assert (Z ** 2).shift(-2) == (Z - 2) ** 2
         f = poly(3, -1, 2)
         assert f.shift(0) == f
-
-    def test_multiplicity(self):
-        f = RationalPoly.linear(3) ** 2 * RationalPoly.linear(-1)
-        assert f.multiplicity(3) == 2
-        assert f.multiplicity(-1) == 1
-        assert f.multiplicity(0) == 0
-        assert (ONE / RationalPoly.linear(3)).multiplicity(3) == -1
-
-    def test_divides(self):
-        assert RationalPoly.linear(1).divides(RationalPoly.linear_product([1, 2]))
-        assert not RationalPoly.linear(5).divides(RationalPoly.linear_product([1, 2]))
-
-    def test_fractional_lcm(self):
-        a = ONE / Z
-        b = RationalPoly.linear(1)
-        got = fractional_lcm([a, b, ONE])
-        assert got == RationalPoly.linear(1)
-        assert fractional_lcm([ONE, ONE / Z]) == ONE
 
     def test_json_roundtrip(self):
         r = RationalPoly((1, Fraction(-3, 2)), (0, 1))
