@@ -123,9 +123,9 @@ def _lcm(a: _Factored, b: _Factored) -> _Factored:
     ))
 
 
-def _divides(a: _Factored, b: _Factored) -> bool:
-    """Whether b / a lies in k[z]."""
-    return all(e > 0 for _, e in _mul(b, a, -1))
+def _integral(a: _Factored) -> bool:
+    """Whether a lies in k[z]: no exponent is negative."""
+    return all(e > 0 for _, e in a)
 
 
 def _exponent(a: _Factored, j: int) -> int:
@@ -345,9 +345,9 @@ def is_A_module(L: GradedLattice) -> bool:
     """Check the x/y divisibility closures on the window (tails hold by shape)."""
     for m in range(L.lo - 1, L.hi + 1):
         g_m, g_next = L._at(m), L._at(m + 1)
-        if not _divides(g_next, g_m):
+        if not _integral(_mul(g_m, g_next, -1)):
             return False
-        if not _divides(g_m, _mul(g_next, ((m, 1),))):
+        if not _integral(_mul(_mul(g_next, ((m, 1),)), g_m, -1)):
             return False
     return True
 
@@ -405,7 +405,7 @@ def cokernel_support(
     def annihilator(m: int) -> _Factored:
         if m not in cache:
             q = _mul(_mul(h, P._at(m)), Q._at(m), -1)
-            if any(e < 0 for _, e in q):
+            if not _integral(q):
                 raise ArithmeticError(
                     f"degree-{m} multiplier is not integral; hom generator is wrong"
                 )
