@@ -96,6 +96,10 @@ class TestOracle:
 
 class TestRingStructure:
     @pytest.mark.parametrize("pair", admissible_pairs(4))
+    def test_closure(self, pair):
+        assert verify_ring_closure(pair[0], pair[1], 3)
+
+    @pytest.mark.parametrize("pair", admissible_pairs(4))
     def test_gwa_embedding(self, pair):
         assert verify_gwa_embedding(pair[0], pair[1])
 
