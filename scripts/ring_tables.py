@@ -8,7 +8,7 @@ construction.  Any disagreement would be a bug, so the script fails loudly.
 import argparse
 import sys
 
-from weylgraded import graded_piece_closed_form, twisted_endo_piece_oracle
+from weylgraded import AdmissiblePair, graded_piece_closed_form, twisted_endo_piece_oracle
 from weylgraded.cli import ExpressionError, parse_int_set
 
 
@@ -24,6 +24,10 @@ def main() -> None:
         J = parse_int_set(args.J)
     except ExpressionError as exc:
         parser.error(f"--J: {exc}")
+    try:
+        AdmissiblePair(J, args.n)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     print(f"graded pieces of S({J}, {args.n}), degrees {args.j_min}..{args.j_max}")
     print(f"{'j':>4}  {'closed form':<34} {'lattice oracle':<34}")
     mismatches = 0

@@ -237,8 +237,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# ``necklace count`` prints counts of at most this many decimal digits, Python's
+# default limit on int-to-str conversion.  The count for n is at most 2^n, so
+# the limit holds for every n with 2^n < 10^4300, that is n <= 14284.
+NECKLACE_COUNT_MAX_DIGITS = 4300
+NECKLACE_COUNT_MAX_N = (10 ** NECKLACE_COUNT_MAX_DIGITS).bit_length() - 1
+
+
 def _cmd_necklace(args) -> int:
     if args.cmd == "count":
+        if args.n > NECKLACE_COUNT_MAX_N:
+            raise ValueError(
+                f"necklace count is limited to n <= {NECKLACE_COUNT_MAX_N}, whose counts "
+                f"have at most {NECKLACE_COUNT_MAX_DIGITS} digits; got n = {args.n}"
+            )
         c = necklace_count(args.n)
         _emit(args, str(c), {"n": args.n, "count": c})
     else:

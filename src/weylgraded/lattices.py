@@ -145,7 +145,7 @@ def _deflate(cs: list[int], j: int) -> list[int] | None:
 def _integer_roots(coeffs: tuple, g: RationalPoly) -> dict[int, int]:
     """Exponent of each (z+j) in c * prod (z+j); ValueError if coeffs do not split so."""
     lc = coeffs[-1]
-    monic = coeffs if lc == 1 else [c / lc for c in coeffs]
+    monic = coeffs if lc == 1 else [Fraction(c, lc) for c in coeffs]
     if any(c.denominator != 1 for c in monic):
         raise ValueError(f"{g} does not split over integer roots")
     cs = [c.numerator for c in monic]
@@ -184,19 +184,11 @@ def _factor(g) -> _Factored:
     return tuple(sorted(exps.items()))
 
 
-def _linear_product(roots: Iterable[int]) -> list[int]:
-    """Integer coefficients, ascending, of the product of the (z+j)."""
-    cs = [1]
-    for j in roots:
-        cs = [j * a + b for a, b in zip(cs + [0], [0] + cs)]
-    return cs
-
-
 def _expand(a: _Factored) -> RationalPoly:
     """Multiply a factored generator out, in integer arithmetic."""
-    num = _linear_product(j for j, e in a if e > 0 for _ in range(e))
-    den = _linear_product(j for j, e in a if e < 0 for _ in range(-e))
-    return RationalPoly(num, den)
+    num = RationalPoly.linear_product(j for j, e in a if e > 0 for _ in range(e))
+    den = RationalPoly.linear_product(j for j, e in a if e < 0 for _ in range(-e))
+    return RationalPoly(num.num, den.num)
 
 
 class GradedLattice:

@@ -6,6 +6,10 @@ via x and y = (z-1) x^{-1}; then x*y = z and x*y - y*x = 1.
 
 The ground field is Q: every computation in this library is integrally
 supported, so exact rational coefficients suffice and nothing is ever floated.
+A coefficient is stored as an int when it is integral and as a Fraction only
+when it is not, never as a float: every division goes through _div, which
+divides ints exactly and everything else through Fraction.  Since
+2 == Fraction(2) with equal hashes, the two forms compare alike.
 """
 from __future__ import annotations
 
@@ -18,11 +22,27 @@ Scalar = Union[int, Fraction, str]
 _Coeffs = tuple
 
 _ZERO: _Coeffs = ()
-_ONE: _Coeffs = (Fraction(1),)
+_ONE: _Coeffs = (1,)
+
+
+def _exact(v: Scalar) -> Union[int, Fraction]:
+    """v as an int when integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _div(a, b) -> Union[int, Fraction]:
+    """The exact quotient a / b of two coefficients."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _coeffs(values: Iterable[Scalar]) -> _Coeffs:
-    cs = [Fraction(v) for v in values]
+    cs = [_exact(v) for v in values]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -46,7 +66,7 @@ def _pneg(a: _Coeffs) -> _Coeffs:
 def _pmul(a: _Coeffs, b: _Coeffs) -> _Coeffs:
     if not a or not b:
         return _ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -59,10 +79,10 @@ def _pmul(a: _Coeffs, b: _Coeffs) -> _Coeffs:
 def _pdivmod(a: _Coeffs, b: _Coeffs) -> tuple[_Coeffs, _Coeffs]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    q = [0] * max(0, len(a) - len(b) + 1)
     r = list(a)
     while len(r) >= len(b):
-        c = r[-1] / b[-1]
+        c = _div(r[-1], b[-1])
         d = len(r) - len(b)
         q[d] = c
         for i, y in enumerate(b):
@@ -78,12 +98,12 @@ def _pgcd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
     if not a:
         return _ZERO
     lc = a[-1]
-    return tuple(c / lc for c in a)
+    return tuple(_div(c, lc) for c in a)
 
 
 def _pshift(a: _Coeffs, m: int) -> _Coeffs:
     """Taylor shift: coefficients of f(z + m), by Horner in (z + m)."""
-    zm = (Fraction(m), Fraction(1))
+    zm = (m, 1)
     res: _Coeffs = _ZERO
     for c in reversed(a):
         res = _padd(_pmul(res, zm), (c,))
@@ -118,8 +138,8 @@ class RationalPoly:
             d = _pdivmod(d, g)[0]
         lc = d[-1]
         if lc != 1:
-            n = tuple(c / lc for c in n)
-            d = tuple(c / lc for c in d)
+            n = tuple(_div(c, lc) for c in n)
+            d = tuple(_div(c, lc) for c in d)
         object.__setattr__(self, "_num", n)
         object.__setattr__(self, "_den", d)
 
@@ -135,7 +155,7 @@ class RationalPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "RationalPoly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def z(cls) -> "RationalPoly":
@@ -144,15 +164,15 @@ class RationalPoly:
     @classmethod
     def linear(cls, j: Scalar) -> "RationalPoly":
         """z + j."""
-        return cls((Fraction(j), Fraction(1)))
+        return cls((j, 1))
 
     @classmethod
-    def linear_product(cls, js: Iterable[Scalar]) -> "RationalPoly":
-        """prod over js of (z + j); empty product is 1."""
-        out = cls.one()
+    def linear_product(cls, js: Iterable[int]) -> "RationalPoly":
+        """prod over js of (z + j); empty product is 1.  Integer arithmetic throughout."""
+        cs = [1]
         for j in js:
-            out = out * cls.linear(j)
-        return out
+            cs = [j * a + b for a, b in zip(cs + [0], [0] + cs)]
+        return cls(cs)
 
     @classmethod
     def rising(cls, d: int) -> "RationalPoly":
@@ -196,7 +216,7 @@ class RationalPoly:
         if lc == 1:
             return self
         out = RationalPoly.__new__(RationalPoly)
-        object.__setattr__(out, "_num", tuple(c / lc for c in self._num))
+        object.__setattr__(out, "_num", tuple(_div(c, lc) for c in self._num))
         object.__setattr__(out, "_den", self._den)
         return out
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weylgraded.zfin import FinSet
+from weylgraded.zfin import FinSet, necklace_count
 from weylgraded.picard import PicElement, compose, identity, iota, omega, shift
 from weylgraded.cli import ExpressionError, parse_expression, run_command
 
@@ -108,6 +108,25 @@ class TestRunCommand:
     def test_necklace_count(self, capsys):
         assert run_command(["necklace", "count", "4"]) == 0
         assert capsys.readouterr().out.strip() == "6"
+
+    def test_necklace_count_at_the_digit_limit(self, capsys):
+        assert run_command(["necklace", "count", "14284"]) == 0
+        text = capsys.readouterr().out.strip()
+        assert len(text) <= 4300
+        assert int(text) == necklace_count(14284)
+        assert run_command(["necklace", "count", "14284", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == necklace_count(14284)
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("n", ["14285", "1000000"])
+    def test_necklace_count_past_the_digit_limit(self, capsys, n, fmt):
+        assert run_command(["necklace", "count", n, *fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: necklace count is limited to n <= 14284, whose counts "
+            f"have at most 4300 digits; got n = {n}\n"
+        )
 
     def test_necklace_enum(self, capsys):
         assert run_command(["necklace", "enum", "2", "--json"]) == 0

@@ -18,6 +18,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
+from weylgraded.lattices import _factor
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -241,6 +242,18 @@ class TestFactoredBoundary:
 
     def test_leading_constant_dropped(self):
         assert GradedLattice(0, [2 * Z]) == GradedLattice(0, [Z])
+
+    @pytest.mark.parametrize(
+        "g, factored",
+        [
+            (RationalPoly((4, 2)), ((2, 1),)),  # 2z + 4
+            (RationalPoly((4, 2), (3,)), ((2, 1),)),  # (2z + 4) / 3
+            (RationalPoly((4, 2), (0, 3)), ((0, -1), (2, 1))),  # (2z + 4) / 3z
+        ],
+    )
+    def test_non_monic_generator_factors_exactly(self, g, factored):
+        assert _factor(g) == factored
+        assert GradedLattice(0, [g]) == GradedLattice(0, [factored])
 
     def test_generators_and_json_round_trip(self):
         for J in subsets(range(-3, 4), 3):

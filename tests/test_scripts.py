@@ -30,6 +30,13 @@ def test_ring_tables_bad_set_is_a_usage_error():
     assert "Traceback" not in done.stderr
 
 
+def test_ring_tables_inadmissible_pair_is_a_domain_error():
+    done = _run("ring_tables.py", ["--J", "5", "--n", "1"])
+    assert done.returncode == 1
+    assert done.stderr == "error: J = {5} is not a subset of [0, 1)\n"
+    assert done.stdout == ""
+
+
 def _run(name, args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],

@@ -54,6 +54,63 @@ class TestRationalPoly:
         assert str(RationalPoly.zero()) == "0"
 
 
+coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
+rational_polys = st.builds(
+    RationalPoly,
+    st.lists(coefficients, max_size=3),
+    st.lists(coefficients, min_size=1, max_size=3).filter(any),
+)
+STEPS = {
+    "+": lambda f, g, m: f + g,
+    "-": lambda f, g, m: f - g,
+    "*": lambda f, g, m: f * g,
+    "/": lambda f, g, m: f if g.is_zero() else f / g,
+    "shift": lambda f, g, m: f.shift(m),
+    "monic": lambda f, g, m: f.monic(),
+}
+
+
+def exact_form(c):
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestCoefficientForm:
+    @given(
+        rational_polys,
+        st.lists(
+            st.tuples(st.sampled_from(sorted(STEPS)), rational_polys, st.integers(-3, 3)),
+            max_size=4,
+        ),
+    )
+    def test_ints_or_proper_fractions(self, f, steps):
+        for name, g, m in steps:
+            f = STEPS[name](f, g, m)
+            assert all(exact_form(c) for c in f.num + f.den), (name, f.num, f.den)
+
+    def test_integral_fraction_is_stored_as_int(self):
+        a, b = RationalPoly((Fraction(2),)), RationalPoly((2,))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert type(a.num[0]) is int
+
+    def test_monic_divides_exactly(self):
+        num = RationalPoly((1, 2)).monic().num
+        assert num == (Fraction(1, 2), 1)
+        assert [type(c) for c in num] == [Fraction, int]
+
+    def test_rising_and_falling_are_linear_products(self):
+        rising, falling = ONE, ONE
+        for d in range(31):
+            assert RationalPoly.rising(d) == rising
+            assert RationalPoly.falling(d) == falling
+            assert all(type(c) is int for c in RationalPoly.rising(d).num)
+            rising = rising * RationalPoly.linear(d)
+            falling = falling * RationalPoly.linear(-(d + 1))
+
+
 class TestDefiningRelations:
     def test_x_times_y_is_z(self):
         assert x() * y() == SkewElement.from_poly(Z)
