@@ -19,6 +19,8 @@ def main() -> None:
     parser.add_argument("--min", dest="j_min", type=int, default=-3)
     parser.add_argument("--max", dest="j_max", type=int, default=3)
     args = parser.parse_args()
+    if args.j_min > args.j_max:
+        parser.error(f"--min must not exceed --max, got --min {args.j_min} --max {args.j_max}")
 
     try:
         J = parse_int_set(args.J)

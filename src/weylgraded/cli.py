@@ -331,8 +331,9 @@ def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     passed, failed, results = run_suites(names, seed=args.seed, window=args.window)
     for r in results:
-        suffix = f"  [{r.cases}]" if r.cases else ""
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}{suffix}")
+        cases = f"  [{r.cases}]" if r.cases else ""
+        status = "PASS" if r.passed else "FAIL"
+        print(f"{status}  {r.name}{cases}  {r.count} cases, {r.seconds:.2f} s")
         if r.raised is not None:
             print(f"      raised {r.raised}")
         elif r.failure is not None:
@@ -396,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("pieces", "oracle"):
             p.add_argument("--min", type=int, default=-2)
             p.add_argument("--max", type=int, default=2)
+            p.set_defaults(degree_parser=p)
         if name == "verify":
             p.add_argument("--window", type=_positive_int, default=3)
 
@@ -453,6 +455,10 @@ def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if "degree_parser" in args and args.min > args.max:
+            args.degree_parser.error(
+                f"--min must not exceed --max, got --min {args.min} --max {args.max}"
+            )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,21 +1,27 @@
 """Every invariant sweep, registered once; ``weylgraded verify`` and pytest run them.
 
-A check is a function registered with ``@register(suite, name, cases)``.  It
-returns None when the property holds on every case, and otherwise the first
-failing input as JSON data built with the ``to_json`` methods.  A check takes
-a ``random.Random`` (which a deterministic sweep ignores); each run seeds a
-fresh one per check from the run's seed and the check's name, so the cases of
-a check do not depend on which other checks ran.  A window-shaped check is
-registered with ``window=N`` and takes its sweep size ``n`` instead: ``N`` in
-full, or less when ``run_suites(..., window=...)`` (the CLI's ``--window``)
-caps it.  Registering only stores the function; no sweep runs at import.
+A check is a generator registered with ``@register(suite, name, cases)``.  For
+each case it yields ``(inputs, holds)``: ``inputs`` maps names to the case's
+raw values (``FinSet``, ``PicElement``, ints, ...) and ``holds`` says whether
+the property held there.  ``run_check`` is the one runner: it counts and times
+the cases, stops at the first that does not hold and turns its inputs into
+JSON (``to_json`` where a value has one), and records an exception as the
+check's failure.  A check that yields no case has checked nothing and fails.
+A check takes a ``random.Random`` (which a deterministic sweep ignores); each
+run seeds a fresh one per check from the run's seed and the check's name, so
+the cases of a check do not depend on which other checks ran.  A window-shaped
+check is registered with ``window=N`` and takes its sweep size ``n`` instead:
+``N`` in full, or less when ``run_suites(..., window=...)`` (the CLI's
+``--window``) caps it.  Registering only stores the function; no sweep runs at
+import.
 """
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import zfin
 from .zfin import AdmissiblePair, FinSet, NotInImageError
@@ -46,13 +52,16 @@ from .ktheory import (
 )
 
 
+Cases = Iterator[tuple[dict[str, object], bool]]
+
+
 class Check(NamedTuple):
     """One registered property of one suite."""
 
     suite: str
     name: str
     cases: str
-    fn: Callable[..., object]
+    fn: Callable[..., Cases]
     window: int | None = None
 
     def size(self, window: int | None = None) -> int:
@@ -64,8 +73,8 @@ class Check(NamedTuple):
             return self.cases
         return self.cases.format(n=self.size(window))
 
-    def run(self, seed: int = 0, window: int | None = None) -> object:
-        """None on success, else the first failing input as JSON data."""
+    def run(self, seed: int = 0, window: int | None = None) -> Cases:
+        """The check's ``(inputs, holds)`` cases; ``run_check`` consumes them."""
         if self.window is not None:
             return self.fn(self.size(window))
         return self.fn(random.Random(f"{seed}:{self.name}"))
@@ -74,25 +83,43 @@ class Check(NamedTuple):
 class CheckResult(NamedTuple):
     name: str
     cases: str
-    failure: object  # None when the check passed
+    failure: object  # the first failing case's inputs as JSON data, None when none failed
     raised: str | None = None  # "<type>: <message>" when the check raised instead
+    count: int = 0  # cases run, the failing one included
+    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.failure is None and self.raised is None
+        return self.failure is None and self.raised is None and self.count > 0
 
 
 SUITES: dict[str, list[Check]] = {}
 
 
 def register(suite: str, name: str, cases: str = "", window: int | None = None):
-    """Add the decorated function to ``SUITES[suite]``; ``{n}`` in ``cases`` is the window."""
+    """Add the decorated generator to ``SUITES[suite]``; ``{n}`` in ``cases`` is the window."""
 
-    def add(fn: Callable[..., object]) -> Callable[..., object]:
+    def add(fn: Callable[..., Cases]) -> Callable[..., Cases]:
         SUITES.setdefault(suite, []).append(Check(suite, name, cases, fn, window))
         return fn
 
     return add
+
+
+def run_check(check: Check, seed: int = 0, window: int | None = None) -> CheckResult:
+    """Run ``check`` up to its first case that does not hold, counting and timing the cases."""
+    count, failure, raised = 0, None, None
+    start = time.perf_counter()
+    try:
+        for inputs, holds in check.run(seed, window):
+            count += 1
+            if not holds:
+                failure = {k: v.to_json() if hasattr(v, "to_json") else v for k, v in inputs.items()}
+                break
+    except Exception as exc:
+        raised = f"{type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    return CheckResult(check.name, check.describe(window), failure, raised, count, seconds)
 
 
 def run_suites(
@@ -108,13 +135,7 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        for check in SUITES[name]:
-            cases = check.describe(window)
-            try:
-                failure, raised = check.run(seed, window), None
-            except Exception as exc:
-                failure, raised = None, f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(check.name, cases, failure, raised))
+        results.extend(run_check(check, seed, window) for check in SUITES[name])
     failed = sum(1 for r in results if not r.passed)
     return len(results) - failed, failed, results
 
@@ -138,71 +159,61 @@ def _admissible_pairs(n_max: int) -> list[AdmissiblePair]:
 
 
 @register("zfin", "boundary is additive over xor", "300 random (I, J, n)")
-def _boundary_additive(rng: random.Random) -> object:
+def _boundary_additive(rng: random.Random) -> Cases:
     for _ in range(300):
         n = rng.randint(1, 6)
         I = _random_finset(rng, -10, 10, 5)
         J = _random_finset(rng, -10, 10, 5)
-        if zfin.boundary(I ^ J, n) != zfin.boundary(I, n) ^ zfin.boundary(J, n):
-            return {"I": I.to_json(), "J": J.to_json(), "n": n}
-    return None
+        yield {"I": I, "J": J, "n": n}, zfin.boundary(I ^ J, n) == zfin.boundary(I, n) ^ zfin.boundary(J, n)
 
 
 @register("zfin", "inverse_boundary o boundary = id", "300 random (K, n)")
-def _inverse_boundary_left_inverse(rng: random.Random) -> object:
+def _inverse_boundary_left_inverse(rng: random.Random) -> Cases:
     for _ in range(300):
         n = rng.randint(1, 6)
         K = _random_finset(rng, -10, 10, 5)
-        if zfin.inverse_boundary(zfin.boundary(K, n), n) != K:
-            return {"K": K.to_json(), "n": n}
-    return None
+        yield {"K": K, "n": n}, zfin.inverse_boundary(zfin.boundary(K, n), n) == K
 
 
 @register("zfin", "image of boundary = even slice parity", "300 random (J, n)")
-def _boundary_image(rng: random.Random) -> object:
+def _boundary_image(rng: random.Random) -> Cases:
     for _ in range(300):
         n = rng.randint(1, 6)
         J = _random_finset(rng, -10, 10, 5)
         even = all(len(zfin.slice(J, n, i)) % 2 == 0 for i in range(n))
         try:
-            hit = zfin.boundary(zfin.inverse_boundary(J, n), n) == J
+            preimage = zfin.inverse_boundary(J, n)
+            holds = even and zfin.boundary(preimage, n) == J
         except NotInImageError:
-            hit = False
-        if hit != even:
-            return {"J": J.to_json(), "n": n}
-    return None
+            holds = not even
+        yield {"J": J, "n": n}, holds
 
 
 @register("zfin", "shift re-encoding is a Z-action", "300 random (J, s, t)")
-def _absorb_shift_action(rng: random.Random) -> object:
+def _absorb_shift_action(rng: random.Random) -> Cases:
     for _ in range(300):
         J = _random_finset(rng, -10, 10, 5)
         s, t = rng.randint(-8, 8), rng.randint(-8, 8)
         twice = zfin.absorb_shift(zfin.absorb_shift(J, s), t)
-        if zfin.absorb_shift(J, 0) != J or twice != zfin.absorb_shift(J, s + t):
-            return {"J": J.to_json(), "s": s, "t": t}
-    return None
+        yield {"J": J, "s": s, "t": t}, zfin.absorb_shift(J, 0) == J and twice == zfin.absorb_shift(J, s + t)
 
 
 @register("zfin", "necklace enumeration matches counting formula", "n <= {n}", window=12)
-def _necklace_counts(n_max: int) -> object:
+def _necklace_counts(n_max: int) -> Cases:
     for n in range(1, n_max + 1):
-        if len(zfin.necklace_enumerate(n)) != zfin.necklace_count(n):
-            return {"n": n}
-    return None
+        yield {"n": n}, len(zfin.necklace_enumerate(n)) == zfin.necklace_count(n)
 
 
 @register("zfin", "necklace canonical idempotent + rotation-invariant", "200 random (J, n, r)")
-def _necklace_canonical(rng: random.Random) -> object:
+def _necklace_canonical(rng: random.Random) -> Cases:
     for _ in range(200):
         n = rng.randint(1, 8)
         J = FinSet(rng.sample(range(n), rng.randint(0, n)))
         r = rng.randint(-12, 12)
         c = zfin.necklace_canonical(AdmissiblePair(J, n))
         rotated = AdmissiblePair(FinSet((j + r) % n for j in J), n)
-        if zfin.necklace_canonical(c.representative) != c or zfin.necklace_canonical(rotated) != c:
-            return {"pair": AdmissiblePair(J, n).to_json(), "r": r}
-    return None
+        holds = zfin.necklace_canonical(c.representative) == c == zfin.necklace_canonical(rotated)
+        yield {"pair": AdmissiblePair(J, n), "r": r}, holds
 
 
 # --- skew arithmetic ------------------------------------------------------
@@ -230,41 +241,33 @@ def _random_weyl(rng: random.Random) -> SkewElement:
 
 
 @register("skew", "x y - y x = 1")
-def _commutator(rng: random.Random) -> object:
+def _commutator(rng: random.Random) -> Cases:
     x, yy = SkewElement.x_power(1), SkewElement.y_power(1)
     commutator = x * yy - yy * x
-    return None if commutator == SkewElement.one() else commutator.to_json()
+    yield {"commutator": commutator}, commutator == SkewElement.one()
 
 
 @register("skew", "x^m y^m = z(z+1)...(z+m-1) for m <= 6")
-def _rising_products(rng: random.Random) -> object:
+def _rising_products(rng: random.Random) -> Cases:
     for m in range(1, 7):
         lhs = SkewElement.x_power(1) ** m * SkewElement.y_power(1) ** m
-        if lhs != SkewElement.from_poly(RationalPoly.rising(m)):
-            return {"m": m}
-    return None
+        yield {"m": m}, lhs == SkewElement.from_poly(RationalPoly.rising(m))
 
 
 @register("skew", "associativity + distributivity", "200 random triples")
-def _ring_axioms(rng: random.Random) -> object:
+def _ring_axioms(rng: random.Random) -> Cases:
     for _ in range(200):
         u, v, w = _random_skew(rng), _random_skew(rng), _random_skew(rng)
-        if (
-            (u * v) * w != u * (v * w)
-            or u * (v + w) != u * v + u * w
-            or (u + v) * w != u * w + v * w
-        ):
-            return {"u": u.to_json(), "v": v.to_json(), "w": w.to_json()}
-    return None
+        yield {"u": u, "v": v, "w": w}, (
+            (u * v) * w == u * (v * w) and u * (v + w) == u * v + u * w and (u + v) * w == u * w + v * w
+        )
 
 
 @register("skew", "Weyl membership closed under products", "200 random pairs")
-def _weyl_closed(rng: random.Random) -> object:
+def _weyl_closed(rng: random.Random) -> Cases:
     for _ in range(200):
         u, v = _random_weyl(rng), _random_weyl(rng)
-        if not (weyl_membership(u) and weyl_membership(v) and weyl_membership(u * v)):
-            return {"u": u.to_json(), "v": v.to_json()}
-    return None
+        yield {"u": u, "v": v}, weyl_membership(u) and weyl_membership(v) and weyl_membership(u * v)
 
 
 # --- lattices --------------------------------------------------------------
@@ -277,14 +280,12 @@ def _iota_family() -> list[tuple[FinSet, int]]:
 @register(
     "lattices", "iota_J A equals the intersection of the iota_i A", "J in [-2,2], |J| <= 3"
 )
-def _intersection_fold(rng: random.Random) -> object:
+def _intersection_fold(rng: random.Random) -> Cases:
     for J in _subsets(range(-2, 3), 3):
         folded = GradedLattice.free()
         for i in sorted(J):
             folded = lattice_intersect(folded, iota_lattice(FinSet([i])))
-        if folded != iota_lattice(J):
-            return {"J": J.to_json()}
-    return None
+        yield {"J": J}, folded == iota_lattice(J)
 
 
 @register(
@@ -292,16 +293,13 @@ def _intersection_fold(rng: random.Random) -> object:
     "duality dichotomy + DSet consistency",
     "J in [-3,3], |J| <= 3, s in [-2,2], j in [-5,5]",
 )
-def _duality_dichotomy(rng: random.Random) -> object:
+def _duality_dichotomy(rng: random.Random) -> Cases:
     for J, s in _iota_family():
         L = iota_lattice(J, s)
-        if not is_A_module(L):
-            return {"J": J.to_json(), "s": s}
+        yield {"J": J, "s": s}, is_A_module(L)
         E = to_dset(J, s)
         for j in range(-5, 6):
-            if (simple_factor(L, j).kind == "X") != (j in E):
-                return {"J": J.to_json(), "s": s, "j": j}
-    return None
+            yield {"J": J, "s": s, "j": j}, (simple_factor(L, j).kind == "X") == (j in E)
 
 
 @register(
@@ -309,32 +307,25 @@ def _duality_dichotomy(rng: random.Random) -> object:
     "lattice factor reading equals the DSet formula",
     "J in [-3,3], |J| <= 3, s in [-2,2]",
 )
-def _lattice_reading(rng: random.Random) -> object:
+def _lattice_reading(rng: random.Random) -> Cases:
     for J, s in _iota_family():
-        if lattice_dset(iota_lattice(J, s)) != to_dset(J, s):
-            return {"J": J.to_json(), "s": s}
-    return None
+        yield {"J": J, "s": s}, lattice_dset(iota_lattice(J, s)) == to_dset(J, s)
 
 
 @register("lattices", "Schanuel cokernel identity", "J, K in [0,3]")
-def _schanuel(rng: random.Random) -> object:
+def _schanuel(rng: random.Random) -> Cases:
     subs = _subsets(range(4))
     for J in subs:
         for K in subs:
             left = cokernel_support(iota_lattice(J | K), iota_lattice(K))
-            right = cokernel_support(iota_lattice(J), iota_lattice(J & K))
-            if left != right:
-                return {"J": J.to_json(), "K": K.to_json()}
-    return None
+            yield {"J": J, "K": K}, left == cokernel_support(iota_lattice(J), iota_lattice(J & K))
 
 
 @register("lattices", "iota_0 squared is multiplication by z", "J in [-2,2], |J| <= 2")
-def _iota_squared(rng: random.Random) -> object:
+def _iota_squared(rng: random.Random) -> Cases:
     for J in _subsets(range(-2, 3), 2):
         L = iota_lattice(J)
-        if L.involute(0).involute(0) != L.scaled(RationalPoly.z()):
-            return {"J": J.to_json()}
-    return None
+        yield {"J": J}, L.involute(0).involute(0) == L.scaled(RationalPoly.z())
 
 
 # --- picard ----------------------------------------------------------------
@@ -349,66 +340,55 @@ def _random_pic(rng: random.Random, b_bound: int = 10, j_bound: int = 10) -> Pic
 
 
 @register("picard", "group axioms", "10000 random triples")
-def _group_axioms(rng: random.Random) -> object:
+def _group_axioms(rng: random.Random) -> Cases:
     e = identity()
     for _ in range(10_000):
         F, G, H = (_random_pic(rng) for _ in range(3))
-        if (
-            compose(compose(F, G), H) != compose(F, compose(G, H))
-            or compose(F, inverse(F)) != e
-            or compose(inverse(F), F) != e
-            or compose(F, e) != F
-            or compose(e, F) != F
-        ):
-            return {"F": F.to_json(), "G": G.to_json(), "H": H.to_json()}
-    return None
+        yield {"F": F, "G": G, "H": H}, (
+            compose(compose(F, G), H) == compose(F, compose(G, H))
+            and compose(F, inverse(F)) == e == compose(inverse(F), F)
+            and compose(F, e) == F == compose(e, F)
+        )
 
 
 @register("picard", "omega squared = e")
-def _omega_square(rng: random.Random) -> object:
+def _omega_square(rng: random.Random) -> Cases:
     square = compose(omega(), omega())
-    return None if square == identity() else square.to_json()
+    yield {"square": square}, square == identity()
 
 
 @register("picard", "odd squares are involutions; fourth powers trivial", "500 random odd")
-def _odd_elements(rng: random.Random) -> object:
+def _odd_elements(rng: random.Random) -> Cases:
     for _ in range(500):
         F = _random_pic(rng)
         F = PicElement(-1, F.b, F.J)
         expected_J = zfin.affine_image(F.J, 1, F.b) ^ zfin.affine_image(F.J, -1, -1)
-        if compose(F, F) != PicElement(1, 0, expected_J) or power(F, 4) != identity():
-            return {"F": F.to_json()}
-    return None
+        yield {"F": F}, compose(F, F) == PicElement(1, 0, expected_J) and power(F, 4) == identity()
 
 
 @register("picard", "sign_rank: surjective homomorphism onto D-infinity", "2000 random pairs")
-def _sign_rank(rng: random.Random) -> object:
+def _sign_rank(rng: random.Random) -> Cases:
     for _ in range(2000):
         F, G = _random_pic(rng), _random_pic(rng)
         (a1, r1), (a2, r2) = sign_rank(F), sign_rank(G)
-        if sign_rank(compose(F, G)) != (a1 * a2, a1 * r2 + r1):
-            return {"F": F.to_json(), "G": G.to_json()}
+        yield {"F": F, "G": G}, sign_rank(compose(F, G)) == (a1 * a2, a1 * r2 + r1)
     for a in (1, -1):
         for r in range(-6, 7):
-            if sign_rank(PicElement(a, r + (1 if a == -1 else 0), FinSet())) != (a, r):
-                return {"a": a, "r": r}
-    return None
+            yield {"a": a, "r": r}, sign_rank(PicElement(a, r + (1 if a == -1 else 0), FinSet())) == (a, r)
 
 
 @register("picard", "kernel of sign_rank is the involution group FinSet", "1000 random (J, K, G)")
-def _sign_rank_kernel(rng: random.Random) -> object:
+def _sign_rank_kernel(rng: random.Random) -> Cases:
     for _ in range(1000):
         J = _random_finset(rng, -10, 10, 4)
         K = _random_finset(rng, -10, 10, 4)
         F = PicElement(1, 0, J)
         G = _random_pic(rng)
-        if (
-            sign_rank(F) != (1, 0)
-            or compose(F, PicElement(1, 0, K)) != PicElement(1, 0, J ^ K)
-            or (sign_rank(G) == (1, 0)) != (G.a == 1 and G.b == 0)
-        ):
-            return {"J": J.to_json(), "K": K.to_json(), "G": G.to_json()}
-    return None
+        yield {"J": J, "K": K, "G": G}, (
+            sign_rank(F) == (1, 0)
+            and compose(F, PicElement(1, 0, K)) == PicElement(1, 0, J ^ K)
+            and (sign_rank(G) == (1, 0)) == (G.a == 1 and G.b == 0)
+        )
 
 
 _SIMPLES = (
@@ -419,36 +399,30 @@ _SIMPLES = (
 
 
 @register("picard", "actions are group actions", "500 random pairs")
-def _group_actions(rng: random.Random) -> object:
+def _group_actions(rng: random.Random) -> Cases:
     for _ in range(500):
         F, G = _random_pic(rng), _random_pic(rng)
         E = DSet(_random_finset(rng, -5, 5, 4))
-        if act_on_dset(compose(F, G), E) != act_on_dset(F, act_on_dset(G, E)):
-            return {"F": F.to_json(), "G": G.to_json(), "E": E.to_json()}
+        yield {"F": F, "G": G, "E": E}, act_on_dset(compose(F, G), E) == act_on_dset(F, act_on_dset(G, E))
         for S in _SIMPLES:
-            if act_on_simple(compose(F, G), S) != act_on_simple(F, act_on_simple(G, S)):
-                return {"F": F.to_json(), "G": G.to_json(), "simple": str(S)}
-    return None
+            same = act_on_simple(compose(F, G), S) == act_on_simple(F, act_on_simple(G, S))
+            yield {"F": F, "G": G, "simple": str(S)}, same
 
 
 @register("actions", "DSet action matches explicit lattices", "a=+1, |b| <= 2, J in [-2,2]")
-def _dset_action_oracle(rng: random.Random) -> object:
+def _dset_action_oracle(rng: random.Random) -> Cases:
     free_dset = DSet(FinSet())
     for b in range(-2, 3):
         for J in _subsets(range(-2, 3)):
-            if act_on_dset(PicElement(1, b, J), free_dset) != lattice_dset(iota_lattice(J, b)):
-                return {"b": b, "J": J.to_json()}
-    return None
+            yield {"b": b, "J": J}, act_on_dset(PicElement(1, b, J), free_dset) == lattice_dset(iota_lattice(J, b))
 
 
 @register("actions", "(S iota_0)^n A = iota_0 iota_n A", "n = 1..5")
-def _iterated_shift_involution(rng: random.Random) -> object:
+def _iterated_shift_involution(rng: random.Random) -> Cases:
     F = compose(picard.shift(1), iota(FinSet([0])))
     for n in range(1, 6):
         lhs = act_on_dset(power(F, n), DSet(FinSet()))
-        if lhs != to_dset(FinSet([0, n])) or lhs != lattice_dset(iota_lattice(FinSet([0, n]))):
-            return {"n": n}
-    return None
+        yield {"n": n}, lhs == to_dset(FinSet([0, n])) == lattice_dset(iota_lattice(FinSet([0, n])))
 
 
 # --- classification ---------------------------------------------------------
@@ -464,49 +438,41 @@ def _conjugate(g: PicElement, F: PicElement) -> PicElement:
 
 
 @register("classify", "admissible elements are their own canonical form", "n <= 4")
-def _admissible_fixed_points(rng: random.Random) -> object:
+def _admissible_fixed_points(rng: random.Random) -> Cases:
     for pair in _admissible_pairs(4):
         F = PicElement(1, pair.n, pair.J)
         got, g = canonical_admissible(F)
-        if got != pair or _conjugate(g, F) != F:
-            return {"pair": pair.to_json()}
-    return None
+        yield {"pair": pair}, got == pair and _conjugate(g, F) == F
 
 
 @register("classify", "canonical conjugator verifies exactly", "500 random generative")
-def _canonical_conjugator(rng: random.Random) -> object:
+def _canonical_conjugator(rng: random.Random) -> Cases:
     for _ in range(500):
         F = _random_generative(rng)
         pair, g = canonical_admissible(F)
-        if _conjugate(g, F) != PicElement(1, pair.n, pair.J) or pair.n != abs(sign_rank(F)[1]):
-            return {"F": F.to_json()}
-    return None
+        yield {"F": F}, _conjugate(g, F) == PicElement(1, pair.n, pair.J) and pair.n == abs(sign_rank(F)[1])
 
 
 @register("classify", "Morita class is conjugation-invariant", "500 random conjugations")
-def _conjugation_invariant(rng: random.Random) -> object:
+def _conjugation_invariant(rng: random.Random) -> Cases:
     for _ in range(500):
         F = _random_generative(rng)
         g = _random_pic(rng, 4, 4)
-        if not same_morita_class(F, _conjugate(g, F)):
-            return {"F": F.to_json(), "g": g.to_json()}
-    return None
+        yield {"F": F, "g": g}, same_morita_class(F, _conjugate(g, F))
 
 
 @register("classify", "class count at rank n equals the necklace count", "n <= 8")
-def _class_counts(rng: random.Random) -> object:
+def _class_counts(rng: random.Random) -> Cases:
     for n in range(1, 9):
         classes = {
             zfin.necklace_canonical(canonical_admissible(PicElement(1, n, J))[0])
             for J in _subsets(range(n))
         }
-        if not len(classes) == morita_class_count(n) == zfin.necklace_count(n):
-            return {"n": n}
-    return None
+        yield {"n": n}, len(classes) == morita_class_count(n) == zfin.necklace_count(n)
 
 
 @register("classify", "same_morita_class = necklace-type equality", "all admissible pairs, n <= 4")
-def _same_class_is_rotation(rng: random.Random) -> object:
+def _same_class_is_rotation(rng: random.Random) -> Cases:
     pairs = _admissible_pairs(4)
     for p in pairs:
         for q in pairs:
@@ -514,56 +480,45 @@ def _same_class_is_rotation(rng: random.Random) -> object:
             rotation_equal = p.n == q.n and any(
                 FinSet((j + r) % p.n for j in p.J) == q.J for r in range(p.n)
             )
-            if same_morita_class(F, G) != rotation_equal:
-                return {"p": p.to_json(), "q": q.to_json()}
-    return None
+            yield {"p": p, "q": q}, same_morita_class(F, G) == rotation_equal
 
 
 # --- rings -------------------------------------------------------------------
 
 
 @register("rings", "lattice oracle reproduces closed-form pieces", "n <= {n}, |j| <= 3", window=3)
-def _oracle_matches_closed_form(n_max: int) -> object:
+def _oracle_matches_closed_form(n_max: int) -> Cases:
     for pair in _admissible_pairs(n_max):
         for j in range(-3, 4):
-            if gwa.twisted_endo_piece_oracle(pair.J, pair.n, j) != gwa.graded_piece_closed_form(
-                pair.J, pair.n, j
-            ):
-                return {"pair": pair.to_json(), "j": j}
-    return None
+            oracle = gwa.twisted_endo_piece_oracle(pair.J, pair.n, j)
+            yield {"pair": pair, "j": j}, oracle == gwa.graded_piece_closed_form(pair.J, pair.n, j)
 
 
 @register("rings", "idealizer ring pieces are z y^-j k[z] off degree 0", "S({0},1), |j| <= 4")
-def _idealizer_pieces(rng: random.Random) -> object:
+def _idealizer_pieces(rng: random.Random) -> Cases:
     for j in range(-4, 5):
         expected = (RationalPoly.one(), 0) if j == 0 else (RationalPoly.z(), -j)
-        if gwa.graded_piece_closed_form(FinSet([0]), 1, j) != expected:
-            return {"j": j}
-    return None
+        yield {"j": j}, gwa.graded_piece_closed_form(FinSet([0]), 1, j) == expected
 
 
 @register("rings", "Veronese pieces equal the ambient graded components", "S({},2), |j| <= 4")
-def _veronese_pieces(rng: random.Random) -> object:
+def _veronese_pieces(rng: random.Random) -> Cases:
     for j in range(-4, 5):
         got = gwa.graded_piece_closed_form(FinSet(), 2, j)
         h = RationalPoly.rising(2 * j) if j >= 0 else RationalPoly.one()
-        if got != (h, -2 * j) or gwa.twisted_endo_piece_oracle(FinSet(), 2, j) != got:
-            return {"j": j}
-    return None
+        yield {"j": j}, got == (h, -2 * j) and gwa.twisted_endo_piece_oracle(FinSet(), 2, j) == got
 
 
 @register(
     "rings", "ring closure, GWA relations, root separation", "all admissible n <= {n}", window=4
 )
-def _ring_structure(n_max: int) -> object:
+def _ring_structure(n_max: int) -> Cases:
     for pair in _admissible_pairs(n_max):
-        if not (
+        yield {"pair": pair}, (
             gwa.verify_ring_closure(pair.J, pair.n, 3)
             and gwa.verify_gwa_embedding(pair.J, pair.n)
             and gwa.simplicity_root_test(pair.J, pair.n)
-        ):
-            return {"pair": pair.to_json()}
-    return None
+        )
 
 
 # --- k-theory ----------------------------------------------------------------
@@ -577,28 +532,22 @@ def _random_sum(rng: random.Random) -> ProjectiveSum:
 
 
 @register("ktheory", "stably-free witness for {1,3}", "adds [3,1], result [4,2,0]")
-def _witness_example(rng: random.Random) -> object:
+def _witness_example(rng: random.Random) -> Cases:
     adds, result = stably_free_witness(FinSet([1, 3]))
     left = ProjectiveSum.of(FinSet([1, 3]), *[(FinSet(), l) for l in adds])
     right = ProjectiveSum.of(*[(FinSet(), m) for m in result])
-    if adds == [3, 1] and result == [4, 2, 0] and iso_test(left, right):
-        return None
-    return {"adds": adds, "result": result}
+    yield {"adds": adds, "result": result}, adds == [3, 1] and result == [4, 2, 0] and iso_test(left, right)
 
 
 @register("ktheory", "no single free complement for iota_{1,3}A within bound 8", "17^3 sweep")
-def _no_single_complement(rng: random.Random) -> object:
+def _no_single_complement(rng: random.Random) -> Cases:
     P = (FinSet([1, 3]), 0)
     free = FinSet()
     for l in range(-8, 9):
         for m in range(-8, 9):
             for n in range(-8, 9):
-                if iso_test(
-                    ProjectiveSum.of(P, (free, l)),
-                    ProjectiveSum.of((free, m), (free, n)),
-                ):
-                    return {"l": l, "m": m, "n": n}
-    return None
+                same = iso_test(ProjectiveSum.of(P, (free, l)), ProjectiveSum.of((free, m), (free, n)))
+                yield {"l": l, "m": m, "n": n}, not same
 
 
 def _counts(summands: Iterable[tuple[FinSet, int]]) -> dict[int, int]:
@@ -611,40 +560,34 @@ def _counts(summands: Iterable[tuple[FinSet, int]]) -> dict[int, int]:
 
 
 @register("ktheory", "normalization: idempotent chain, counts preserved", "1000 random sums")
-def _normalization(rng: random.Random) -> object:
+def _normalization(rng: random.Random) -> Cases:
     for _ in range(1000):
         S = _random_sum(rng)
         N = normalize_sum(S)
         chain = [J for J, _ in N.summands]
-        if (
-            normalize_sum(N) != N
-            or any(not a.issubset(b) for a, b in zip(chain, chain[1:]))
-            or _counts(S.summands) != _counts(N.summands)
-        ):
-            return {"S": S.to_json()}
-    return None
+        yield {"S": S}, (
+            normalize_sum(N) == N
+            and all(a.issubset(b) for a, b in zip(chain, chain[1:]))
+            and _counts(S.summands) == _counts(N.summands)
+        )
 
 
 @register("ktheory", "cancellation of common summands", "1000 random sums")
-def _cancellation(rng: random.Random) -> object:
+def _cancellation(rng: random.Random) -> Cases:
     for _ in range(1000):
         P, Q1, Q2 = _random_sum(rng), _random_sum(rng), _random_sum(rng)
         lhs = iso_test(
             ProjectiveSum(P.summands + Q1.summands),
             ProjectiveSum(P.summands + Q2.summands),
         )
-        if lhs != iso_test(Q1, Q2):
-            return {"P": P.to_json(), "Q1": Q1.to_json(), "Q2": Q2.to_json()}
-    return None
+        yield {"P": P, "Q1": Q1, "Q2": Q2}, lhs == iso_test(Q1, Q2)
 
 
 @register("ktheory", "K_0 class separates isomorphism classes", "500 random pairs")
-def _k0_separates(rng: random.Random) -> object:
+def _k0_separates(rng: random.Random) -> Cases:
     for _ in range(500):
         S1, S2 = _random_sum(rng), _random_sum(rng)
-        if iso_test(S1, S2) != (k0_class(S1) == k0_class(S2)):
-            return {"S1": S1.to_json(), "S2": S2.to_json()}
-    return None
+        yield {"S1": S1, "S2": S2}, iso_test(S1, S2) == (k0_class(S1) == k0_class(S2))
 
 
 @register(
@@ -652,7 +595,7 @@ def _k0_separates(rng: random.Random) -> object:
     "theta: mod-2 homomorphism onto the involutions",
     "500 random two-term combos; every |J| <= 2 in [-4,4]",
 )
-def _theta(rng: random.Random) -> object:
+def _theta(rng: random.Random) -> Cases:
     for _ in range(500):
         J = _random_finset(rng, -6, 6, 4)
         K = _random_finset(rng, -6, 6, 4)
@@ -662,10 +605,7 @@ def _theta(rng: random.Random) -> object:
             expected = expected ^ J
         if b % 2:
             expected = expected ^ K
-        if theta_map([(J, a), (K, b)]) != PicElement(1, 0, expected):
-            return {"J": J.to_json(), "a": a, "K": K.to_json(), "b": b}
+        yield {"J": J, "a": a, "K": K, "b": b}, theta_map([(J, a), (K, b)]) == PicElement(1, 0, expected)
     for B in range(1, 5):
         for J in _subsets(range(-B, B + 1), 2):
-            if theta_map({J: 1}) != PicElement(1, 0, J):
-                return {"J": J.to_json()}
-    return None
+            yield {"J": J}, theta_map({J: 1}) == PicElement(1, 0, J)

@@ -178,6 +178,16 @@ class TestRunCommand:
         assert run_command(["ring", "verify", "--J", "0", "--n", "1", "--window", window]) == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["pieces", "oracle"])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_ring_reversed_degree_range_is_a_usage_error(self, cmd, fmt, capsys):
+        argv = ["ring", cmd, "--J", "0", "--n", "1", "--min", "3", "--max", "1", *fmt]
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in err
+        assert "--min must not exceed --max, got --min 3 --max 1" in err
+
     def test_ring_inadmissible_exit_one(self, capsys):
         assert run_command(["ring", "present", "--J", "5", "--n", "2"]) == 1
 

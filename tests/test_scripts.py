@@ -30,6 +30,14 @@ def test_ring_tables_bad_set_is_a_usage_error():
     assert "Traceback" not in done.stderr
 
 
+def test_ring_tables_reversed_degree_range_is_a_usage_error():
+    done = _run("ring_tables.py", ["--J", "0", "--n", "1", "--min", "3", "--max", "1"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "usage:" in done.stderr
+    assert "--min must not exceed --max" in done.stderr
+
+
 def test_ring_tables_inadmissible_pair_is_a_domain_error():
     done = _run("ring_tables.py", ["--J", "5", "--n", "1"])
     assert done.returncode == 1

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import pytest
 
 from weylgraded.cli import run_command
-from weylgraded.verification import SUITES, Check, run_suites
+from weylgraded.zfin import FinSet
+from weylgraded.verification import SUITES, Check, run_check, run_suites
 
 CHECKS = [check for suite in sorted(SUITES) for check in SUITES[suite]]
 IDS = [f"{check.suite}.{check.fn.__name__.lstrip('_')}" for check in CHECKS]
@@ -12,8 +14,10 @@ IDS = [f"{check.suite}.{check.fn.__name__.lstrip('_')}" for check in CHECKS]
 
 @pytest.mark.parametrize("check", CHECKS, ids=IDS)
 def test_registered_check(check):
-    failure = check.run(seed=0)
-    assert failure is None, f"{check.name}: first failing input {json.dumps(failure)}"
+    result = run_check(check, seed=0)
+    assert result.raised is None, f"{check.name} raised {result.raised}"
+    assert result.failure is None, f"{check.name}: first failing input {json.dumps(result.failure)}"
+    assert result.count > 0, f"{check.name} checked no case"
 
 
 def test_window_does_not_leak_into_later_runs(capsys):
@@ -36,26 +40,46 @@ def test_run_suites_rejects_nonpositive_window():
         run_suites(["zfin"], window=0)
 
 
+def _lines_match(out, patterns):
+    lines = out.splitlines()
+    assert len(lines) == len(patterns), lines
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line
+
+
 def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
     def boom(rng):
         raise ValueError("boom")
 
-    checks = [Check("raising", "raises", "", boom), Check("raising", "passes", "", lambda rng: None)]
+    checks = [
+        Check("raising", "raises", "", boom),
+        Check("raising", "passes", "", lambda rng: iter([({"n": 1}, True)])),
+    ]
     monkeypatch.setitem(SUITES, "raising", checks)
     assert run_command(["verify", "--suite", "raising"]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "FAIL  raises",
-        "      raised ValueError: boom",
-        "PASS  passes",
-        "1 passed, 1 failed",
-    ]
+    _lines_match(capsys.readouterr().out, [
+        r"FAIL  raises  0 cases, \d+\.\d\d s",
+        r"      raised ValueError: boom",
+        r"PASS  passes  1 cases, \d+\.\d\d s",
+        r"1 passed, 1 failed",
+    ])
 
 
 def test_failing_check_reports_its_input(monkeypatch, capsys):
-    failing = Check("failing", "always fails", "one case", lambda rng: {"J": [0, 2], "n": 3})
+    cases = [({"J": FinSet([0, 2]), "n": 3}, False), ({"n": 4}, True)]
+    failing = Check("failing", "always fails", "one case", lambda rng: iter(cases))
     monkeypatch.setitem(SUITES, "failing", [failing])
     assert run_command(["verify", "--suite", "failing"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "FAIL  always fails  [one case]"
+    assert re.fullmatch(r"FAIL  always fails  \[one case\]  1 cases, \d+\.\d\d s", lines[0])
     assert json.loads(lines[1].split(": ", 1)[1]) == {"J": [0, 2], "n": 3}
     assert lines[-1] == "0 passed, 1 failed"
+
+
+def test_check_without_cases_fails(monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, "empty", [Check("empty", "checks nothing", "", lambda rng: iter(()))])
+    assert run_command(["verify", "--suite", "empty"]) == 1
+    _lines_match(capsys.readouterr().out, [
+        r"FAIL  checks nothing  0 cases, \d+\.\d\d s",
+        r"0 passed, 1 failed",
+    ])
