@@ -6,13 +6,14 @@ graded Morita equivalence classes of rings graded equivalent to A.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from .zfin import (
     AdmissiblePair,
     FinSet,
     inverse_boundary,
     necklace_canonical,
     necklace_count,
-    slice,
 )
 from .picard import PicElement, compose, inverse, iota, is_generative, omega
 
@@ -36,7 +37,7 @@ def canonical_admissible(F: PicElement) -> tuple[AdmissiblePair, PicElement]:
         g = omega()
         F1 = compose(compose(g, F), inverse(g))
     n, K = F1.b, F1.J
-    J = FinSet(i for i in range(n) if len(slice(K, n, i)) % 2 == 1)
+    J = FinSet(i for i, c in Counter(t % n for t in K).items() if c % 2)
     I = inverse_boundary(J ^ K, n)
     g = compose(iota(I), g)
     return AdmissiblePair(J, n), g

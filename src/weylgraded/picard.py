@@ -95,13 +95,39 @@ def inverse(F: PicElement) -> PicElement:
     return PicElement(-1, F.b, affine_image(F.J, -1, -1 - F.b))
 
 
+# ``power`` refuses to build an involution set of more than this many elements.
+# The set of F^k for even F = S^b iota_J can hold up to k |J| elements, so a
+# large enough k would exhaust memory instead of answering.
+POWER_MAX_SET_SIZE = 10**6
+
+
 def power(F: PicElement, k: int) -> PicElement:
+    """F^k by repeated squaring: O(log |k|) compositions.
+
+    Every factor is a power of F, so the factors commute and the order of the
+    products does not matter.  Each composition costs time linear in the sets
+    it combines; only the squares F^(2^i) with 2^i <= |k| are built.  Raises
+    ValueError when a set it builds has more than POWER_MAX_SET_SIZE elements.
+    """
     if k < 0:
         return power(inverse(F), -k)
     out = identity()
-    for _ in range(k):
-        out = compose(F, out)
+    while k:
+        if k & 1:
+            out = _bounded(compose(F, out))
+        k >>= 1
+        if k:
+            F = _bounded(compose(F, F))
     return out
+
+
+def _bounded(F: PicElement) -> PicElement:
+    if len(F.J) > POWER_MAX_SET_SIZE:
+        raise ValueError(
+            f"power would build an involution set of {len(F.J)} elements, over the "
+            f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
+        )
+    return F
 
 
 def sign_rank(F: PicElement) -> tuple[int, int]:

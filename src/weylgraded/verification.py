@@ -6,10 +6,12 @@ raw values (``FinSet``, ``PicElement``, ints, ...) and ``holds`` says whether
 the property held there.  ``run_check`` is the one runner: it counts and times
 the cases, stops at the first that does not hold and turns its inputs into
 JSON (``to_json`` where a value has one), and records an exception as the
-check's failure.  A check that yields no case has checked nothing and fails.
-A check takes a ``random.Random`` (which a deterministic sweep ignores); each
-run seeds a fresh one per check from the run's seed and the check's name, so
-the cases of a check do not depend on which other checks ran.  A window-shaped
+check's failure, naming the case it was building and the ints and ``to_json``
+values bound in the check's frame.  A check that yields no case has checked
+nothing and fails.  A check takes a ``random.Random`` (which a deterministic
+sweep ignores); each run seeds a fresh one per check from the run's seed and
+the check's name, so the cases of a check do not depend on which other checks
+ran.  A window-shaped
 check is registered with ``window=N`` and takes its sweep size ``n`` instead:
 ``N`` in full, or less when ``run_suites(..., window=...)`` (the CLI's
 ``--window``) caps it.  Registering only stores the function; no sweep runs at
@@ -17,6 +19,7 @@ import.
 """
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -84,7 +87,7 @@ class CheckResult(NamedTuple):
     name: str
     cases: str
     failure: object  # the first failing case's inputs as JSON data, None when none failed
-    raised: str | None = None  # "<type>: <message>" when the check raised instead
+    raised: str | None = None  # "<type>: <message> (in case <k>, locals {...})" when it raised
     count: int = 0  # cases run, the failing one included
     seconds: float = 0.0
 
@@ -117,9 +120,24 @@ def run_check(check: Check, seed: int = 0, window: int | None = None) -> CheckRe
                 failure = {k: v.to_json() if hasattr(v, "to_json") else v for k, v in inputs.items()}
                 break
     except Exception as exc:
-        raised = f"{type(exc).__name__}: {exc}"
+        raised = f"{type(exc).__name__}: {exc} (in case {count + 1}, locals {_check_locals(exc)})"
     seconds = time.perf_counter() - start
     return CheckResult(check.name, check.describe(window), failure, raised, count, seconds)
+
+
+def _check_locals(exc: Exception) -> str:
+    """The ints and ``to_json`` values bound in the check's frame when ``exc`` left it.
+
+    ``run_check``'s own frame heads the traceback; the check's frame is next.
+    """
+    below = exc.__traceback__.tb_next if exc.__traceback__ else None
+    names = below.tb_frame.f_locals if below else {}
+    found = {
+        k: v.to_json() if hasattr(v, "to_json") else v
+        for k, v in names.items()
+        if isinstance(v, int) or hasattr(v, "to_json")
+    }
+    return json.dumps(found, sort_keys=True)
 
 
 def run_suites(
@@ -198,7 +216,7 @@ def _absorb_shift_action(rng: random.Random) -> Cases:
         yield {"J": J, "s": s, "t": t}, zfin.absorb_shift(J, 0) == J and twice == zfin.absorb_shift(J, s + t)
 
 
-@register("zfin", "necklace enumeration matches counting formula", "n <= {n}", window=12)
+@register("zfin", "necklace enumeration matches counting formula", "n <= {n}", window=18)
 def _necklace_counts(n_max: int) -> Cases:
     for n in range(1, n_max + 1):
         yield {"n": n}, len(zfin.necklace_enumerate(n)) == zfin.necklace_count(n)

@@ -140,19 +140,24 @@ def inverse_boundary(J: FinSet, n: int) -> FinSet:
 
     Exists exactly when every residue slice of J has even size.  Built
     constructively: per residue, pair consecutive slice elements a < b and
-    take the run {a+1, ..., b}.
+    take the run {a+n, a+2n, ..., b}.  One pass over the sorted elements puts
+    each in its residue's bucket, already sorted, so the cost is linear in
+    |J| and |K| (after the sort), whatever n is.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    buckets: dict[int, list[int]] = {}
+    for t in J.elements:
+        buckets.setdefault(t % n, []).append(t)
     out: list[int] = []
-    for i in range(n):
-        s = sorted(slice(J, n, i))
+    for i in sorted(buckets):
+        s = buckets[i]
         if len(s) % 2:
             raise NotInImageError(
                 f"slice {i} of {J} mod {n} has odd size; no boundary preimage exists"
             )
         for a, b in zip(s[::2], s[1::2]):
-            out.extend(n * k + i for k in range(a + 1, b + 1))
+            out.extend(range(a + n, b + n, n))
     return FinSet(out)
 
 
@@ -205,13 +210,44 @@ def necklace_count(n: int) -> int:
     return total // n
 
 
+# ``necklace_enumerate`` lists at most this many classes.  necklace_count grows
+# with n, so the limit is n <= NECKLACE_ENUM_MAX_N (22, with 190746 classes).
+NECKLACE_ENUM_MAX_CLASSES = 2**18
+NECKLACE_ENUM_MAX_N = 1
+while necklace_count(NECKLACE_ENUM_MAX_N + 1) <= NECKLACE_ENUM_MAX_CLASSES:
+    NECKLACE_ENUM_MAX_N += 1
+
+
 def necklace_enumerate(n: int) -> list[NecklaceClass]:
-    """All distinct necklace classes at size n, smallest representatives first."""
+    """All distinct necklace classes at size n, smallest representatives first.
+
+    Fredricksen-Kessler-Maiorana (Ruskey, Savage & Wang, J. Algorithms 13,
+    1992), in Duval's form: it lists the Lyndon words whose length divides n,
+    each the period of exactly one necklace, in constant amortized time per
+    word.  A residue tuple is lexicographically smallest among its rotations
+    exactly when its indicator string is lexicographically largest, so the
+    words are taken over the alphabet ordered "in J" < "not in J" (letters 0
+    and 1).  Cost: O(n) per class for the representatives, then the sort by
+    (size, residues).  Raises ValueError past NECKLACE_ENUM_MAX_CLASSES.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    seen: set[tuple[int, ...]] = set()
-    for mask in range(2 ** n):
-        J = FinSet(i for i in range(n) if mask >> i & 1)
-        seen.add(necklace_canonical(AdmissiblePair(J, n)).representative.J.elements)
-    reps = sorted(seen, key=lambda t: (len(t), t))
+    if n > NECKLACE_ENUM_MAX_N:
+        raise ValueError(
+            f"necklace enumeration is limited to NECKLACE_ENUM_MAX_CLASSES = "
+            f"{NECKLACE_ENUM_MAX_CLASSES} classes, that is n <= {NECKLACE_ENUM_MAX_N}; "
+            f"got n = {n}"
+        )
+    reps: list[tuple[int, ...]] = []
+    word = [-1]
+    while word:
+        word[-1] += 1
+        m = len(word)
+        if n % m == 0:
+            reps.append(tuple(i for i in range(n) if word[i % m] == 0))
+        while len(word) < n:
+            word.append(word[-m])
+        while word and word[-1] == 1:
+            word.pop()
+    reps.sort(key=lambda t: (len(t), t))
     return [NecklaceClass(AdmissiblePair(FinSet(t), n)) for t in reps]

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from weylgraded.zfin import AdmissiblePair, FinSet
+from weylgraded.zfin import AdmissiblePair, FinSet, inverse_boundary, slice
 from weylgraded.picard import PicElement, compose, inverse, iota, omega, shift
 from weylgraded.classify import (
     canonical_admissible,
@@ -48,6 +50,28 @@ class TestCanonicalAdmissible:
             canonical_admissible(omega())
         with pytest.raises(ValueError):
             canonical_admissible(PicElement(-1, 3, fs(1)))
+
+
+def _canonical_admissible_by_slices(F):
+    """canonical_admissible with one slice() call per residue; kept as the reference."""
+    g = PicElement(1, 0, FinSet())
+    if F.b < 0:
+        g = omega()
+        F = conjugate(g, F)
+    n, K = F.b, F.J
+    J = FinSet(i for i in range(n) if len(slice(K, n, i)) % 2 == 1)
+    return AdmissiblePair(J, n), compose(iota(inverse_boundary(J ^ K, n)), g)
+
+
+class TestCanonicalAdmissibleAgainstSlices:
+    def test_random_generative_elements(self):
+        rng = random.Random(0)
+        for _ in range(2000):
+            b = rng.choice([-1, 1]) * rng.randint(1, 12)
+            F = PicElement(1, b, FinSet(rng.sample(range(-40, 41), rng.randint(0, 12))))
+            pair, g = canonical_admissible(F)
+            assert (pair, g) == _canonical_admissible_by_slices(F), F
+            assert conjugate(g, F) == PicElement(1, pair.n, pair.J)
 
 
 class TestSameMoritaClass:

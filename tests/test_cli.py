@@ -137,6 +137,29 @@ class TestRunCommand:
             {"J": [0, 1], "n": 2},
         ]
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("n", ["23", "1000000000"])
+    def test_necklace_enum_past_the_class_limit(self, capsys, n, fmt):
+        assert run_command(["necklace", "enum", n, *fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: necklace enumeration is limited to NECKLACE_ENUM_MAX_CLASSES = "
+            f"262144 classes, that is n <= 22; got n = {n}\n"
+        )
+
+    def test_pic_pow_past_the_set_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 1000)
+        assert run_command(["pic", "pow", "S*i{0}", "1000"]) == 0
+        capsys.readouterr()
+        assert run_command(["pic", "pow", "S*i{0}", "1001"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: power would build an involution set of 1001 elements, "
+            "over the limit POWER_MAX_SET_SIZE = 1000\n"
+        )
+
     def test_ring_present(self, capsys):
         assert run_command(["ring", "present", "--J", "0", "--n", "2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from weylgraded.picard import (
     is_generative,
     is_numerically_trivial,
     omega,
+    power,
     shift,
     sign_rank,
 )
@@ -111,6 +113,44 @@ class TestGenerativity:
     def test_odd_not_generative(self):
         assert not is_generative(omega())
         assert not is_generative(PicElement(-1, 4, fs(2)))
+
+
+def _power_by_repeated_compose(F, k):
+    """The k-fold compose loop that power replaced; kept as the reference."""
+    if k < 0:
+        F, k = inverse(F), -k
+    out = identity()
+    for _ in range(k):
+        out = compose(F, out)
+    return out
+
+
+class TestPower:
+    def test_matches_repeated_compose(self):
+        rng = random.Random(0)
+        elements = [
+            PicElement(a, b, FinSet(rng.sample(range(-15, 16), rng.randint(0, 6))))
+            for a in (1, -1)
+            for b in (0, 0, 1, -1, 2, -3, 7, -12)
+            for _ in range(8)
+        ]
+        for F in elements:
+            for k in (0, 1, -1, 2, -2, 200, -200, rng.randint(-200, 200)):
+                assert power(F, k) == _power_by_repeated_compose(F, k), (F, k)
+
+    def test_large_exponent_small_set(self):
+        assert power(shift(1), 10**9) == shift(10**9)
+        F = compose(shift(1), iota(fs(0, 1)))
+        assert power(F, 10**9) == PicElement(1, 10**9, fs(-(10**9) + 1, 1))
+
+    def test_refuses_sets_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 100)
+        F = compose(shift(1), iota(fs(0)))
+        assert len(power(F, 100).J) == 100
+        with pytest.raises(ValueError, match="over the limit POWER_MAX_SET_SIZE = 100"):
+            power(F, 101)
+        with pytest.raises(ValueError, match="POWER_MAX_SET_SIZE"):
+            power(F, -101)
 
 
 class TestCoverageWitness:

@@ -26,7 +26,7 @@ def test_window_does_not_leak_into_later_runs(capsys):
     assert "WEYLGRADED_MAX_WINDOW" not in os.environ
     _, _, results = run_suites(["zfin"])
     cases = {r.name: r.cases for r in results}
-    assert cases["necklace enumeration matches counting formula"] == "n <= 12"
+    assert cases["necklace enumeration matches counting formula"] == "n <= 18"
 
 
 @pytest.mark.parametrize("window", ["0", "-3"])
@@ -59,7 +59,7 @@ def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
     assert run_command(["verify", "--suite", "raising"]) == 1
     _lines_match(capsys.readouterr().out, [
         r"FAIL  raises  0 cases, \d+\.\d\d s",
-        r"      raised ValueError: boom",
+        r"      raised ValueError: boom \(in case 1, locals \{.*\}\)",
         r"PASS  passes  1 cases, \d+\.\d\d s",
         r"1 passed, 1 failed",
     ])
@@ -83,3 +83,20 @@ def test_check_without_cases_fails(monkeypatch, capsys):
         r"FAIL  checks nothing  0 cases, \d+\.\d\d s",
         r"0 passed, 1 failed",
     ])
+
+
+def test_raising_check_names_its_case_and_locals(monkeypatch, capsys):
+    def raises_at_six(rng):
+        for n in range(4, 10):
+            J = FinSet(range(n))
+            if n == 6:
+                raise ValueError("no six")
+            yield {"J": J, "n": n}, True
+
+    monkeypatch.setitem(SUITES, "raising", [Check("raising", "raises at six", "", raises_at_six)])
+    assert run_command(["verify", "--suite", "raising"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"FAIL  raises at six  2 cases, \d+\.\d\d s", lines[0])
+    assert lines[1] == (
+        '      raised ValueError: no six (in case 3, locals {"J": [0, 1, 2, 3, 4, 5], "n": 6})'
+    )

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +16,7 @@ from weylgraded.zfin import (
     necklace_enumerate,
     slice,
 )
+from weylgraded import zfin
 
 finsets = st.frozensets(st.integers(-10, 10), max_size=5).map(FinSet)
 moduli = st.integers(1, 6)
@@ -104,7 +108,65 @@ class TestInverseBoundary:
             inverse_boundary(fs(0), 1)
 
 
+def _inverse_boundary_by_slices(J, n):
+    """inverse_boundary as one slice() call per residue; kept as the reference."""
+    out = []
+    for i in range(n):
+        s = sorted(slice(J, n, i))
+        if len(s) % 2:
+            raise NotInImageError(
+                f"slice {i} of {J} mod {n} has odd size; no boundary preimage exists"
+            )
+        for a, b in zip(s[::2], s[1::2]):
+            out.extend(n * k + i for k in range(a + 1, b + 1))
+    return FinSet(out)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotInImageError as exc:
+        return str(exc)
+
+
+class TestInverseBoundaryAgainstSlices:
+    def test_random_sets_and_boundaries(self):
+        rng = random.Random(0)
+        odd = 0
+        for t in range(2000):
+            n = rng.randint(1, 12)
+            J = FinSet(rng.sample(range(-40, 41), rng.randint(0, 12)))
+            if t % 2:
+                J = boundary(J, n)
+            expected = _outcome(_inverse_boundary_by_slices, J, n)
+            assert _outcome(inverse_boundary, J, n) == expected, (J, n)
+            odd += isinstance(expected, str)
+        assert 0 < odd < 1000
+
+
+def _necklace_enumerate_by_masks(n):
+    """Canonicalize all 2^n subsets of [0, n); the enumeration FKM replaced."""
+    seen = {
+        necklace_canonical(AdmissiblePair(FinSet(c), n)).representative.J.elements
+        for k in range(n + 1)
+        for c in combinations(range(n), k)
+    }
+    return [AdmissiblePair(FinSet(t), n) for t in sorted(seen, key=lambda t: (len(t), t))]
+
+
 class TestNecklaces:
+    def test_enumerate_matches_all_masks(self):
+        for n in range(1, 13):
+            got = [c.representative for c in necklace_enumerate(n)]
+            assert got == _necklace_enumerate_by_masks(n), n
+
+    def test_enumerate_limit(self):
+        assert zfin.NECKLACE_ENUM_MAX_N == 22
+        assert necklace_count(22) <= zfin.NECKLACE_ENUM_MAX_CLASSES < necklace_count(23)
+        for n in (23, 10**9):
+            with pytest.raises(ValueError, match="NECKLACE_ENUM_MAX_CLASSES = 262144"):
+                necklace_enumerate(n)
+
     def test_canonical_rotates(self):
         got = necklace_canonical(AdmissiblePair(fs(1), 2))
         assert got.representative == AdmissiblePair(fs(0), 2)
