@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print the graded pieces of S(J, n) computed two independent ways.
 
-The closed form expands f_J (fbar y^{-n})^j in the skew field; the oracle
-rebuilds each piece from involution lattices via the twisted endomorphism
-construction.  Any disagreement would be a bug, so the script fails loudly.
+The closed form builds each piece's coefficient as a product of linear
+factors (z+t) read off from J and n; the oracle rebuilds each piece from
+involution lattices via the twisted endomorphism construction.  Any
+disagreement would be a bug, so the script fails loudly.
 """
 import argparse
 import sys

@@ -11,6 +11,10 @@ pieces have closed forms (degree j of S means D-degree n*j):
     j = 0:   k[z]
     j < 0:   f_J y^{-nj} k[z]
     j > 0:   f_J (fbar y^{-n})^j k[z]
+             = f_J(z) fbar(z) fbar(z+n) ... fbar(z+n(j-1)) y^{-nj} k[z]
+
+so the closed form builds each coefficient from its roots: J, and for j > 0
+every 0 <= t < nj with t mod n not in J.
 
 The independent oracle rebuilds each piece from the twisted endomorphism
 construction: M(j) is a product of involution lattices (inverted on the
@@ -71,13 +75,14 @@ def complement(J: FinSet, n: int) -> FinSet:
 def present(J, n: int) -> GWAPresentation:
     """The presentation of S(J, n); f never has repeated or n-congruent roots."""
     J = _validated(J, n)
-    fbar = RationalPoly.linear_product(complement(J, n))
+    rest = complement(J, n)
+    fbar = RationalPoly.linear_product(rest)
     f_J = RationalPoly.linear_product(J)
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",
         f"X Y = {fbar}",
-        f"Y X = {fbar.shift(-n)}",
+        f"Y X = {RationalPoly.linear_product(c - n for c in rest)}",
     )
     return GWAPresentation(n=n, f=fbar, idealizer_factor=f_J, relations=relations)
 
@@ -85,21 +90,12 @@ def present(J, n: int) -> GWAPresentation:
 def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j of S(J, n) as (h, p) with the piece equal to h(z) y^p k[z]."""
     J = _validated(J, n)
-    f_J = RationalPoly.linear_product(J)
     if j == 0:
         return (RationalPoly.one(), 0)
     if j < 0:
-        return (f_J, -n * j)
-    fbar = RationalPoly.linear_product(complement(J, n))
-    step = SkewElement.from_poly(fbar) * SkewElement.y_power(-n)
-    element = SkewElement.from_poly(f_J) * step ** j
-    degrees = element.degrees()
-    if degrees != (n * j,):
-        raise ArithmeticError(f"piece expansion is not a single x^{n*j} term")
-    h = element.coefficient(n * j) * RationalPoly.rising(n * j)
-    if not h.is_polynomial():
-        raise ArithmeticError(f"piece coefficient {h} is not polynomial")
-    return (h, -n * j)
+        return (RationalPoly.linear_product(J), -n * j)
+    roots = list(J) + [t for t in range(n * j) if t % n not in J]
+    return (RationalPoly.linear_product(roots), -n * j)
 
 
 def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:

@@ -76,12 +76,6 @@ class Check(NamedTuple):
             return self.cases
         return self.cases.format(n=self.size(window))
 
-    def run(self, seed: int = 0, window: int | None = None) -> Cases:
-        """The check's ``(inputs, holds)`` cases; ``run_check`` consumes them."""
-        if self.window is not None:
-            return self.fn(self.size(window))
-        return self.fn(random.Random(f"{seed}:{self.name}"))
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -113,8 +107,9 @@ def run_check(check: Check, seed: int = 0, window: int | None = None) -> CheckRe
     """Run ``check`` up to its first case that does not hold, counting and timing the cases."""
     count, failure, raised = 0, None, None
     start = time.perf_counter()
+    arg = random.Random(f"{seed}:{check.name}") if check.window is None else check.size(window)
     try:
-        for inputs, holds in check.run(seed, window):
+        for inputs, holds in check.fn(arg):
             count += 1
             if not holds:
                 failure = {k: v.to_json() if hasattr(v, "to_json") else v for k, v in inputs.items()}
@@ -128,7 +123,8 @@ def run_check(check: Check, seed: int = 0, window: int | None = None) -> CheckRe
 def _check_locals(exc: Exception) -> str:
     """The ints and ``to_json`` values bound in the check's frame when ``exc`` left it.
 
-    ``run_check``'s own frame heads the traceback; the check's frame is next.
+    ``run_check``'s own frame heads the traceback; the check's frame is next,
+    whether the check is a generator or a plain function that returns its cases.
     """
     below = exc.__traceback__.tb_next if exc.__traceback__ else None
     names = below.tb_frame.f_locals if below else {}

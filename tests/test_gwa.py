@@ -3,8 +3,9 @@ from itertools import combinations
 import pytest
 
 from weylgraded.zfin import FinSet
-from weylgraded.skew import RationalPoly
+from weylgraded.skew import RationalPoly, SkewElement
 from weylgraded.gwa import (
+    complement,
     graded_piece_closed_form,
     present,
     ring_pieces,
@@ -54,6 +55,11 @@ class TestPresent:
             p = present(J, n)
             assert p.f * p.idealizer_factor == RationalPoly.rising(n)
 
+    def test_shifted_relation_is_the_taylor_shift(self):
+        for J, n in admissible_pairs(6):
+            p = present(J, n)
+            assert p.relations[3] == f"Y X = {p.f.shift(-n)}", (J, n)
+
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
             present(fs(2), 2)
@@ -75,6 +81,20 @@ class TestClosedForm:
 
     def test_degree_zero(self):
         assert graded_piece_closed_form(fs(1), 3, 0) == (ONE, 0)
+
+    def test_matches_the_expansion_in_D(self):
+        # Reference: f_J (fbar y^{-n})^j expanded in D is the single term
+        # (h / rising(nj)) x^{nj}, since x^{nj} = rising(nj) y^{-nj}.
+        for J, n in admissible_pairs(5):
+            f_J = SkewElement.from_poly(RationalPoly.linear_product(J))
+            fbar = SkewElement.from_poly(RationalPoly.linear_product(complement(J, n)))
+            step = fbar * SkewElement.y_power(-n)
+            for j in range(1, 7):
+                element = f_J * step ** j
+                h, p = graded_piece_closed_form(J, n, j)
+                assert p == -n * j
+                assert element.degrees() == (n * j,), (J, n, j)
+                assert element.coefficient(n * j) == h / RationalPoly.rising(n * j), (J, n, j)
 
 
 class TestOracle:

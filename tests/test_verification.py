@@ -49,17 +49,18 @@ def _lines_match(out, patterns):
 
 def test_raising_check_fails_and_the_run_goes_on(monkeypatch, capsys):
     def boom(rng):
-        raise ValueError("boom")
+        n = 7
+        raise ValueError(f"boom at {n}")
 
     checks = [
         Check("raising", "raises", "", boom),
         Check("raising", "passes", "", lambda rng: iter([({"n": 1}, True)])),
     ]
     monkeypatch.setitem(SUITES, "raising", checks)
-    assert run_command(["verify", "--suite", "raising"]) == 1
+    assert run_command(["verify", "--suite", "raising", "--seed", "3"]) == 1
     _lines_match(capsys.readouterr().out, [
         r"FAIL  raises  0 cases, \d+\.\d\d s",
-        r"      raised ValueError: boom \(in case 1, locals \{.*\}\)",
+        r'      raised ValueError: boom at 7 \(in case 1, locals \{"n": 7\}\)',
         r"PASS  passes  1 cases, \d+\.\d\d s",
         r"1 passed, 1 failed",
     ])
