@@ -16,12 +16,15 @@ A set may drop its braces in a ``--J`` value and in a summand (``--J 0,3``,
 ignored, and a syntax error names the position of the token that broke it.
 
 Exit codes: 0 success, 1 domain error (for example a non-generative input to
-``classify``), 2 usage or expression-syntax error.
+``classify``), 2 usage or expression-syntax error.  When stdout closes before
+the output is written (a pipe into ``head``), the command exits 1 without a
+traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NoReturn, Sequence
 
@@ -472,7 +475,14 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,31 +1,35 @@
 """Rank-1 graded projective modules as fractional lattices inside D.
 
-A lattice stores one monic cyclic k[z]-generator g_m per degree m of a finite
-window [lo, hi]; outside the window the generators follow the saturated tail
-rules g_m = g_hi for m > hi and g_m = g_{m+1} (z+m) for m < lo.  The right
+A lattice has one monic cyclic k[z]-generator g_m per degree m.  The right
 A-module conditions are degreewise divisibilities:
 
     g_{m+1} | g_m            (closure under right multiplication by x)
     g_m | g_{m+1} (z+m)      (closure under right multiplication by y)
 
-Along each root line z = -j the exponent of (z+j) is constant except for a
-possible single unit drop between degrees j and j+1; the drop occurring is
-exactly "X<j> is a simple factor", which makes isomorphism testing and the
-involution functors completely mechanical.
+Every generator is a product of powers of (z+t) with integer t, so a lattice
+is stored by root line: line t is the exponent of (z+t) as a step function of
+m, a value and a short sorted list of jumps.  Only the lines that differ from
+A's are kept; line t of A is 1 for m <= t < 0 and 0 otherwise.  Along each
+line of an A-module the exponent is constant except for a possible single
+unit drop between degrees t and t+1; whether it drops decides whether the
+simple factor at t is Y(t) or X(t), which makes isomorphism testing and the
+involution functors completely mechanical.  An involution edits one line, a shift relabels them,
+intersections and hom generators take maxima line by line, and no polynomial
+gcd is ever taken.
 
-Every generator is a product of powers of (z+j) with integer j, so it is
-stored as its root-to-exponent map: products add exponents, intersections
-and hom generators take maxima, divisibility compares them, and no
-polynomial gcd is ever taken.  A RationalPoly that does not split over
-integer roots is rejected with ValueError.
+A lattice also enters as the generators on a window [lo, hi], continued by
+g_m = g_hi for m > hi and g_m = g_{m+1} (z+m) for m < lo, and leaves on the
+shortest such window.  A RationalPoly that does not split over integer roots
+is rejected with ValueError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .zfin import FinSet, absorb_shift
 from .skew import RationalPoly
@@ -106,30 +110,42 @@ class DSet:
 # exponent e, standing for the product of the (z+j)^e; e < 0 is a denominator.
 _Factored = tuple
 
-
-def _mul(a: _Factored, b: _Factored, sign: int = 1) -> _Factored:
-    """a * b^sign: the exponents add."""
-    exps = dict(a)
-    for j, e in b:
-        exps[j] = exps.get(j, 0) + sign * e
-    return tuple(sorted(p for p in exps.items() if p[1]))
+# A root line (v, jumps): the exponent of (z+t) as a function of the degree m.
+# It is v below the first jump and changes by d at each jump (m, d); jumps are
+# sorted by m, with distinct m and nonzero d.
+_Line = tuple
 
 
-def _lcm(a: _Factored, b: _Factored) -> _Factored:
-    """Generator of a k[z] intersected with b k[z]: the larger exponent per root."""
-    ea, eb = dict(a), dict(b)
-    return tuple(sorted(
-        (j, e) for j in ea.keys() | eb.keys() if (e := max(ea.get(j, 0), eb.get(j, 0)))
-    ))
+def _free_line(t: int) -> _Line:
+    """Line t of A: exponent 1 for m <= t < 0, else 0."""
+    return (1, ((t + 1, -1),)) if t < 0 else (0, ())
 
 
-def _integral(a: _Factored) -> bool:
-    """Whether a lies in k[z]: no exponent is negative."""
-    return all(e > 0 for _, e in a)
+def _value(line: _Line, m: int) -> int:
+    v, jumps = line
+    return v + sum(d for p, d in jumps if p <= m)
 
 
-def _exponent(a: _Factored, j: int) -> int:
-    return next((e for r, e in a if r == j), 0)
+def _values(line: _Line) -> Iterable[int]:
+    """Every value the line takes, from left to right."""
+    return accumulate((d for _, d in line[1]), initial=line[0])
+
+
+def _combine(op: Callable[[int, int], int], a: _Line, b: _Line) -> _Line:
+    """The line m -> op(a(m), b(m))."""
+    start = prev = op(a[0], b[0])
+    jumps = []
+    for p in sorted({p for p, _ in a[1] + b[1]}):
+        cur = op(_value(a, p), _value(b, p))
+        if cur != prev:
+            jumps.append((p, cur - prev))
+        prev = cur
+    return (start, tuple(jumps))
+
+
+def _canonical(lines: Mapping[int, _Line]) -> dict[int, _Line]:
+    """Drop the lines that equal A's, so equal lattices store equal maps."""
+    return {t: line for t, line in lines.items() if line != _free_line(t)}
 
 
 def _deflate(cs: list[int], j: int) -> list[int] | None:
@@ -194,37 +210,46 @@ def _expand(a: _Factored) -> RationalPoly:
 class GradedLattice:
     """Graded submodule of D with one cyclic generator per degree.
 
-    Generators are stored factored over their integer roots.  They enter as
-    RationalPoly values, which must split over integer roots (ValueError
-    otherwise), and leave multiplied out as RationalPoly values.
+    The generators are stored by root line: line t is the exponent of (z+t)
+    as a step function of the degree, kept only where it differs from A's.
+    Generators enter as RationalPoly values, which must split over integer
+    roots (ValueError otherwise), and leave multiplied out as RationalPoly
+    values.
     """
 
-    __slots__ = ("_lo", "_hi", "_gens")
+    __slots__ = ("_lines",)
 
     def __init__(self, lo: int, gens: Sequence[RationalPoly | _Factored]) -> None:
         """Lattice with generators gens[i] at degree lo + i.
 
         Each generator is a nonzero RationalPoly, whose leading constant is
         dropped, or an already-factored tuple of (root, exponent) pairs.
+        Above the window g_m = g_hi; below it g_m = g_{m+1} (z+m).
         """
         if not gens:
             raise ValueError("a lattice needs at least one stored generator")
-        norm = [g if isinstance(g, tuple) else _factor(g) for g in gens]
-        hi = lo + len(norm) - 1
-        # canonical window: drop degrees the tail rules reproduce
-        while hi > lo and norm[-1] == norm[-2]:
-            norm.pop()
-            hi -= 1
-        while lo < hi and norm[0] == _mul(norm[1], ((lo, 1),)):
-            norm.pop(0)
-            lo += 1
-        self._lo, self._hi = lo, hi
-        self._gens = tuple(norm)
+        exps = [dict(g if isinstance(g, tuple) else _factor(g)) for g in gens]
+        lines = {}
+        # A's lines between 0 and lo change under the left-tail rule
+        for t in set().union(*exps, range(min(lo, 0), max(lo, 0))):
+            vals = [e.get(t, 0) for e in exps]
+            jumps = tuple(
+                (lo + i, b - a) for i, (a, b) in enumerate(zip(vals, vals[1:]), 1) if b != a
+            )
+            lines[t] = (vals[0] + 1, ((t + 1, -1),) + jumps) if t < lo else (vals[0], jumps)
+        self._lines = _canonical(lines)
+
+    @classmethod
+    def _of(cls, lines: dict[int, _Line]) -> "GradedLattice":
+        """The lattice with these lines, which must already be canonical."""
+        L = cls.__new__(cls)
+        L._lines = lines
+        return L
 
     @classmethod
     def free(cls) -> "GradedLattice":
         """The lattice of A itself: g_m = 1 for m >= 0, left tail below."""
-        return cls(0, [()])
+        return cls._of({})
 
     @classmethod
     def from_generators(cls, gens: Mapping[int, RationalPoly]) -> "GradedLattice":
@@ -233,27 +258,50 @@ class GradedLattice:
             raise ValueError("generator map must cover a contiguous window")
         return cls(degrees[0], [gens[m] for m in degrees])
 
-    @property
-    def lo(self) -> int:
-        return self._lo
+    def _line(self, t: int) -> _Line:
+        return self._lines.get(t) or _free_line(t)
+
+    def _with(self, lines: Mapping[int, _Line]) -> "GradedLattice":
+        """This lattice with the given lines replaced."""
+        merged = {**self._lines, **lines}
+        for t in lines:
+            if merged[t] == _free_line(t):
+                del merged[t]
+        return GradedLattice._of(merged)
 
     @property
     def hi(self) -> int:
-        return self._hi
+        """The last degree whose generator differs from the one below it."""
+        t = -1
+        while t in self._lines:
+            t -= 1
+        return max([t + 1] + [m for _, jumps in self._lines.values() for m, _ in jumps])
+
+    @property
+    def lo(self) -> int:
+        """The first degree m with g_m != g_{m+1} (z+m), or hi if that is lower.
+
+        Line t follows that rule up to its first jump off the pattern (t+1, -1).
+        """
+        t = 0
+        while t in self._lines:
+            t += 1
+        firsts = [
+            m for r, (_, jumps) in self._lines.items() for m, _ in set(jumps) ^ {(r + 1, -1)}
+        ]
+        return min(self.hi, min(firsts + [t + 1]) - 1)
 
     @property
     def generators(self) -> dict[int, RationalPoly]:
-        return {self._lo + i: _expand(g) for i, g in enumerate(self._gens)}
+        return {m: _expand(self._at(m)) for m in range(self.lo, self.hi + 1)}
 
     def generator_at(self, m: int) -> RationalPoly:
         return _expand(self._at(m))
 
     def _at(self, m: int) -> _Factored:
-        if m >= self._hi:
-            return self._gens[-1]
-        if m >= self._lo:
-            return self._gens[m - self._lo]
-        return _mul(self._gens[0], tuple((t, 1) for t in range(m, self._lo)))
+        exps = dict.fromkeys(range(m, 0), 1)
+        exps.update((t, _value(line, m)) for t, line in self._lines.items())
+        return tuple(sorted((t, e) for t, e in exps.items() if e))
 
     # functor actions ---------------------------------------------------------
 
@@ -261,24 +309,25 @@ class GradedLattice:
         """Apply the involution at index j: pass to the reject of F_j.
 
         When F_j is X(j) the degrees <= j are multiplied by (z+j); when it is
-        Y(j) the degrees >= j+1 are.  Both tail rules survive the ray scaling.
+        Y(j) the degrees >= j+1 are.  Only line j changes.
         """
-        lo, hi = min(self._lo, j), max(self._hi, j + 1)
-        gens = [self._at(m) for m in range(lo, hi + 1)]
-        zj = ((j, 1),)
-        if not self._drops_at(j):
-            gens = [_mul(g, zj) if lo + i <= j else g for i, g in enumerate(gens)]
-        else:
-            gens = [_mul(g, zj) if lo + i >= j + 1 else g for i, g in enumerate(gens)]
-        return GradedLattice(lo, gens)
+        step = (0, ((j + 1, 1),)) if self._drops_at(j) else (1, ((j + 1, -1),))
+        return self._with({j: _combine(add, self._line(j), step)})
 
     def _drops_at(self, j: int) -> bool:
         """Whether the exponent of (z+j) drops between degrees j and j+1."""
-        return _exponent(self._at(j), j) != _exponent(self._at(j + 1), j)
+        return any(m == j + 1 for m, _ in self._line(j)[1])
 
     def shifted(self, s: int) -> "GradedLattice":
-        """Left multiplication by x^s: the degree shift functor on lattices."""
-        return GradedLattice(self._lo + s, [tuple((j + s, e) for j, e in g) for g in self._gens])
+        """Left multiplication by x^s: line t becomes line t+s, its jumps moved by s.
+
+        A's own line t moves onto A's line t+s except for t between 0 and -s.
+        """
+        lines = {}
+        for t in self._lines.keys() | set(range(min(0, -s), max(0, -s))):
+            v, jumps = self._line(t)
+            lines[t + s] = (v, tuple((m + s, d) for m, d in jumps))
+        return GradedLattice._of(_canonical(lines))
 
     def scaled(self, f: RationalPoly) -> "GradedLattice":
         """Left-multiply every degree piece by the nonzero rational function f."""
@@ -286,31 +335,31 @@ class GradedLattice:
             f = RationalPoly(f)
         if f.is_zero():
             raise ValueError("cannot scale a lattice by zero")
-        factors = _factor(f)
-        return GradedLattice(self._lo, [_mul(g, factors) for g in self._gens])
+        lines = {}
+        for t, e in _factor(f):
+            v, jumps = self._line(t)
+            lines[t] = (v + e, jumps)
+        return self._with(lines)
 
     # comparison / presentation -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GradedLattice)
-            and self._lo == other._lo
-            and self._hi == other._hi
-            and self._gens == other._gens
-        )
+        return isinstance(other, GradedLattice) and self._lines == other._lines
 
     def __hash__(self) -> int:
-        return hash((self._lo, self._hi, self._gens))
+        return hash(frozenset(self._lines.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{m}: {g}" for m, g in self.generators.items())
-        return f"GradedLattice[{self._lo}..{self._hi}]({inner})"
+        gens = self.generators
+        inner = ", ".join(f"{m}: {g}" for m, g in gens.items())
+        return f"GradedLattice[{min(gens)}..{max(gens)}]({inner})"
 
     def to_json(self) -> dict:
+        gens = self.generators
         return {
-            "lo": self._lo,
-            "hi": self._hi,
-            "gens": {str(m): g.to_json() for m, g in self.generators.items()},
+            "lo": min(gens),
+            "hi": max(gens),
+            "gens": {str(m): g.to_json() for m, g in gens.items()},
         }
 
     @classmethod
@@ -328,20 +377,17 @@ def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
 
 
 def lattice_intersect(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:
-    """Degreewise intersection; generators are the fractional lcm per degree."""
-    lo, hi = min(L1.lo, L2.lo), max(L1.hi, L2.hi)
-    return GradedLattice(lo, [_lcm(L1._at(m), L2._at(m)) for m in range(lo, hi + 1)])
+    """Degreewise intersection: the larger exponent on every root line."""
+    keys = L1._lines.keys() | L2._lines.keys()
+    return GradedLattice._of(_canonical({t: _combine(max, L1._line(t), L2._line(t)) for t in keys}))
 
 
 def is_A_module(L: GradedLattice) -> bool:
-    """Check the x/y divisibility closures on the window (tails hold by shape)."""
-    for m in range(L.lo - 1, L.hi + 1):
-        g_m, g_next = L._at(m), L._at(m + 1)
-        if not _integral(_mul(g_m, g_next, -1)):
-            return False
-        if not _integral(_mul(_mul(g_next, ((m, 1),)), g_m, -1)):
-            return False
-    return True
+    """The x/y divisibility closures g_{m+1} | g_m | g_{m+1} (z+m).
+
+    Per line t they allow one step only: a unit drop between degrees t and t+1.
+    """
+    return all(jumps in ((), ((t + 1, -1),)) for t, (_, jumps) in L._lines.items())
 
 
 def simple_factor(L: GradedLattice, j: int) -> SimpleLabel:
@@ -355,29 +401,26 @@ def to_dset(J: FinSet | Iterable[int], shift: int = 0) -> DSet:
 
 
 def lattice_dset(L: GradedLattice) -> DSet:
-    """DSet read directly off the lattice's simple factors."""
-    lo = min(L.lo - 1, -1)
-    hi = max(L.hi + 1, 1)
-    exc = [
-        j
-        for j in range(lo, hi + 1)
-        if (j >= 0) != (simple_factor(L, j).kind == "X")
-    ]
-    return DSet(FinSet(exc))
+    """DSet read directly off the lattice's simple factors.
+
+    Its exceptions are the lines whose drop at t -> t+1 differs from A's.
+    """
+    return DSet(FinSet(t for t in L._lines if L._drops_at(t) != (t < 0)))
+
+
+def _ratios(P: GradedLattice, Q: GradedLattice) -> dict[int, _Line]:
+    """The exponent line of g^Q_m / g^P_m on every line where P or Q differs from A."""
+    return {t: _combine(sub, Q._line(t), P._line(t)) for t in P._lines.keys() | Q._lines.keys()}
 
 
 def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
     """Monic generator of {q in k(z) : q P <= Q}; q P <= Q is then maximal.
 
-    The degree-m constraint is q in (g^Q_m / g^P_m) k[z]; the ratios stabilize
-    outside the union window, so a finite lcm suffices.
+    The degree-m constraint is q in (g^Q_m / g^P_m) k[z], so on each root line
+    the exponent of q is the largest that the ratio takes.
     """
-    return _expand(_hom(P, Q))
-
-
-def _hom(P: GradedLattice, Q: GradedLattice) -> _Factored:
-    lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
-    return reduce(_lcm, (_mul(Q._at(m), P._at(m), -1) for m in range(lo - 1, hi + 2)))
+    hom = ((t, e) for t, ratio in _ratios(P, Q).items() if (e := max(_values(ratio))))
+    return _expand(tuple(sorted(hom)))
 
 
 def cokernel_support(
@@ -385,38 +428,23 @@ def cokernel_support(
 ) -> tuple[tuple[Fraction, int], ...]:
     """Support multiset of Q / h P for the maximal embedding h = hom_generator.
 
-    The degree-m annihilator is q_m = h g^P_m / g^Q_m; a simple supported at
-    -j contributes the factor (z+j) on exactly one side of the transition
-    between degrees j and j+1, so the multiset is read off the two
-    multiplicities there.
+    The degree-m annihilator is q_m = h g^P_m / g^Q_m, whose exponent on line t
+    is a_t(m) = h_t - (Q-P)_t(m) >= 0; a simple supported at -t contributes
+    the factor (z+t) on exactly one side of the transition between degrees t
+    and t+1, so the multiset is read off a_t(t) + a_t(t+1).
     """
-    h = _hom(P, Q)
     lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
-    cache: dict[int, _Factored] = {}
-
-    def annihilator(m: int) -> _Factored:
-        if m not in cache:
-            q = _mul(_mul(h, P._at(m)), Q._at(m), -1)
-            if not _integral(q):
-                raise ArithmeticError(
-                    f"degree-{m} multiplier is not integral; hom generator is wrong"
-                )
-            cache[m] = q
-        return cache[m]
-
-    candidates = range(lo - 2, hi + 2)
     support: dict[Fraction, int] = {}
-    for j in candidates:
-        count = _exponent(annihilator(j), j) + _exponent(annihilator(j + 1), j)
-        if count:
-            support[Fraction(-j)] = count
-    # every annihilator on the window must factor into the candidate lines
-    for m in range(lo - 1, hi + 2):
-        if any(j not in candidates for j, _ in annihilator(m)):
+    for t, ratio in _ratios(P, Q).items():
+        if not ratio[1]:
+            continue
+        if not lo - 2 <= t <= hi + 1:
             raise ValueError(
                 "cokernel is not integrally supported on the expected window; "
                 "inputs are outside the involution family"
             )
+        if count := 2 * max(_values(ratio)) - _value(ratio, t) - _value(ratio, t + 1):
+            support[Fraction(-t)] = count
     return tuple(sorted(support.items()))
 
 

@@ -500,12 +500,18 @@ def _same_class_is_rotation(rng: random.Random) -> Cases:
 # --- rings -------------------------------------------------------------------
 
 
-@register("rings", "lattice oracle reproduces closed-form pieces", "n <= {n}, |j| <= 3", window=3)
+@register(
+    "rings",
+    "lattice oracle reproduces closed-form pieces",
+    "n <= {n}, |j| <= 8; S({{0}},1) at j = +-200",
+    window=6,
+)
 def _oracle_matches_closed_form(n_max: int) -> Cases:
-    for pair in _admissible_pairs(n_max):
-        for j in range(-3, 4):
-            oracle = gwa.twisted_endo_piece_oracle(pair.J, pair.n, j)
-            yield {"pair": pair, "j": j}, oracle == gwa.graded_piece_closed_form(pair.J, pair.n, j)
+    cases = [(pair, j) for pair in _admissible_pairs(n_max) for j in range(-8, 9)]
+    cases += [(AdmissiblePair(FinSet([0]), 1), j) for j in (-200, 200)]
+    for pair, j in cases:
+        oracle = gwa.twisted_endo_piece_oracle(pair.J, pair.n, j)
+        yield {"pair": pair, "j": j}, oracle == gwa.graded_piece_closed_form(pair.J, pair.n, j)
 
 
 @register("rings", "idealizer ring pieces are z y^-j k[z] off degree 0", "S({0},1), |j| <= 4")

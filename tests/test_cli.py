@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +308,19 @@ class TestRunCommand:
         assert run_command(["verify", "--suite", "zfin", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_closed_stdout_exits_one_without_traceback(flags):
+    # enum 16 prints far more than a pipe buffer holds, so the command is still writing
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylgraded", "necklace", "enum", "16", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline(200)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -14,11 +16,12 @@ from weylgraded.lattices import (
     hom_generator,
     iota_lattice,
     is_A_module,
+    lattice_dset,
     lattice_intersect,
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _factor
+from weylgraded.lattices import _expand, _factor
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -272,3 +275,227 @@ class TestCanonicalWindow:
     def test_json_roundtrip(self):
         L = iota_lattice(fs(0, 2), -1)
         assert GradedLattice.from_json(L.to_json()) == L
+
+
+# --- the windowed representation, kept as the reference ----------------------
+
+
+def _mul(a, b, sign=1):
+    exps = dict(a)
+    for j, e in b:
+        exps[j] = exps.get(j, 0) + sign * e
+    return tuple(sorted(p for p in exps.items() if p[1]))
+
+
+def _lcm(a, b):
+    ea, eb = dict(a), dict(b)
+    return tuple(sorted(
+        (j, e) for j in ea.keys() | eb.keys() if (e := max(ea.get(j, 0), eb.get(j, 0)))
+    ))
+
+
+def _integral(a):
+    return all(e > 0 for _, e in a)
+
+
+def _exponent(a, j):
+    return next((e for r, e in a if r == j), 0)
+
+
+class _WindowedLattice:
+    """One factored generator per degree of a canonical window [lo, hi]: the
+    representation GradedLattice had before it stored root lines."""
+
+    def __init__(self, lo, gens):
+        norm = [g if isinstance(g, tuple) else _factor(g) for g in gens]
+        hi = lo + len(norm) - 1
+        while hi > lo and norm[-1] == norm[-2]:
+            norm.pop()
+            hi -= 1
+        while lo < hi and norm[0] == _mul(norm[1], ((lo, 1),)):
+            norm.pop(0)
+            lo += 1
+        self.lo, self.hi, self.gens = lo, hi, tuple(norm)
+
+    def at(self, m):
+        if m >= self.hi:
+            return self.gens[-1]
+        if m >= self.lo:
+            return self.gens[m - self.lo]
+        return _mul(self.gens[0], tuple((t, 1) for t in range(m, self.lo)))
+
+    def window(self):
+        return self.lo, self.hi, self.gens
+
+    def drops_at(self, j):
+        return _exponent(self.at(j), j) != _exponent(self.at(j + 1), j)
+
+    def involute(self, j):
+        lo, hi = min(self.lo, j), max(self.hi, j + 1)
+        gens = [self.at(m) for m in range(lo, hi + 1)]
+        drops = self.drops_at(j)
+        return _WindowedLattice(lo, [
+            _mul(g, ((j, 1),)) if (lo + i >= j + 1) == drops else g for i, g in enumerate(gens)
+        ])
+
+    def shifted(self, s):
+        return _WindowedLattice(self.lo + s, [tuple((j + s, e) for j, e in g) for g in self.gens])
+
+    def scaled(self, f):
+        return _WindowedLattice(self.lo, [_mul(g, _factor(f)) for g in self.gens])
+
+    def __eq__(self, other):
+        return self.window() == other.window()
+
+    def __repr__(self):
+        inner = ", ".join(f"{self.lo + i}: {_expand(g)}" for i, g in enumerate(self.gens))
+        return f"GradedLattice[{self.lo}..{self.hi}]({inner})"
+
+    def to_json(self):
+        gens = {str(self.lo + i): _expand(g).to_json() for i, g in enumerate(self.gens)}
+        return {"lo": self.lo, "hi": self.hi, "gens": gens}
+
+
+def _window(L):
+    return L.lo, L.hi, tuple(L._at(m) for m in range(L.lo, L.hi + 1))
+
+
+def _ref_iota(J, s):
+    L = _WindowedLattice(0, [()])
+    for j in sorted(J):
+        L = L.involute(j)
+    return L.shifted(s)
+
+
+def _ref_intersect(L1, L2):
+    lo, hi = min(L1.lo, L2.lo), max(L1.hi, L2.hi)
+    return _WindowedLattice(lo, [_lcm(L1.at(m), L2.at(m)) for m in range(lo, hi + 1)])
+
+
+def _ref_is_A_module(L):
+    for m in range(L.lo - 1, L.hi + 1):
+        g_m, g_next = L.at(m), L.at(m + 1)
+        if not _integral(_mul(g_m, g_next, -1)):
+            return False
+        if not _integral(_mul(_mul(g_next, ((m, 1),)), g_m, -1)):
+            return False
+    return True
+
+
+def _ref_dset(L):
+    lo, hi = min(L.lo - 1, -1), max(L.hi + 1, 1)
+    return DSet(FinSet(j for j in range(lo, hi + 1) if (j >= 0) == L.drops_at(j)))
+
+
+def _ref_hom(P, Q):
+    lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
+    return reduce(_lcm, (_mul(Q.at(m), P.at(m), -1) for m in range(lo - 1, hi + 2)))
+
+
+def _ref_cokernel_support(P, Q):
+    h = _ref_hom(P, Q)
+    lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
+
+    def annihilator(m):
+        return _mul(_mul(h, P.at(m)), Q.at(m), -1)
+
+    candidates = range(lo - 2, hi + 2)
+    support = {}
+    for j in candidates:
+        count = _exponent(annihilator(j), j) + _exponent(annihilator(j + 1), j)
+        if count:
+            support[Fraction(-j)] = count
+    for m in range(lo - 1, hi + 2):
+        if any(j not in candidates for j, _ in annihilator(m)):
+            raise ValueError(
+                "cokernel is not integrally supported on the expected window; "
+                "inputs are outside the involution family"
+            )
+    return tuple(sorted(support.items()))
+
+
+def _reject(L, j, side):
+    """The candidate reject of X(j) (side 'x') or Y(j) (side 'y'), as criterion 7 builds it."""
+    lo, hi = min(L.lo, j), max(L.hi, j + 1)
+    gens = [L.generator_at(m) for m in range(lo, hi + 1)]
+    zj = RationalPoly.linear(j)
+    keep = (lambda m: m > j) if side == "x" else (lambda m: m <= j)
+    return [g if keep(lo + i) else g * zj for i, g in enumerate(gens)], lo
+
+
+def _random_factored(rng, roots=range(-4, 5), exps=(-1, 1, 1, 2)):
+    return tuple(sorted((t, rng.choice(exps)) for t in rng.sample(list(roots), rng.randint(0, 3))))
+
+
+def _lattice_family():
+    """(reference, GradedLattice) pairs built the same way in both representations."""
+    rng = random.Random(11)
+    out = []
+    for J in subsets(range(-3, 4), 3):
+        for s in range(-2, 3):
+            out.append((_ref_iota(J, s), iota_lattice(J, s)))
+    for ref, L in rng.sample(out, 80):
+        for j in rng.sample(range(-5, 6), 3):
+            for side in "xy":
+                gens, lo = _reject(L, j, side)
+                out.append((_WindowedLattice(lo, gens), GradedLattice(lo, gens)))
+    for ref, L in rng.sample(out[:320], 200):
+        f = _expand(_random_factored(rng))
+        out.append((ref.scaled(f), L.scaled(f)))
+    for _ in range(400):
+        lo = rng.randint(-4, 4)
+        gens = [_expand(_random_factored(rng)) for _ in range(rng.randint(1, 5))]
+        out.append((_WindowedLattice(lo, gens), GradedLattice(lo, gens)))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.fixture(scope="module")
+def family():
+    return _lattice_family()
+
+
+class TestMatchesWindowedReference:
+    def test_each_lattice(self, family):
+        mismatches = []
+        for ref, L in family:
+            checks = [
+                (repr(ref), repr(L)),
+                (ref.to_json(), L.to_json()),
+                ((ref.lo, ref.hi), (L.lo, L.hi)),
+                (_ref_is_A_module(ref), is_A_module(L)),
+                (_ref_dset(ref), lattice_dset(L)),
+                (
+                    [SimpleLabel.Y(j) if ref.drops_at(j) else SimpleLabel.X(j) for j in range(-8, 9)],
+                    [simple_factor(L, j) for j in range(-8, 9)],
+                ),
+                # generator_at expands these factored generators on both sides
+                ([ref.at(m) for m in range(-8, 9)], [L._at(m) for m in range(-8, 9)]),
+            ]
+            mismatches += [(ref, i) for i, (want, got) in enumerate(checks) if want != got]
+        assert not all(is_A_module(L) for _, L in family)
+        assert mismatches == []
+
+    def test_sampled_pairs(self, family):
+        rng = random.Random(12)
+        raised = 0
+        mismatches = []
+        for _ in range(2000):
+            (ref_p, P), (ref_q, Q) = rng.sample(family, 2)
+            want = _outcome(_ref_cokernel_support, ref_p, ref_q)
+            raised += want[:1] == ("ValueError",)
+            checks = [
+                (_expand(_ref_hom(ref_p, ref_q)), hom_generator(P, Q)),
+                (want, _outcome(cokernel_support, P, Q)),
+                (_ref_intersect(ref_p, ref_q).window(), _window(lattice_intersect(P, Q))),
+                (ref_p == ref_q, P == Q),
+            ]
+            mismatches += [(ref_p, ref_q, i) for i, (w, g) in enumerate(checks) if w != g]
+        assert raised > 0
+        assert mismatches == []
