@@ -333,15 +333,35 @@ def _cmd_k0(args) -> int:
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     passed, failed, results = run_suites(names, seed=args.seed, window=args.window)
+    lines = []
     for r in results:
         cases = f"  [{r.cases}]" if r.cases else ""
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name}{cases}  {r.count} cases, {r.seconds:.2f} s")
+        lines.append(f"{status}  {r.name}{cases}  {r.count} cases, {r.seconds:.2f} s")
         if r.raised is not None:
-            print(f"      raised {r.raised}")
+            lines.append(f"      raised {r.raised}")
         elif r.failure is not None:
-            print(f"      first failing input: {json.dumps(r.failure, sort_keys=True)}")
-    print(f"{passed} passed, {failed} failed")
+            lines.append(f"      first failing input: {json.dumps(r.failure, sort_keys=True)}")
+    lines.append(f"{passed} passed, {failed} failed")
+    payload = {
+        "seed": args.seed,
+        "window": args.window,
+        "passed": passed,
+        "failed": failed,
+        "results": [
+            {
+                "name": r.name,
+                "cases": r.cases,
+                "passed": r.passed,
+                "count": r.count,
+                "seconds": r.seconds,
+                "failure": r.failure,
+                "raised": r.raised,
+            }
+            for r in results
+        ],
+    }
+    _emit(args, "\n".join(lines), payload)
     return 0 if failed == 0 else 1
 
 
@@ -434,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         "combo", help="integer combination, e.g. '{0,3}-{}'"
     )
 
-    vf = sub.add_parser("verify", help="run invariant sweeps")
+    vf = leaf(sub, "verify", help="run invariant sweeps")
     vf.add_argument("--suite", default="all", choices=["all", *sorted(SUITES)])
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument(

@@ -19,11 +19,23 @@ every 0 <= t < nj with t mod n not in J.
 The independent oracle rebuilds each piece from the twisted endomorphism
 construction: M(j) is a product of involution lattices (inverted on the
 positive side) applied to the free lattice, and the piece is its degree-nj
-generator.  The two computation paths share no code beyond raw arithmetic.
+generator g x^{nj}.  The lattice layer hands g over as (root, exponent)
+pairs, and the oracle turns x^d into y^{-d} on those exponents: x^d =
+z (z+1) ... (z+d-1) y^{-d} adds 1 at the roots 0..d-1 when d >= 0, and
+x^d = y^{-d} / ((z-1) ... (z+d)) subtracts 1 at the roots -1..d when d < 0.
+The piece is multiplied out once, and no gcd is taken.  The two computation
+paths share no code beyond raw arithmetic.
+
+A coefficient of prod (z+t) is at most prod (1+|t|), so a piece or relation
+has at most sum log10(1+|t|) digits, known from its roots before it is
+multiplied out.  ring_pieces and present refuse, with ValueError, output
+past MAX_PRINTED_DIGITS, the longest int Python turns into text.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log10
+from typing import Mapping
 
 from .zfin import AdmissiblePair, FinSet, affine_image
 from .skew import RationalPoly, SkewElement
@@ -68,34 +80,81 @@ def _validated(J, n: int) -> FinSet:
     return J
 
 
+# Python converts an int of at most this many decimal digits to text
+# (sys.get_int_max_str_digits() by default).
+MAX_PRINTED_DIGITS = 4300
+
+
+def _refuse_unprintable(exps: Mapping[int, int], what: str) -> None:
+    """ValueError when prod (z+t)^e over exps may have a coefficient too long to print."""
+    digits = sum(abs(e) * log10(1 + abs(t)) for t, e in exps.items())
+    if digits > MAX_PRINTED_DIGITS:
+        raise ValueError(
+            f"{what} could have coefficients of up to {digits:.0f} digits, over the limit "
+            f"MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
+        )
+
+
 def complement(J: FinSet, n: int) -> FinSet:
     return FinSet(i for i in range(n) if i not in J)
 
 
 def present(J, n: int) -> GWAPresentation:
-    """The presentation of S(J, n); f never has repeated or n-congruent roots."""
+    """The presentation of S(J, n); f never has repeated or n-congruent roots.
+
+    Raises ValueError when a relation could not be printed (MAX_PRINTED_DIGITS).
+    """
     J = _validated(J, n)
     rest = complement(J, n)
+    shifted = [c - n for c in rest]
+    for roots in (rest, J, shifted):
+        _refuse_unprintable(dict.fromkeys(roots, 1), f"the presentation of S({J}, {n})")
     fbar = RationalPoly.linear_product(rest)
     f_J = RationalPoly.linear_product(J)
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",
         f"X Y = {fbar}",
-        f"Y X = {RationalPoly.linear_product(c - n for c in rest)}",
+        f"Y X = {RationalPoly.linear_product(shifted)}",
     )
     return GWAPresentation(n=n, f=fbar, idealizer_factor=f_J, relations=relations)
 
 
+def _closed_form_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
+    """Piece j as ({t: 1 for each root t of h}, p); the roots are distinct."""
+    if j == 0:
+        return {}, 0
+    if j < 0:
+        return dict.fromkeys(J, 1), -n * j
+    return dict.fromkeys([*J, *(t for t in range(n * j) if t % n not in J)], 1), -n * j
+
+
 def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j of S(J, n) as (h, p) with the piece equal to h(z) y^p k[z]."""
-    J = _validated(J, n)
-    if j == 0:
-        return (RationalPoly.one(), 0)
-    if j < 0:
-        return (RationalPoly.linear_product(J), -n * j)
-    roots = list(J) + [t for t in range(n * j) if t % n not in J]
-    return (RationalPoly.linear_product(roots), -n * j)
+    roots, p = _closed_form_roots(_validated(J, n), n, j)
+    return (RationalPoly.linear_product(roots), p)
+
+
+def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
+    """Piece j as ({root: exponent} of h, p), read off the lattice M(j)."""
+    L = GradedLattice.free()
+    if j >= 1:
+        for i in range(1, j + 1):
+            K = sorted(affine_image(J, 1, n * i))
+            for k in K:
+                L = L.involute(k)
+            if K:
+                L = L.scaled(tuple((k, -1) for k in K))
+    elif j <= -1:
+        for i in range(0, -j):
+            for k in sorted(affine_image(J, 1, -n * i)):
+                L = L.involute(k)
+    d = n * j
+    exps = dict(L.factored_generator_at(d))
+    step = 1 if d > 0 else -1
+    for t in range(min(d, 0), max(d, 0)):
+        exps[t] = exps.get(t, 0) + step
+    return exps, -d
 
 
 def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
@@ -104,38 +163,25 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
     M(j) applies the inverted involutions at J+n, ..., J+nj (j positive) or
     the plain involutions at J, J-n, ..., J+(j+1)n (j negative) to the free
     lattice; the piece is the monic generator of its degree-nj component,
-    converted from x-power to y-power form.
+    converted from x-power to y-power form on its root exponents.
     """
-    J = _validated(J, n)
-    L = GradedLattice.free()
-    if j >= 1:
-        for i in range(1, j + 1):
-            K = affine_image(J, 1, n * i)
-            for k in sorted(K):
-                L = L.involute(k)
-            if K:
-                L = L.scaled(RationalPoly.one() / RationalPoly.linear_product(K))
-    elif j <= -1:
-        for i in range(0, -j):
-            K = affine_image(J, 1, -n * i)
-            for k in sorted(K):
-                L = L.involute(k)
-    g = L.generator_at(n * j)
-    d = n * j
-    if d >= 0:
-        h = g * RationalPoly.rising(d)
-    else:
-        h = g / RationalPoly.falling(-d)
-    return (h, -d)
+    exps, p = _oracle_roots(_validated(J, n), n, j)
+    return (RationalPoly.from_roots(exps), p)
 
 
 def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> RingPieces:
-    """Table of pieces over a degree range, by closed form or by the oracle."""
-    fn = twisted_endo_piece_oracle if oracle else graded_piece_closed_form
-    out = RingPieces(n=n)
-    for j in range(j_min, j_max + 1):
-        out.pieces[j] = fn(J, n, j)
-    return out
+    """Table of pieces over a degree range, by closed form or by the oracle.
+
+    Every piece's roots are found before any is multiplied out, and a piece
+    that could not be printed raises ValueError (MAX_PRINTED_DIGITS).
+    """
+    J = _validated(J, n)
+    find = _oracle_roots if oracle else _closed_form_roots
+    found = {j: find(J, n, j) for j in range(j_min, j_max + 1)}
+    for j, (exps, _) in found.items():
+        _refuse_unprintable(exps, f"piece {j} of S({J}, {n})")
+    expand = RationalPoly.from_roots if oracle else RationalPoly.linear_product
+    return RingPieces(n=n, pieces={j: (expand(exps), p) for j, (exps, p) in found.items()})
 
 
 def _piece_generator(J, n: int, j: int) -> SkewElement:

@@ -200,21 +200,15 @@ def _factor(g) -> _Factored:
     return tuple(sorted(exps.items()))
 
 
-def _expand(a: _Factored) -> RationalPoly:
-    """Multiply a factored generator out, in integer arithmetic."""
-    num = RationalPoly.linear_product(j for j, e in a if e > 0 for _ in range(e))
-    den = RationalPoly.linear_product(j for j, e in a if e < 0 for _ in range(-e))
-    return RationalPoly(num.num, den.num)
-
-
 class GradedLattice:
     """Graded submodule of D with one cyclic generator per degree.
 
     The generators are stored by root line: line t is the exponent of (z+t)
     as a step function of the degree, kept only where it differs from A's.
     Generators enter as RationalPoly values, which must split over integer
-    roots (ValueError otherwise), and leave multiplied out as RationalPoly
-    values.
+    roots (ValueError otherwise), or as (root, exponent) pairs, and leave
+    multiplied out as RationalPoly values, or as those pairs through
+    factored_generator_at.
     """
 
     __slots__ = ("_lines",)
@@ -293,12 +287,13 @@ class GradedLattice:
 
     @property
     def generators(self) -> dict[int, RationalPoly]:
-        return {m: _expand(self._at(m)) for m in range(self.lo, self.hi + 1)}
+        return {m: self.generator_at(m) for m in range(self.lo, self.hi + 1)}
 
     def generator_at(self, m: int) -> RationalPoly:
-        return _expand(self._at(m))
+        return RationalPoly.from_roots(dict(self.factored_generator_at(m)))
 
-    def _at(self, m: int) -> _Factored:
+    def factored_generator_at(self, m: int) -> _Factored:
+        """The degree-m generator as sorted (root, exponent) pairs, not multiplied out."""
         exps = dict.fromkeys(range(m, 0), 1)
         exps.update((t, _value(line, m)) for t, line in self._lines.items())
         return tuple(sorted((t, e) for t, e in exps.items() if e))
@@ -329,14 +324,13 @@ class GradedLattice:
             lines[t + s] = (v, tuple((m + s, d) for m, d in jumps))
         return GradedLattice._of(_canonical(lines))
 
-    def scaled(self, f: RationalPoly) -> "GradedLattice":
-        """Left-multiply every degree piece by the nonzero rational function f."""
-        if not isinstance(f, RationalPoly):
-            f = RationalPoly(f)
-        if f.is_zero():
+    def scaled(self, f: RationalPoly | _Factored) -> "GradedLattice":
+        """Left-multiply every degree piece by f: a nonzero rational function,
+        whose leading constant is dropped, or its (root, exponent) pairs."""
+        if isinstance(f, RationalPoly) and f.is_zero():
             raise ValueError("cannot scale a lattice by zero")
         lines = {}
-        for t, e in _factor(f):
+        for t, e in f if isinstance(f, tuple) else _factor(f):
             v, jumps = self._line(t)
             lines[t] = (v + e, jumps)
         return self._with(lines)
@@ -420,7 +414,7 @@ def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
     the exponent of q is the largest that the ratio takes.
     """
     hom = ((t, e) for t, ratio in _ratios(P, Q).items() if (e := max(_values(ratio))))
-    return _expand(tuple(sorted(hom)))
+    return RationalPoly.from_roots(dict(hom))
 
 
 def cokernel_support(

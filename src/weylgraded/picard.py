@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .zfin import AdmissiblePair, FinSet, absorb_shift, affine_image
+from .zfin import AdmissiblePair, FinSet, absorb_shift, affine_image, affine_overlap
 from .lattices import DSet, SimpleLabel
 
 
@@ -107,27 +107,38 @@ def power(F: PicElement, k: int) -> PicElement:
     Every factor is a power of F, so the factors commute and the order of the
     products does not matter.  Each composition costs time linear in the sets
     it combines; only the squares F^(2^i) with 2^i <= |k| are built.  Raises
-    ValueError when a set it builds has more than POWER_MAX_SET_SIZE elements.
+    ValueError, before building it, when a set would have more than
+    POWER_MAX_SET_SIZE elements.
     """
     if k < 0:
         return power(inverse(F), -k)
     out = identity()
     while k:
         if k & 1:
-            out = _bounded(compose(F, out))
+            out = _bounded_compose(F, out)
         k >>= 1
         if k:
-            F = _bounded(compose(F, F))
+            F = _bounded_compose(F, F)
     return out
 
 
-def _bounded(F: PicElement) -> PicElement:
-    if len(F.J) > POWER_MAX_SET_SIZE:
-        raise ValueError(
-            f"power would build an involution set of {len(F.J)} elements, over the "
-            f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
-        )
-    return F
+def _bounded_compose(F: PicElement, G: PicElement) -> PicElement:
+    """compose(F, G), refused when its set would exceed POWER_MAX_SET_SIZE.
+
+    That set is A xor B with A = F.J - F.a G.b and B = G.J (reflected to
+    -1 - G.J when F is odd), so it has |A| + |B| - 2 |A & B| elements; the
+    overlap is counted only when |A| + |B| is over the limit.
+    """
+    size = len(F.J) + len(G.J)
+    if size > POWER_MAX_SET_SIZE:
+        s = -F.a * G.b
+        size -= 2 * affine_overlap(F.J, F.a, s if F.a == 1 else -1 - s, G.J)
+        if size > POWER_MAX_SET_SIZE:
+            raise ValueError(
+                f"power would build an involution set of {size} elements, over the "
+                f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
+            )
+    return compose(F, G)
 
 
 def sign_rank(F: PicElement) -> tuple[int, int]:

@@ -8,8 +8,18 @@ The ground field is Q: every computation in this library is integrally
 supported, so exact rational coefficients suffice and nothing is ever floated.
 A coefficient is stored as an int when it is integral and as a Fraction only
 when it is not, never as a float: every division goes through _div, which
-divides ints exactly and everything else through Fraction.  Since
-2 == Fraction(2) with equal hashes, the two forms compare alike.
+divides ints exactly and everything else through Fraction, and every stored
+result of Fraction arithmetic goes through _tidy.  Since 2 == Fraction(2) with
+equal hashes, the two forms compare alike.
+
+A RationalPoly is a reduced fraction with a monic denominator, and a
+polynomial gcd is taken only where a common factor can appear (Knuth, TAOCP
+vol. 2, 4.5.1).  A Taylor shift keeps num and den coprime and den monic, so
+it takes none.  A product of two reduced fractions can cancel only across
+it, so * and / take gcd(n1, d2) and gcd(n2, d1), and skip each one whose
+denominator is 1.  A sum needs none when a denominator is 1; over equal
+denominators it reduces against that one denominator, and otherwise it
+reduces in full, as RationalPoly(num, den) always does.
 """
 from __future__ import annotations
 
@@ -46,6 +56,13 @@ def _coeffs(values: Iterable[Scalar]) -> _Coeffs:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def _tidy(cs: _Coeffs) -> _Coeffs:
+    """cs with every integral Fraction stored as an int."""
+    if Fraction not in map(type, cs):
+        return cs
+    return tuple(c if type(c) is int or c.denominator != 1 else c.numerator for c in cs)
 
 
 def _padd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
@@ -92,6 +109,15 @@ def _pdivmod(a: _Coeffs, b: _Coeffs) -> tuple[_Coeffs, _Coeffs]:
     return tuple(q), tuple(r)
 
 
+def _cancel(a: _Coeffs, b: _Coeffs) -> tuple[_Coeffs, _Coeffs]:
+    """a and b divided by their monic gcd, skipped when either is a constant."""
+    if len(a) > 1 and len(b) > 1:
+        g = _pgcd(a, b)
+        if len(g) > 1:
+            return _pdivmod(a, g)[0], _pdivmod(b, g)[0]
+    return a, b
+
+
 def _pgcd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
     while b:
         a, b = b, _pdivmod(a, b)[1]
@@ -129,42 +155,37 @@ class RationalPoly:
         if not d:
             raise ZeroDivisionError("zero denominator")
         if not n or d == _ONE:
-            object.__setattr__(self, "_num", n)
-            object.__setattr__(self, "_den", _ONE)
+            self._num, self._den = n, _ONE
             return
-        g = _pgcd(n, d)
-        if len(g) > 1:
-            n = _pdivmod(n, g)[0]
-            d = _pdivmod(d, g)[0]
+        n, d = _cancel(n, d)
         lc = d[-1]
         if lc != 1:
             n = tuple(_div(c, lc) for c in n)
             d = tuple(_div(c, lc) for c in d)
-        object.__setattr__(self, "_num", n)
-        object.__setattr__(self, "_den", d)
+        self._num, self._den = n, d
 
     # construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RationalPoly":
-        return cls(())
+        return _ratio(_ZERO, _ONE)
 
     @classmethod
     def one(cls) -> "RationalPoly":
-        return cls((1,))
+        return _ratio(_ONE, _ONE)
 
     @classmethod
     def constant(cls, c: Scalar) -> "RationalPoly":
-        return cls((c,))
+        return _ratio(_coeffs((c,)), _ONE)
 
     @classmethod
     def z(cls) -> "RationalPoly":
-        return cls((0, 1))
+        return _ratio((0, 1), _ONE)
 
     @classmethod
     def linear(cls, j: Scalar) -> "RationalPoly":
         """z + j."""
-        return cls((j, 1))
+        return _ratio(_coeffs((j, 1)), _ONE)
 
     @classmethod
     def linear_product(cls, js: Iterable[int]) -> "RationalPoly":
@@ -172,7 +193,18 @@ class RationalPoly:
         cs = [1]
         for j in js:
             cs = [j * a + b for a, b in zip(cs + [0], [0] + cs)]
-        return cls(cs)
+        return _ratio(tuple(cs), _ONE)
+
+    @classmethod
+    def from_roots(cls, exps: Mapping[int, int]) -> "RationalPoly":
+        """prod of (z + t)^e over the items (t, e) of exps; e < 0 puts (z + t) in the denominator.
+
+        The roots are distinct, so the numerator and denominator are coprime
+        and no gcd is taken.
+        """
+        num = cls.linear_product(t for t, e in exps.items() for _ in range(e))
+        den = cls.linear_product(t for t, e in exps.items() for _ in range(-e))
+        return _ratio(num._num, den._num)
 
     @classmethod
     def rising(cls, d: int) -> "RationalPoly":
@@ -215,10 +247,7 @@ class RationalPoly:
         lc = self._num[-1]
         if lc == 1:
             return self
-        out = RationalPoly.__new__(RationalPoly)
-        object.__setattr__(out, "_num", tuple(_div(c, lc) for c in self._num))
-        object.__setattr__(out, "_den", self._den)
-        return out
+        return _ratio(tuple(_div(c, lc) for c in self._num), self._den)
 
     # arithmetic ------------------------------------------------------------
 
@@ -233,18 +262,27 @@ class RationalPoly:
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalPoly(
-            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
-            _pmul(self._den, o._den),
-        )
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        (n1, d1), (n2, d2) = (self._num, self._den), (o._num, o._den)
+        if d1 == d2:
+            if d1 == _ONE:
+                return _ratio(_tidy(_padd(n1, n2)), _ONE)
+            # only a factor of the shared denominator can cancel
+            return RationalPoly(_padd(n1, n2), d1)
+        if d2 == _ONE:
+            (n1, d1), (n2, d2) = (n2, d2), (n1, d1)
+        if d1 == _ONE:
+            # n1 + n2/d2 = (n1 d2 + n2)/d2, and d2 is coprime to n2
+            return _ratio(_tidy(_padd(_pmul(n1, d2), n2)), d2)
+        return RationalPoly(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPoly":
-        out = RationalPoly.__new__(RationalPoly)
-        object.__setattr__(out, "_num", _pneg(self._num))
-        object.__setattr__(out, "_den", self._den)
-        return out
+        return _ratio(_pneg(self._num), self._den)
 
     def __sub__(self, other):
         o = self._wrap(other)
@@ -255,11 +293,20 @@ class RationalPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _times(self, n2: _Coeffs, d2: _Coeffs) -> "RationalPoly":
+        """self * n2/d2 for n2/d2 reduced with d2 monic; factors cancel only across the product."""
+        n1, d1 = self._num, self._den
+        if not n1 or not n2:
+            return _ratio(_ZERO, _ONE)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return _ratio(_tidy(_pmul(n1, n2)), _tidy(_pmul(d1, d2)))
+
     def __mul__(self, other):
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalPoly(_pmul(self._num, o._num), _pmul(self._den, o._den))
+        return self._times(o._num, o._den)
 
     __rmul__ = __mul__
 
@@ -269,7 +316,12 @@ class RationalPoly:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalPoly(_pmul(self._num, o._den), _pmul(self._den, o._num))
+        n, d = o._num, o._den
+        lc = n[-1]
+        if lc != 1:
+            n = tuple(_div(c, lc) for c in n)
+            d = tuple(_div(c, lc) for c in d)
+        return self._times(d, n)
 
     def __rtruediv__(self, other):
         o = self._wrap(other)
@@ -287,8 +339,11 @@ class RationalPoly:
         return out
 
     def shift(self, m: int) -> "RationalPoly":
-        """The conjugate f(z + m) = x^m f x^{-m}."""
-        return RationalPoly(_pshift(self._num, m), _pshift(self._den, m))
+        """The conjugate f(z + m) = x^m f x^{-m}; num and den stay coprime, den monic."""
+        if not m:
+            return self
+        den = self._den if self._den == _ONE else _tidy(_pshift(self._den, m))
+        return _ratio(_tidy(_pshift(self._num, m)), den)
 
     # comparison / presentation ----------------------------------------------
 
@@ -319,6 +374,13 @@ class RationalPoly:
     @classmethod
     def from_json(cls, data: dict) -> "RationalPoly":
         return cls(data.get("num", ()), data.get("den", (1,)))
+
+
+def _ratio(num: _Coeffs, den: _Coeffs) -> RationalPoly:
+    """num/den as given: it must already be reduced, with den monic and both tidy."""
+    out = RationalPoly.__new__(RationalPoly)
+    out._num, out._den = num, den
+    return out
 
 
 def _poly_str(cs: _Coeffs) -> str:
@@ -408,7 +470,7 @@ class SkewElement:
     def __add__(self, other: "SkewElement") -> "SkewElement":
         out = dict(self._terms)
         for m, c in other._terms.items():
-            out[m] = out.get(m, RationalPoly.zero()) + c
+            out[m] = out[m] + c if m in out else c
         return SkewElement(out)
 
     def __neg__(self) -> "SkewElement":
@@ -429,7 +491,7 @@ class SkewElement:
                 # (f x^m)(g x^n) = f * g(z+m) x^{m+n}
                 c = f * g.shift(m)
                 d = m + n
-                out[d] = out.get(d, RationalPoly.zero()) + c
+                out[d] = out[d] + c if d in out else c
         return SkewElement(out)
 
     def __rmul__(self, other):

@@ -503,12 +503,12 @@ def _same_class_is_rotation(rng: random.Random) -> Cases:
 @register(
     "rings",
     "lattice oracle reproduces closed-form pieces",
-    "n <= {n}, |j| <= 8; S({{0}},1) at j = +-200",
+    "n <= {n}, |j| <= 8; S({{0}},1) at j = +-200, +-2000",
     window=6,
 )
 def _oracle_matches_closed_form(n_max: int) -> Cases:
     cases = [(pair, j) for pair in _admissible_pairs(n_max) for j in range(-8, 9)]
-    cases += [(AdmissiblePair(FinSet([0]), 1), j) for j in (-200, 200)]
+    cases += [(AdmissiblePair(FinSet([0]), 1), j) for j in (-200, 200, -2000, 2000)]
     for pair, j in cases:
         oracle = gwa.twisted_endo_piece_oracle(pair.J, pair.n, j)
         yield {"pair": pair, "j": j}, oracle == gwa.graded_piece_closed_form(pair.J, pair.n, j)

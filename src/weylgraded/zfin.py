@@ -119,6 +119,11 @@ def affine_image(J: FinSet, scale: int, offset: int) -> FinSet:
     return FinSet(scale * j + offset for j in J)
 
 
+def affine_overlap(J: FinSet, scale: int, offset: int, K: FinSet) -> int:
+    """|affine_image(J, scale, offset) & K|, counted without building the image."""
+    return sum(1 for j in J._elements if scale * j + offset in K._elements)
+
+
 def slice(J: FinSet, n: int, i: int) -> FinSet:
     """The i-th residue slice {j : n*j + i in J}."""
     if n < 1:

@@ -215,6 +215,20 @@ class TestRunCommand:
         assert "usage:" in err
         assert "--min must not exceed --max, got --min 3 --max 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ring", "present", "--J", "0", "--n", "3000"],
+            ["ring", "pieces", "--J", "0", "--n", "1000", "--min", "-5", "--max", "5"],
+            ["ring", "oracle", "--J", "0", "--n", "1000", "--min", "-5", "--max", "5", "--json"],
+        ],
+    )
+    def test_ring_output_past_the_printed_digits(self, argv, capsys):
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "over the limit MAX_PRINTED_DIGITS = 4300" in err
+
     def test_ring_inadmissible_exit_one(self, capsys):
         assert run_command(["ring", "present", "--J", "5", "--n", "2"]) == 1
 

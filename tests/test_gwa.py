@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import log10
 
 import pytest
 
@@ -59,6 +60,10 @@ class TestPresent:
         for J, n in admissible_pairs(6):
             p = present(J, n)
             assert p.relations[3] == f"Y X = {p.f.shift(-n)}", (J, n)
+
+    def test_refuses_relations_past_the_printed_digits(self):
+        with pytest.raises(ValueError, match="MAX_PRINTED_DIGITS"):
+            present(fs(0), 3000)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
@@ -145,6 +150,20 @@ class TestRingPieces:
         a = ring_pieces(fs(0, 2), 3, -2, 2)
         b = ring_pieces(fs(0, 2), 3, -2, 2, oracle=True)
         assert a.pieces == b.pieces
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_refuses_pieces_past_the_printed_digits(self, oracle, monkeypatch):
+        monkeypatch.setattr("weylgraded.gwa.MAX_PRINTED_DIGITS", 300)
+        # piece j of S({}, 1) is z (z+1) ... (z+j-1): at most sum log10(1+t) digits over t < j
+        bounds = [0.0]
+        while bounds[-1] <= 300:
+            bounds.append(bounds[-1] + log10(len(bounds)))
+        last = len(bounds) - 2
+        h, _ = ring_pieces(fs(), 1, last, last, oracle=oracle).pieces[last]
+        assert h == RationalPoly.rising(last)
+        assert 250 < max(len(str(abs(c))) for c in h.num) <= 300
+        with pytest.raises(ValueError, match="over the limit MAX_PRINTED_DIGITS = 300"):
+            ring_pieces(fs(), 1, -1, last + 1, oracle=oracle)
 
     def test_json(self):
         table = ring_pieces(fs(0), 1, -1, 1)

@@ -21,7 +21,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _expand, _factor
+from weylgraded.lattices import _factor
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -114,6 +114,14 @@ class TestScale:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             A.scaled(RationalPoly.zero())
+
+    def test_factored_equals_expanded(self):
+        rng = random.Random(13)
+        lattices = [iota_lattice(J, s) for J in subsets(range(-3, 4), 2) for s in range(-2, 3)]
+        for L in rng.sample(lattices, 60):
+            for _ in range(4):
+                f = _random_factored(rng)
+                assert L.scaled(f) == L.scaled(_expand(f)), (L, f)
 
 
 class TestIsAModule:
@@ -298,6 +306,10 @@ def _integral(a):
     return all(e > 0 for _, e in a)
 
 
+def _expand(a):
+    return RationalPoly.from_roots(dict(a))
+
+
 def _exponent(a, j):
     return next((e for r, e in a if r == j), 0)
 
@@ -357,7 +369,7 @@ class _WindowedLattice:
 
 
 def _window(L):
-    return L.lo, L.hi, tuple(L._at(m) for m in range(L.lo, L.hi + 1))
+    return L.lo, L.hi, tuple(L.factored_generator_at(m) for m in range(L.lo, L.hi + 1))
 
 
 def _ref_iota(J, s):
@@ -476,7 +488,7 @@ class TestMatchesWindowedReference:
                     [simple_factor(L, j) for j in range(-8, 9)],
                 ),
                 # generator_at expands these factored generators on both sides
-                ([ref.at(m) for m in range(-8, 9)], [L._at(m) for m in range(-8, 9)]),
+                ([ref.at(m) for m in range(-8, 9)], [L.factored_generator_at(m) for m in range(-8, 9)]),
             ]
             mismatches += [(ref, i) for i, (want, got) in enumerate(checks) if want != got]
         assert not all(is_A_module(L) for _, L in family)

@@ -21,6 +21,7 @@ from weylgraded.picard import (
     shift,
     sign_rank,
 )
+from weylgraded.picard import _bounded_compose
 
 
 def fs(*xs):
@@ -151,6 +152,24 @@ class TestPower:
             power(F, 101)
         with pytest.raises(ValueError, match="POWER_MAX_SET_SIZE"):
             power(F, -101)
+
+    def test_refusal_counts_the_composed_set_exactly(self, monkeypatch):
+        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 6)
+        rng = random.Random(5)
+        refused = 0
+        for _ in range(400):
+            F, G = (
+                PicElement(rng.choice((1, -1)), rng.randint(-4, 4), fs(*rng.sample(range(-5, 6), k)))
+                for k in (rng.randint(0, 6), rng.randint(0, 6))
+            )
+            size = len(compose(F, G).J)
+            if size > 6:
+                refused += 1
+                with pytest.raises(ValueError, match=f"set of {size} elements"):
+                    _bounded_compose(F, G)
+            else:
+                assert _bounded_compose(F, G) == compose(F, G)
+        assert 0 < refused < 400
 
 
 class TestCoverageWitness:

@@ -1,10 +1,19 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, strategies as st
 
 from weylgraded.skew import (
     RationalPoly,
     SkewElement,
+    _coeffs,
+    _div,
+    _padd,
+    _pdivmod,
+    _pgcd,
+    _pmul,
+    _pneg,
+    _pshift,
     weyl_membership,
     x,
     y,
@@ -109,6 +118,81 @@ class TestCoefficientForm:
             assert all(type(c) is int for c in RationalPoly.rising(d).num)
             rising = rising * RationalPoly.linear(d)
             falling = falling * RationalPoly.linear(-(d + 1))
+
+
+def reference_build(num, den):
+    """The always-reduce construction: a full gcd, then a monic denominator.
+
+    Every RationalPoly result was once built this way; the arithmetic now
+    cancels only where a factor can, and must give the same num and den.
+    """
+    n, d = _coeffs(num), _coeffs(den)
+    if not n or d == (1,):
+        return n, (1,)
+    g = _pgcd(n, d)
+    if len(g) > 1:
+        n, d = _pdivmod(n, g)[0], _pdivmod(d, g)[0]
+    lc = d[-1]
+    return tuple(_div(c, lc) for c in n), tuple(_div(c, lc) for c in d)
+
+
+REFERENCE = {
+    "+": lambda f, g, m: reference_build(
+        _padd(_pmul(f.num, g.den), _pmul(g.num, f.den)), _pmul(f.den, g.den)
+    ),
+    "*": lambda f, g, m: reference_build(_pmul(f.num, g.num), _pmul(f.den, g.den)),
+    "/": lambda f, g, m: reference_build(_pmul(f.num, g.den), _pmul(f.den, g.num)),
+    "shift": lambda f, g, m: reference_build(_pshift(f.num, m), _pshift(f.den, m)),
+}
+
+roots = st.lists(st.integers(-3, 3), max_size=3)
+scalars = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+).filter(bool)
+
+
+@st.composite
+def factored_fns(draw):
+    """c * prod (z+a) / prod (z+b): small integer roots, so factors often cancel."""
+    num = _pmul((draw(scalars),), RationalPoly.linear_product(draw(roots)).num)
+    return RationalPoly(num, RationalPoly.linear_product(draw(roots)).num)
+
+
+coeff_lists = st.lists(coefficients, max_size=3)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(f, g) where g is arbitrary, a polynomial, over f's denominator, or zero."""
+    fns = st.one_of(factored_fns(), rational_polys)
+    f = draw(fns)
+    kind = draw(st.sampled_from(["any", "polynomial", "same denominator", "zero"]))
+    if kind == "any":
+        g = draw(fns)
+    elif kind == "polynomial":
+        g = RationalPoly(draw(fns).num)
+    elif kind == "same denominator":
+        # f = n1/d and g = (t - n1)/d, so f + g = t/d cancels the factors of d in t
+        bs = draw(roots)
+        d = RationalPoly.linear_product(bs).num
+        t = _pmul(RationalPoly.linear_product(bs[: draw(st.integers(0, 3))]).num, draw(coeff_lists))
+        n1 = draw(coeff_lists)
+        f, g = RationalPoly(n1, d), RationalPoly(_padd(t, _pneg(_coeffs(n1))), d)
+    else:
+        g = RationalPoly.zero()
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+class TestCancellation:
+    @pytest.mark.parametrize("op", sorted(REFERENCE))
+    @given(pair=operand_pairs(), m=st.integers(-3, 3))
+    def test_matches_the_always_reduce_reference(self, op, pair, m):
+        f, g = pair
+        assume(op != "/" or not g.is_zero())
+        got = STEPS[op](f, g, m)
+        want = REFERENCE[op](f, g, m)
+        assert (got.num, got.den) == want
+        assert [type(c) for c in got.num + got.den] == [type(c) for c in want[0] + want[1]]
 
 
 class TestDefiningRelations:

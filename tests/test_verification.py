@@ -101,3 +101,30 @@ def test_raising_check_names_its_case_and_locals(monkeypatch, capsys):
     assert lines[1] == (
         '      raised ValueError: no six (in case 3, locals {"J": [0, 1, 2, 3, 4, 5], "n": 6})'
     )
+
+
+def test_verify_json_reports_every_result(monkeypatch, capsys):
+    cases = [({"n": 1}, True), ({"J": FinSet([0, 2]), "n": 3}, False)]
+    checks = [
+        Check("mixed", "fails at its second case", "two cases", lambda rng: iter(cases)),
+        Check("mixed", "window-shaped", "n <= {n}", lambda n: iter([({"n": n}, True)]), window=5),
+    ]
+    monkeypatch.setitem(SUITES, "mixed", checks)
+    assert run_command(["verify", "--suite", "mixed", "--seed", "2", "--window", "3", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert (data["seed"], data["window"], data["passed"], data["failed"]) == (2, 3, 1, 1)
+    first, second = data["results"]
+    assert first["name"] == "fails at its second case"
+    assert (first["passed"], first["count"], first["raised"]) == (False, 2, None)
+    assert first["failure"] == {"J": [0, 2], "n": 3}
+    assert (second["cases"], second["passed"], second["count"], second["failure"]) == (
+        "n <= 3", True, 1, None
+    )
+    assert all(isinstance(r["seconds"], float) for r in data["results"])
+
+
+def test_verify_json_passing_suite(capsys):
+    assert run_command(["verify", "--suite", "actions", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["seed"], data["window"], data["failed"]) == (0, None, 0)
+    assert data["passed"] == len(data["results"]) == len(SUITES["actions"])
