@@ -29,6 +29,7 @@ import sys
 from typing import NoReturn, Sequence
 
 from .zfin import (
+    NECKLACE_ENUM_MAX_CLASSES,
     FinSet,
     necklace_count,
     necklace_enumerate,
@@ -188,16 +189,14 @@ def _emit(args, human: str, payload) -> None:
         print(human)
 
 
+def _piece_human(h, p: int) -> str:
+    """The piece h(z) y^p k[z] as text."""
+    ypow = "" if p == 0 else "y " if p == 1 else f"y^{p} "
+    return f"{ypow}k[z]" if h.is_one() else f"({h}) {ypow}k[z]"
+
+
 def _pieces_human(pieces) -> str:
-    lines = []
-    for j, (h, p) in sorted(pieces.pieces.items()):
-        if p == 0:
-            body = "k[z]" if h.is_one() else f"({h}) k[z]"
-        else:
-            ypow = "y" if p == 1 else f"y^{p}"
-            body = f"{ypow} k[z]" if h.is_one() else f"({h}) {ypow} k[z]"
-        lines.append(f"S_{j} = {body}")
-    return "\n".join(lines)
+    return "\n".join(f"S_{j} = {_piece_human(h, p)}" for j, (h, p) in sorted(pieces.pieces.items()))
 
 
 def _support_payload(support) -> list[dict]:
@@ -224,6 +223,8 @@ def _cmd_pic(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.cmd == "table":
+        return _classify_table(args)
     F = parse_expression(args.expr)
     if args.cmd == "canonical":
         pair, g = canonical_admissible(F)
@@ -240,11 +241,46 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-# ``necklace count`` prints counts of at most this many decimal digits, Python's
-# default limit on int-to-str conversion.  The count for n is at most 2^n, so
-# the limit holds for every n with 2^n < 10^4300, that is n <= 14284.
-NECKLACE_COUNT_MAX_DIGITS = 4300
-NECKLACE_COUNT_MAX_N = (10 ** NECKLACE_COUNT_MAX_DIGITS).bit_length() - 1
+def _classify_table(args) -> int:
+    """The graded Morita classes of each rank n <= --max-n, each with its ring S(J, n).
+
+    The class count is summed before anything is enumerated, and a table of
+    more than NECKLACE_ENUM_MAX_CLASSES classes is refused with ValueError.
+    """
+    total = 0
+    for n in range(1, args.max_n + 1):
+        total += necklace_count(n)
+        if total > NECKLACE_ENUM_MAX_CLASSES:
+            raise ValueError(
+                f"classify table is limited to NECKLACE_ENUM_MAX_CLASSES = "
+                f"{NECKLACE_ENUM_MAX_CLASSES} classes in all, that is --max-n <= {n - 1}; "
+                f"got --max-n {args.max_n}"
+            )
+    lines, ranks = [], []
+    for n in range(1, args.max_n + 1):
+        classes = necklace_enumerate(n)
+        lines.append(f"rank {n}: {len(classes)} classes")
+        rows = []
+        for cls in classes:
+            J = cls.representative.J
+            p = gwa.present(J, n)
+            tags = ["full GWA"] if p.idealizer_factor.is_one() else []
+            if not J:
+                tags.append("Veronese of A" if n > 1 else "A itself")
+            suffix = f"   [{', '.join(tags)}]" if tags else ""
+            lines.append(f"  S({J}, {n}):  f = {p.f},  idealizer factor = {p.idealizer_factor}{suffix}")
+            rows.append({"J": J.to_json(), "f": p.f.to_json(), "fJ": p.idealizer_factor.to_json(),
+                         "tags": tags})
+        lines.append("")
+        ranks.append({"n": n, "classes": rows})
+    _emit(args, "\n".join(lines), {"ranks": ranks})
+    return 0
+
+
+# ``necklace count`` prints counts of at most gwa.MAX_PRINTED_DIGITS decimal
+# digits.  The count for n is at most 2^n, so the limit holds for every n with
+# 2^n < 10^4300, that is n <= 14284.
+NECKLACE_COUNT_MAX_N = (10 ** gwa.MAX_PRINTED_DIGITS).bit_length() - 1
 
 
 def _cmd_necklace(args) -> int:
@@ -252,7 +288,7 @@ def _cmd_necklace(args) -> int:
         if args.n > NECKLACE_COUNT_MAX_N:
             raise ValueError(
                 f"necklace count is limited to n <= {NECKLACE_COUNT_MAX_N}, whose counts "
-                f"have at most {NECKLACE_COUNT_MAX_DIGITS} digits; got n = {args.n}"
+                f"have at most {gwa.MAX_PRINTED_DIGITS} digits; got n = {args.n}"
             )
         c = necklace_count(args.n)
         _emit(args, str(c), {"n": args.n, "count": c})
@@ -276,6 +312,25 @@ def _cmd_ring(args) -> int:
     elif args.cmd in ("pieces", "oracle"):
         pieces = gwa.ring_pieces(J, args.n, args.min, args.max, oracle=args.cmd == "oracle")
         _emit(args, _pieces_human(pieces), pieces.to_json())
+    elif args.cmd == "compare":
+        closed, oracle = (
+            gwa.ring_pieces(J, args.n, args.min, args.max, oracle=by_oracle)
+            for by_oracle in (False, True)
+        )
+        bad = [j for j, piece in closed.pieces.items() if piece != oracle.pieces[j]]
+        lines = [
+            f"graded pieces of S({J}, {args.n}), degrees {args.min}..{args.max}",
+            f"{'j':>4}  {'closed form':<34} {'lattice oracle':<34}",
+        ]
+        for j, piece in closed.pieces.items():
+            mark = "   <-- MISMATCH" if j in bad else ""
+            lines.append(
+                f"{j:>4}  {_piece_human(*piece):<34} {_piece_human(*oracle.pieces[j]):<34}{mark}"
+            )
+        _emit(args, "\n".join(lines),
+              {"closed_form": closed.to_json(), "oracle": oracle.to_json(), "mismatches": bad})
+        if bad:
+            raise ValueError(f"the closed form and the oracle disagree at j = {bad}")
     else:  # verify
         closure = gwa.verify_ring_closure(J, args.n, args.window)
         embed = gwa.verify_gwa_embedding(J, args.n)
@@ -403,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(cl, "same-class", help="same graded Morita class?")
     p.add_argument("expr")
     p.add_argument("other")
+    leaf(cl, "table", help="classes per rank with their rings S(J, n)").add_argument(
+        "--max-n", type=_positive_int, default=6
+    )
 
     nk = sub.add_parser("necklace", help="necklace combinatorics").add_subparsers(
         dest="cmd", required=True
@@ -413,11 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     rg = sub.add_parser("ring", help="the rings S(J, n)").add_subparsers(
         dest="cmd", required=True
     )
-    for name in ("present", "pieces", "oracle", "verify"):
+    for name in ("present", "pieces", "oracle", "compare", "verify"):
         p = leaf(rg, name)
         p.add_argument("--J", default="", help="comma-separated residues, e.g. 0,2")
         p.add_argument("--n", type=int, required=True)
-        if name in ("pieces", "oracle"):
+        if name in ("pieces", "oracle", "compare"):
             p.add_argument("--min", type=int, default=-2)
             p.add_argument("--max", type=int, default=2)
             p.set_defaults(degree_parser=p)

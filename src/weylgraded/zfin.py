@@ -26,6 +26,13 @@ class FinSet:
                 raise TypeError(f"FinSet elements must be integers, got {e!r}")
         object.__setattr__(self, "_elements", elems)
 
+    @classmethod
+    def _of(cls, elems: frozenset) -> "FinSet":
+        """The set of ``elems``, which must already be integers: no check."""
+        S = cls.__new__(cls)
+        object.__setattr__(S, "_elements", elems)
+        return S
+
     @property
     def elements(self) -> tuple[int, ...]:
         """Elements in strictly increasing order (canonical serialization)."""
@@ -44,13 +51,13 @@ class FinSet:
         return bool(self._elements)
 
     def __xor__(self, other: "FinSet") -> "FinSet":
-        return FinSet(self._elements ^ other._elements)
+        return FinSet._of(self._elements ^ other._elements)
 
     def __and__(self, other: "FinSet") -> "FinSet":
-        return FinSet(self._elements & other._elements)
+        return FinSet._of(self._elements & other._elements)
 
     def __or__(self, other: "FinSet") -> "FinSet":
-        return FinSet(self._elements | other._elements)
+        return FinSet._of(self._elements | other._elements)
 
     def issubset(self, other: "FinSet") -> bool:
         return self._elements <= other._elements
@@ -113,10 +120,12 @@ class NecklaceClass:
 
 
 def affine_image(J: FinSet, scale: int, offset: int) -> FinSet:
-    """Image of J under j -> scale*j + offset; scale must be nonzero."""
+    """Image of J under j -> scale*j + offset; scale must be a nonzero integer."""
+    if not (isinstance(scale, int) and isinstance(offset, int)):
+        raise TypeError(f"scale and offset must be integers, got {scale!r} and {offset!r}")
     if scale == 0:
         raise ValueError("scale must be nonzero (the map would not be injective)")
-    return FinSet(scale * j + offset for j in J)
+    return FinSet._of(frozenset(scale * j + offset for j in J._elements))
 
 
 def affine_overlap(J: FinSet, scale: int, offset: int, K: FinSet) -> int:

@@ -8,6 +8,7 @@ import pytest
 
 from weylgraded.zfin import FinSet, necklace_count
 from weylgraded.picard import PicElement, compose, identity, iota, omega, shift
+from weylgraded import gwa
 from weylgraded.cli import ExpressionError, parse_expression, run_command
 
 
@@ -205,7 +206,7 @@ class TestRunCommand:
         assert run_command(["ring", "verify", "--J", "0", "--n", "1", "--window", window]) == 2
         assert "usage:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd", ["pieces", "oracle"])
+    @pytest.mark.parametrize("cmd", ["pieces", "oracle", "compare"])
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_ring_reversed_degree_range_is_a_usage_error(self, cmd, fmt, capsys):
         argv = ["ring", cmd, "--J", "0", "--n", "1", "--min", "3", "--max", "1", *fmt]
@@ -231,6 +232,103 @@ class TestRunCommand:
 
     def test_ring_inadmissible_exit_one(self, capsys):
         assert run_command(["ring", "present", "--J", "5", "--n", "2"]) == 1
+
+    @pytest.mark.parametrize("J, n", [("0", "2"), ("{0}", "1")])
+    def test_ring_compare_agrees(self, J, n, capsys):
+        assert run_command(["ring", "compare", "--J", J, "--n", n, "--min", "-2", "--max", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 + 5
+        assert not any("MISMATCH" in line for line in out)
+
+    def test_ring_compare_json(self, capsys):
+        argv = ["--J", "0,2", "--n", "3", "--min", "-3", "--max", "3", "--json"]
+        assert run_command(["ring", "compare", *argv]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert run_command(["ring", "pieces", *argv]) == 0
+        assert data["closed_form"] == json.loads(capsys.readouterr().out)
+        assert data["oracle"] == data["closed_form"]
+        assert data["mismatches"] == []
+
+    def test_ring_compare_names_each_mismatched_degree(self, capsys, monkeypatch):
+        true_roots = gwa._oracle_roots
+
+        def wrong_at_one(J, n, j):
+            exps, p = true_roots(J, n, j)
+            return ({**exps, 7: 1} if j == 1 else exps), p
+
+        monkeypatch.setattr(gwa, "_oracle_roots", wrong_at_one)
+        assert run_command(["ring", "compare", "--J", "0", "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        rows = {line.split()[0]: line for line in out.splitlines()[2:]}
+        assert [j for j, line in rows.items() if "MISMATCH" in line] == ["1"]
+        assert err == "error: the closed form and the oracle disagree at j = [1]\n"
+
+    def test_ring_compare_inadmissible_pair_is_a_domain_error(self, capsys):
+        assert run_command(["ring", "compare", "--J", "5", "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: J = {5} is not a subset of [0, 1)\n"
+
+    def test_ring_verify_past_the_work_limit(self, capsys):
+        assert run_command(["ring", "verify", "--J", "0", "--n", "1", "--window", "80"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "over the limit RING_CLOSURE_MAX_WORK = 20000000" in err
+
+    def test_classify_table(self, capsys):
+        assert run_command(["classify", "table", "--max-n", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "rank 1: 2 classes",
+            "  S({}, 1):  f = z,  idealizer factor = 1   [full GWA, A itself]",
+            "  S({0}, 1):  f = 1,  idealizer factor = z",
+            "",
+            "rank 2: 3 classes",
+            "  S({}, 2):  f = z^2 + z,  idealizer factor = 1   [full GWA, Veronese of A]",
+            "  S({0}, 2):  f = z + 1,  idealizer factor = z",
+            "  S({0,1}, 2):  f = 1,  idealizer factor = z^2 + z",
+            "",
+            "rank 3: 4 classes",
+            "  S({}, 3):  f = z^3 + 3 z^2 + 2 z,  idealizer factor = 1   [full GWA, Veronese of A]",
+            "  S({0}, 3):  f = z^2 + 3 z + 2,  idealizer factor = z",
+            "  S({0,1}, 3):  f = z + 2,  idealizer factor = z^2 + z",
+            "  S({0,1,2}, 3):  f = 1,  idealizer factor = z^3 + 3 z^2 + 2 z",
+            "",
+        ]
+
+    def test_classify_table_json(self, capsys):
+        assert run_command(["classify", "table", "--max-n", "2", "--json"]) == 0
+        ranks = json.loads(capsys.readouterr().out)["ranks"]
+        assert [r["n"] for r in ranks] == [1, 2]
+        assert [c["J"] for c in ranks[1]["classes"]] == [[], [0], [0, 1]]
+        assert ranks[1]["classes"][0] == {
+            "J": [],
+            "f": {"num": ["0", "1", "1"], "den": ["1"]},
+            "fJ": {"num": ["1"], "den": ["1"]},
+            "tags": ["full GWA", "Veronese of A"],
+        }
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("n", ["22", "1000000000"])
+    def test_classify_table_past_the_class_limit(self, capsys, n, fmt):
+        assert run_command(["classify", "table", "--max-n", n, *fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: classify table is limited to NECKLACE_ENUM_MAX_CLASSES = 262144 "
+            f"classes in all, that is --max-n <= 21; got --max-n {n}\n"
+        )
+
+    def test_classify_table_counts_every_rank_against_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr("weylgraded.cli.NECKLACE_ENUM_MAX_CLASSES", 2 + 3 + 4)
+        assert run_command(["classify", "table", "--max-n", "3"]) == 0
+        capsys.readouterr()
+        assert run_command(["classify", "table", "--max-n", "4"]) == 1
+        assert "--max-n <= 3; got --max-n 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", ["0", "-1", "x"])
+    def test_classify_table_max_n_must_be_positive(self, max_n, capsys):
+        assert run_command(["classify", "table", "--max-n", max_n]) == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_mod_dset(self, capsys):
         assert run_command(["mod", "dset", "--J", "0,3", "--shift", "0", "--json"]) == 0
@@ -312,6 +410,7 @@ class TestRunCommand:
             (["k0", "normalize", "{0}+{1}@q"], 8),
             (["mod", "dset", "--J", "0,x"], 2),
             (["k0", "theta", "{0}{1}"], 3),
+            (["ring", "compare", "--J", "x", "--n", "1"], 0),
         ],
     )
     def test_syntax_error_position(self, argv, position, capsys):

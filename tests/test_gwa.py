@@ -5,6 +5,7 @@ import pytest
 
 from weylgraded.zfin import FinSet
 from weylgraded.skew import RationalPoly, SkewElement
+from weylgraded import gwa
 from weylgraded.gwa import (
     complement,
     graded_piece_closed_form,
@@ -138,6 +139,15 @@ class TestRingStructure:
     def test_closure_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             verify_ring_closure(FinSet([0]), 1, -5)
+
+    def test_closure_work_limit(self, monkeypatch):
+        with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 20000000"):
+            verify_ring_closure(fs(0), 1, 80)
+        monkeypatch.setattr(gwa, "RING_CLOSURE_MAX_WORK", 7**2 * 3**2)
+        assert verify_ring_closure(fs(0), 1, 3)
+        for n, window in [(1, 4), (2, 3)]:
+            with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 441"):
+                verify_ring_closure(fs(0), n, window)
 
 
 class TestRingPieces:

@@ -36,6 +36,10 @@ class TestSymmetricDifference:
     def test_exponent_two(self):
         assert fs(0, 3) ^ fs(0, 3) == FinSet()
 
+    def test_public_constructor_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            FinSet([0, 1.5])
+
     @given(finsets, finsets, finsets)
     def test_group_axioms(self, a, b, c):
         assert (a ^ b) ^ c == a ^ (b ^ c)
@@ -57,6 +61,11 @@ class TestAffineImage:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             affine_image(fs(1), 0, 5)
+
+    @pytest.mark.parametrize("scale, offset", [(1, 0.5), (2.0, 0)])
+    def test_non_integer_map_rejected(self, scale, offset):
+        with pytest.raises(TypeError):
+            affine_image(fs(1), scale, offset)
 
 
 class TestSlice:
