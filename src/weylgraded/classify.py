@@ -7,6 +7,7 @@ graded Morita equivalence classes of rings graded equivalent to A.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .zfin import (
     AdmissiblePair,
@@ -31,15 +32,16 @@ def canonical_admissible(F: PicElement) -> tuple[AdmissiblePair, PicElement]:
             f"{F} is not generative (needs sign +1 and nonzero rank); "
             "no admissible conjugate exists"
         )
-    g = PicElement(1, 0, FinSet())
     F1 = F
     if F.b < 0:
-        g = omega()
-        F1 = compose(compose(g, F), inverse(g))
+        w = omega()
+        F1 = compose(compose(w, F), inverse(w))
     n, K = F1.b, F1.J
-    J = FinSet(i for i, c in Counter(t % n for t in K).items() if c % 2)
-    I = inverse_boundary(J ^ K, n)
-    g = compose(iota(I), g)
+    counts = Counter(map(n.__rmod__, K._elements))
+    J = FinSet._of(frozenset(compress(counts, map((1).__and__, counts.values()))))  # odd counts
+    g = iota(inverse_boundary(J ^ K, n))
+    if F.b < 0:
+        g = compose(g, w)
     return AdmissiblePair(J, n), g
 
 

@@ -263,14 +263,13 @@ def _classify_table(args) -> int:
         rows = []
         for cls in classes:
             J = cls.representative.J
-            p = gwa.present(J, n)
-            tags = ["full GWA"] if p.idealizer_factor.is_one() else []
+            f, f_J = gwa.factors(J, n)
+            tags = ["full GWA"] if f_J.is_one() else []
             if not J:
                 tags.append("Veronese of A" if n > 1 else "A itself")
             suffix = f"   [{', '.join(tags)}]" if tags else ""
-            lines.append(f"  S({J}, {n}):  f = {p.f},  idealizer factor = {p.idealizer_factor}{suffix}")
-            rows.append({"J": J.to_json(), "f": p.f.to_json(), "fJ": p.idealizer_factor.to_json(),
-                         "tags": tags})
+            lines.append(f"  S({J}, {n}):  f = {f},  idealizer factor = {f_J}{suffix}")
+            rows.append({"J": J.to_json(), "f": f.to_json(), "fJ": f_J.to_json(), "tags": tags})
         lines.append("")
         ranks.append({"n": n, "classes": rows})
     _emit(args, "\n".join(lines), {"ranks": ranks})
@@ -294,8 +293,10 @@ def _cmd_necklace(args) -> int:
         _emit(args, str(c), {"n": args.n, "count": c})
     else:
         classes = necklace_enumerate(args.n)
-        human = "\n".join(str(c.representative) for c in classes)
-        _emit(args, human, {"n": args.n, "classes": [c.to_json() for c in classes]})
+        if getattr(args, "json", False):
+            _emit(args, "", {"n": args.n, "classes": [c.to_json() for c in classes]})
+        else:
+            _emit(args, "\n".join(str(c.representative) for c in classes), None)
     return 0
 
 

@@ -75,7 +75,8 @@ class RingPieces:
 
 
 def _validated(J, n: int) -> FinSet:
-    J = FinSet(J)
+    if not isinstance(J, FinSet):
+        J = FinSet(J)
     AdmissiblePair(J, n)
     return J
 
@@ -96,7 +97,19 @@ def _refuse_unprintable(exps: Mapping[int, int], what: str) -> None:
 
 
 def complement(J: FinSet, n: int) -> FinSet:
-    return FinSet(i for i in range(n) if i not in J)
+    return FinSet._of(frozenset(range(n)).difference(J._elements))
+
+
+def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
+    """(f, f_J) of S(J, n): the products of (z+t) over [0, n) minus J and over J.
+
+    Raises ValueError when either could not be printed (MAX_PRINTED_DIGITS).
+    """
+    J = _validated(J, n)
+    rest = complement(J, n)
+    for roots in (rest, J):
+        _refuse_unprintable(dict.fromkeys(roots, 1), f"the presentation of S({J}, {n})")
+    return RationalPoly.linear_product(rest), RationalPoly.linear_product(J)
 
 
 def present(J, n: int) -> GWAPresentation:
@@ -105,12 +118,9 @@ def present(J, n: int) -> GWAPresentation:
     Raises ValueError when a relation could not be printed (MAX_PRINTED_DIGITS).
     """
     J = _validated(J, n)
-    rest = complement(J, n)
-    shifted = [c - n for c in rest]
-    for roots in (rest, J, shifted):
-        _refuse_unprintable(dict.fromkeys(roots, 1), f"the presentation of S({J}, {n})")
-    fbar = RationalPoly.linear_product(rest)
-    f_J = RationalPoly.linear_product(J)
+    fbar, f_J = factors(J, n)
+    shifted = [c - n for c in complement(J, n)]
+    _refuse_unprintable(dict.fromkeys(shifted, 1), f"the presentation of S({J}, {n})")
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",

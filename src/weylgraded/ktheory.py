@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .zfin import FinSet, absorb_shift
@@ -94,14 +95,16 @@ def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:
     The pair rewriting (J, K) -> (J & K, J | K) is confluent: integer t ends
     up in exactly the top count(t) links of the chain.
     """
-    sets = [absorb_shift(J, s) for J, s in S.summands]
-    m = len(sets)
-    counts = Counter(t for J in sets for t in J)
-    chain = [
-        FinSet(t for t, c in counts.items() if c >= m + 1 - i)
-        for i in range(1, m + 1)
-    ]
-    return ProjectiveSum(tuple((J, 0) for J in chain))
+    m = len(S.summands)
+    counts = Counter(chain.from_iterable(absorb_shift(J, s)._elements for J, s in S.summands))
+    by_count: list[list[int]] = [[] for _ in range(m + 1)]
+    for t, c in counts.items():
+        by_count[c].append(t)
+    links, link = [], frozenset()
+    for c in range(m, 0, -1):
+        link = link.union(by_count[c])
+        links.append((FinSet._of(link), 0))
+    return ProjectiveSum(tuple(links))
 
 
 def iso_test(S1: ProjectiveSum, S2: ProjectiveSum) -> bool:
@@ -116,12 +119,13 @@ def stably_free_witness(J: FinSet | Iterable[int]) -> tuple[list[int], list[int]
     J trades iota_J A + A<m> for iota_{J minus max} A + A<m+1>, so the adds
     are J in descending order and the result is their successors plus A.
     """
-    J = FinSet(J)
-    if any(t < 1 for t in J):
+    if not isinstance(J, FinSet):
+        J = FinSet(J)
+    if J and min(J._elements) < 1:
         raise ValueError(
             f"J = {J} must lie in Z>=1; normalize the class by shifting first"
         )
-    adds = sorted(J, reverse=True)
+    adds = sorted(J._elements, reverse=True)
     result = [m + 1 for m in adds] + [0]
     return adds, result
 
@@ -141,13 +145,18 @@ def theta_map(combo: Mapping[FinSet, int] | Iterable[tuple[FinSet, int]]) -> Pic
 
 
 def k0_class(S: ProjectiveSum) -> K0Class:
-    """Coordinates of [S] on the shifted-free basis, via the stably-free witnesses."""
+    """Coordinates of [S] on the shifted-free basis, via the stably-free witnesses.
+
+    The summand iota_J A<s> is iota_K A<n> with K inside Z>=1, where n is the
+    least element of its DSet (Z>=0 xor J) + s.  By the cocycle identity
+    absorb_shift(absorb_shift(J, s), -n) = absorb_shift(J, s - n), K takes
+    one absorb_shift.
+    """
     coeffs: dict[int, int] = {}
     for J, s in S.summands:
-        J1 = absorb_shift(J, s)
-        n = DSet(J1).min_element()
-        K = absorb_shift(J1, -n)
-        adds, result = stably_free_witness(K)
+        m = DSet(J).min_element()
+        n = m + s
+        adds, result = stably_free_witness(absorb_shift(J, -m))
         for r in result:
             coeffs[r + n] = coeffs.get(r + n, 0) + 1
         for l in adds:

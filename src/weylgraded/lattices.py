@@ -87,11 +87,12 @@ class DSet:
         return (j >= 0) != (j in self.exceptions)
 
     def min_element(self) -> int:
-        neg = [j for j in self.exceptions if j < 0]
-        if neg:
-            return min(neg)
+        E = self.exceptions._elements
+        low = min(E, default=0)
+        if low < 0:
+            return low
         t = 0
-        while t in self.exceptions:
+        while t in E:
             t += 1
         return t
 

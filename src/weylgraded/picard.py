@@ -71,7 +71,7 @@ def shift(b: int) -> PicElement:
 
 def iota(J: FinSet | list[int] | set[int]) -> PicElement:
     """The numerically trivial involution swapping X(j) and Y(j) for j in J."""
-    return PicElement(1, 0, FinSet(J))
+    return PicElement(1, 0, J)
 
 
 def omega() -> PicElement:

@@ -128,12 +128,20 @@ def _pgcd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
 
 
 def _pshift(a: _Coeffs, m: int) -> _Coeffs:
-    """Taylor shift: coefficients of f(z + m), by Horner in (z + m)."""
-    zm = (m, 1)
-    res: _Coeffs = _ZERO
-    for c in reversed(a):
-        res = _padd(_pmul(res, zm), (c,))
-    return res
+    """Taylor shift: coefficients of f(z + m), by repeated synthetic division.
+
+    Dividing by (z - (-m)) d times in place leaves the coefficients of f in
+    powers of (z + m) (Knuth, TAOCP vol. 2, 4.6.4): d(d+1)/2 multiply-adds
+    and no intermediate tuples.  The leading coefficient is unchanged, so
+    the result has no trailing zero.
+    """
+    if not m:
+        return a
+    c = list(a)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += m * c[j + 1]
+    return tuple(c)
 
 
 class RationalPoly:

@@ -3,10 +3,18 @@
 The finite subsets of Z form an abelian group of exponent 2 under symmetric
 difference; everything downstream (involutions, conjugacy classes, K-theory
 normal forms) is bookkeeping in this group.
+
+A FinSet wraps a frozenset, and the library works on that frozenset whole:
+images are ``map``s over it, and results built from known integers skip the
+public constructor's type check through ``FinSet._of``.  Only printing and
+serialization sort.  A necklace class is canonicalized by Booth's least
+rotation (Inform. Process. Lett. 10, 1980) of the cyclic sequence of gaps
+between consecutive elements, in time O(|J| log |J|) whatever n is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -24,13 +32,13 @@ class FinSet:
         for e in elems:
             if not isinstance(e, int):
                 raise TypeError(f"FinSet elements must be integers, got {e!r}")
-        object.__setattr__(self, "_elements", elems)
+        self._elements = elems
 
     @classmethod
     def _of(cls, elems: frozenset) -> "FinSet":
         """The set of ``elems``, which must already be integers: no check."""
-        S = cls.__new__(cls)
-        object.__setattr__(S, "_elements", elems)
+        S = object.__new__(cls)
+        S._elements = elems
         return S
 
     @property
@@ -92,7 +100,10 @@ class AdmissiblePair:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not all(0 <= j < self.n for j in self.J):
+        if not isinstance(self.J, FinSet):
+            object.__setattr__(self, "J", FinSet(self.J))
+        J = self.J._elements
+        if J and (min(J) < 0 or max(J) >= self.n):
             raise ValueError(f"J = {self.J} is not a subset of [0, {self.n})")
 
     def __str__(self) -> str:
@@ -125,12 +136,17 @@ def affine_image(J: FinSet, scale: int, offset: int) -> FinSet:
         raise TypeError(f"scale and offset must be integers, got {scale!r} and {offset!r}")
     if scale == 0:
         raise ValueError("scale must be nonzero (the map would not be injective)")
-    return FinSet._of(frozenset(scale * j + offset for j in J._elements))
+    return FinSet._of(frozenset(_image(J, scale, offset)))
+
+
+def _image(J: FinSet, scale: int, offset: int) -> Iterator[int]:
+    elems = J._elements if scale == 1 else map(scale.__mul__, J._elements)
+    return map(offset.__add__, elems)
 
 
 def affine_overlap(J: FinSet, scale: int, offset: int, K: FinSet) -> int:
     """|affine_image(J, scale, offset) & K|, counted without building the image."""
-    return sum(1 for j in J._elements if scale * j + offset in K._elements)
+    return sum(map(K._elements.__contains__, _image(J, scale, offset)))
 
 
 def slice(J: FinSet, n: int, i: int) -> FinSet:
@@ -139,7 +155,7 @@ def slice(J: FinSet, n: int, i: int) -> FinSet:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= i < n:
         raise ValueError(f"residue i must lie in [0, {n}), got {i}")
-    return FinSet((t - i) // n for t in J if (t - i) % n == 0)
+    return FinSet._of(frozenset((t - i) // n for t in J._elements if (t - i) % n == 0))
 
 
 def boundary(J: FinSet, n: int) -> FinSet:
@@ -161,18 +177,19 @@ def inverse_boundary(J: FinSet, n: int) -> FinSet:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     buckets: dict[int, list[int]] = {}
-    for t in J.elements:
+    for t in sorted(J._elements):
         buckets.setdefault(t % n, []).append(t)
-    out: list[int] = []
-    for i in sorted(buckets):
-        s = buckets[i]
-        if len(s) % 2:
-            raise NotInImageError(
-                f"slice {i} of {J} mod {n} has odd size; no boundary preimage exists"
-            )
-        for a, b in zip(s[::2], s[1::2]):
-            out.extend(range(a + n, b + n, n))
-    return FinSet(out)
+    odd = [i for i, s in buckets.items() if len(s) % 2]
+    if odd:
+        raise NotInImageError(
+            f"slice {min(odd)} of {J} mod {n} has odd size; no boundary preimage exists"
+        )
+    runs = (range(a + n, b + n, n) for s in buckets.values() for a, b in zip(s[::2], s[1::2]))
+    return FinSet._of(frozenset(chain.from_iterable(runs)))
+
+
+def _delta_range(s: int) -> range:
+    return range(0, s) if s >= 0 else range(s, 0)
 
 
 def shift_delta(s: int) -> FinSet:
@@ -180,27 +197,62 @@ def shift_delta(s: int) -> FinSet:
 
     {0, ..., s-1} for s >= 0 and {s, ..., -1} for s < 0.
     """
-    return FinSet(range(0, s) if s >= 0 else range(s, 0))
+    return FinSet._of(frozenset(_delta_range(s)))
 
 
 def absorb_shift(J: FinSet, s: int) -> FinSet:
     """The K with iota_K A isomorphic to iota_J(A)<s>: (J + s) xor shift_delta(s)."""
     if not s:
         return J
-    return affine_image(J, 1, s) ^ shift_delta(s)
+    shifted = frozenset(map(s.__add__, J._elements))
+    return FinSet._of(shifted.symmetric_difference(_delta_range(s)))
+
+
+def _least_rotation(s: list[int]) -> int:
+    """Start of the lexicographically least rotation of s, by Booth's algorithm.
+
+    Knuth-Morris-Pratt failure links over s + s keep the best start k so far;
+    each mismatch that finds a smaller letter moves k past the compared
+    prefix.  Linear time.
+    """
+    s = s + s
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def necklace_canonical(p: AdmissiblePair) -> NecklaceClass:
     """Rotation-minimal representative; equal classes <=> same necklace type.
 
     Minimality is lexicographic on the sorted tuple of residues.  Rotations
-    only: necklaces may be turned but not flipped over.
+    only: necklaces may be turned but not flipped over.  A nonempty minimal
+    rotation contains 0, so it starts at some element of J turned to 0; its
+    tuple is then the prefix sums of the cyclic gap sequence read from that
+    element, and tuples compare as their gap sequences do.  So the start is
+    the least rotation of the gaps, found by Booth's algorithm.
     """
     n = p.n
-    best = min(
-        tuple(sorted((j + r) % n for j in p.J)) for r in range(n)
-    )
-    return NecklaceClass(AdmissiblePair(FinSet(best), n))
+    js = sorted(p.J._elements)
+    if not js:
+        return NecklaceClass(p)
+    gaps = [b - a for a, b in zip(js, js[1:])]
+    gaps.append(js[0] + n - js[-1])
+    start = js[_least_rotation(gaps)]
+    best = frozenset((j - start) % n for j in js)
+    return NecklaceClass(AdmissiblePair(FinSet._of(best), n))
 
 
 def _totient(d: int) -> int:
@@ -264,4 +316,4 @@ def necklace_enumerate(n: int) -> list[NecklaceClass]:
         while word and word[-1] == 1:
             word.pop()
     reps.sort(key=lambda t: (len(t), t))
-    return [NecklaceClass(AdmissiblePair(FinSet(t), n)) for t in reps]
+    return [NecklaceClass(AdmissiblePair(FinSet._of(frozenset(t)), n)) for t in reps]

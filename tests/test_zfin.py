@@ -8,6 +8,7 @@ from weylgraded.zfin import (
     AdmissiblePair,
     FinSet,
     NotInImageError,
+    absorb_shift,
     affine_image,
     boundary,
     inverse_boundary,
@@ -17,6 +18,8 @@ from weylgraded.zfin import (
     slice,
 )
 from weylgraded import zfin
+from weylgraded.ktheory import K0Class, ProjectiveSum, k0_class, stably_free_witness
+from weylgraded.lattices import DSet
 
 finsets = st.frozensets(st.integers(-10, 10), max_size=5).map(FinSet)
 moduli = st.integers(1, 6)
@@ -214,6 +217,93 @@ class TestNecklaces:
             AdmissiblePair(fs(0, 1), 2),
         ]
         assert len(necklace_enumerate(3)) == necklace_count(3) == 4
+
+
+def _canonical_by_scan(J, n):
+    """The least sorted tuple over all n rotations; the scan Booth's algorithm replaced."""
+    return min(tuple(sorted((j + r) % n for j in J)) for r in range(n))
+
+
+def _scan_cases(rng, count):
+    """Seeded pairs with n <= 40: random, periodic, empty and full J."""
+    for t in range(count):
+        n = rng.randint(1, 40)
+        kind = t % 4
+        if kind == 0:
+            J = rng.sample(range(n), rng.randint(0, n))
+        elif kind == 1:
+            d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            block = [i for i in range(d) if rng.random() < 0.5]
+            J = [b + d * k for k in range(n // d) for b in block]
+        else:
+            J = [] if kind == 2 else range(n)
+        yield FinSet(J), n
+
+
+class TestCanonicalAgainstScan:
+    def test_booth_matches_the_rotation_scan(self):
+        periodic = 0
+        for J, n in _scan_cases(random.Random(14), 2000):
+            got = necklace_canonical(AdmissiblePair(J, n)).representative
+            assert got == AdmissiblePair(FinSet(_canonical_by_scan(J, n)), n), (J.elements, n)
+            periodic += any(
+                FinSet((j + r) % n for j in J) == J for r in range(1, n)
+            ) and 0 < len(J) < n
+        assert periodic > 100
+
+
+class TestKernelsAgainstDefinitions:
+    @pytest.mark.parametrize("scale", [1, -1, 3, -3])
+    def test_affine_image(self, scale):
+        rng = random.Random(scale)
+        for _ in range(200):
+            J = FinSet(rng.sample(range(-20, 21), rng.randint(0, 10)))
+            offset = rng.randint(-30, 30)
+            want = FinSet({scale * j + offset for j in J})
+            assert affine_image(J, scale, offset) == want, (J, scale, offset)
+
+    def test_absorb_shift(self):
+        rng = random.Random(0)
+        for t in range(400):
+            J = FinSet(rng.sample(range(-20, 21), rng.randint(0, 10)))
+            s = 0 if t % 8 == 0 else rng.randint(-25, 25)
+            delta = FinSet(range(0, s) if s >= 0 else range(s, 0))
+            assert absorb_shift(J, s) == FinSet({j + s for j in J}) ^ delta, (J, s)
+
+    @pytest.mark.parametrize("args", [(1, 0.5), (2.0, 0), (1, "1")])
+    def test_affine_image_rejects_non_integers(self, args):
+        with pytest.raises(TypeError):
+            affine_image(fs(1), *args)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, "1"])
+    def test_absorb_shift_rejects_non_integers(self, s):
+        with pytest.raises(TypeError):
+            absorb_shift(fs(1, 4), s)
+
+
+def _k0_class_two_steps(S):
+    """k0_class as it was: absorb the shift, then shift by the DSet minimum."""
+    coeffs = {}
+    for J, s in S.summands:
+        J1 = absorb_shift(J, s)
+        n = DSet(J1).min_element()
+        adds, result = stably_free_witness(absorb_shift(J1, -n))
+        for r in result:
+            coeffs[r + n] = coeffs.get(r + n, 0) + 1
+        for a in adds:
+            coeffs[a + n] = coeffs.get(a + n, 0) - 1
+    return K0Class(coeffs)
+
+
+class TestK0ClassOneShift:
+    def test_matches_the_two_step_version(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            S = ProjectiveSum(tuple(
+                (FinSet(rng.sample(range(-8, 9), rng.randint(0, 5))), rng.randint(-6, 6))
+                for _ in range(rng.randint(1, 4))
+            ))
+            assert k0_class(S) == _k0_class_two_steps(S), str(S)
 
 
 class TestAdmissiblePair:
