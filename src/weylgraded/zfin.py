@@ -6,10 +6,11 @@ normal forms) is bookkeeping in this group.
 
 A FinSet wraps a frozenset, and the library works on that frozenset whole:
 images are ``map``s over it, and results built from known integers skip the
-public constructor's type check through ``FinSet._of``.  Only printing and
-serialization sort.  A necklace class is canonicalized by Booth's least
-rotation (Inform. Process. Lett. 10, 1980) of the cyclic sequence of gaps
-between consecutive elements, in time O(|J| log |J|) whatever n is.
+public constructor's type check through ``FinSet._of``.  Only printing,
+serialization and the algorithms that need an order sort.  A necklace class
+is canonicalized by Booth's least rotation (Inform. Process. Lett. 10, 1980)
+of the cyclic sequence of gaps between consecutive elements, in time
+O(|J| log |J|) whatever n is.
 """
 from __future__ import annotations
 
