@@ -256,6 +256,7 @@ def _classify_table(args) -> int:
                 f"{NECKLACE_ENUM_MAX_CLASSES} classes in all, that is --max-n <= {n - 1}; "
                 f"got --max-n {args.max_n}"
             )
+    as_json = getattr(args, "json", False)
     lines, ranks = [], []
     for n in range(1, args.max_n + 1):
         classes = necklace_enumerate(n)
@@ -267,12 +268,17 @@ def _classify_table(args) -> int:
             tags = ["full GWA"] if f_J.is_one() else []
             if not J:
                 tags.append("Veronese of A" if n > 1 else "A itself")
-            suffix = f"   [{', '.join(tags)}]" if tags else ""
-            lines.append(f"  S({J}, {n}):  f = {f},  idealizer factor = {f_J}{suffix}")
-            rows.append({"J": J.to_json(), "f": f.to_json(), "fJ": f_J.to_json(), "tags": tags})
+            if as_json:
+                rows.append({"J": J.to_json(), "f": f.to_json(), "fJ": f_J.to_json(), "tags": tags})
+            else:
+                suffix = f"   [{', '.join(tags)}]" if tags else ""
+                lines.append(f"  S({J}, {n}):  f = {f},  idealizer factor = {f_J}{suffix}")
         lines.append("")
         ranks.append({"n": n, "classes": rows})
-    _emit(args, "\n".join(lines), {"ranks": ranks})
+    if as_json:
+        _emit(args, "", {"ranks": ranks})
+    else:
+        _emit(args, "\n".join(lines), None)
     return 0
 
 
@@ -404,18 +410,7 @@ def _cmd_verify(args) -> int:
         "window": args.window,
         "passed": passed,
         "failed": failed,
-        "results": [
-            {
-                "name": r.name,
-                "cases": r.cases,
-                "passed": r.passed,
-                "count": r.count,
-                "seconds": r.seconds,
-                "failure": r.failure,
-                "raised": r.raised,
-            }
-            for r in results
-        ],
+        "results": [{**r._asdict(), "passed": r.passed} for r in results],
     }
     _emit(args, "\n".join(lines), payload)
     return 0 if failed == 0 else 1

@@ -17,11 +17,14 @@ so the closed form builds each coefficient from its roots: J, and for j > 0
 every 0 <= t < nj with t mod n not in J.
 
 The independent oracle rebuilds each piece from the twisted endomorphism
-construction: M(j) is a product of involution lattices (inverted on the
-positive side) applied to the free lattice, and the piece is its degree-nj
-generator g x^{nj}.  The lattice layer hands g over as (root, exponent)
-pairs, and the oracle turns x^d into y^{-d} on those exponents: x^d =
-z (z+1) ... (z+d-1) y^{-d} adds 1 at the roots 0..d-1 when d >= 0, and
+construction with F = S^n iota_J and P = A.  M(j) is the lattice iota_K A,
+where K is the involution set of F^j moved past its shift: the union of the
+J + n i over i = 1..j when j > 0 and over i = 0, -1, ..., j+1 when j < 0.
+When j > 0 it is scaled by f_K^{-1}, the product of the (z+k)^{-1} over K.
+The piece is its degree-nj generator g x^{nj}.  The lattice layer hands g
+over as (root, exponent) pairs, and the oracle turns x^d into y^{-d} on
+those exponents: x^d = z (z+1) ... (z+d-1) y^{-d} adds 1 at the roots
+0..d-1 when d >= 0, and
 x^d = y^{-d} / ((z-1) ... (z+d)) subtracts 1 at the roots -1..d when d < 0.
 The piece is multiplied out once, and no gcd is taken.  The two computation
 paths share no code beyond raw arithmetic.
@@ -37,9 +40,9 @@ from dataclasses import dataclass, field
 from math import log10
 from typing import Mapping
 
-from .zfin import AdmissiblePair, FinSet, affine_image
+from .zfin import AdmissiblePair, FinSet
 from .skew import RationalPoly, SkewElement
-from .lattices import GradedLattice
+from .lattices import iota_lattice
 
 
 @dataclass(frozen=True)
@@ -147,18 +150,11 @@ def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
 
 def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     """Piece j as ({root: exponent} of h, p), read off the lattice M(j)."""
-    L = GradedLattice.free()
-    if j >= 1:
-        for i in range(1, j + 1):
-            K = sorted(affine_image(J, 1, n * i))
-            for k in K:
-                L = L.involute(k)
-            if K:
-                L = L.scaled(tuple((k, -1) for k in K))
-    elif j <= -1:
-        for i in range(0, -j):
-            for k in sorted(affine_image(J, 1, -n * i)):
-                L = L.involute(k)
+    steps = range(1, j + 1) if j > 0 else range(j + 1, 1)
+    K = FinSet._of(frozenset(t + n * i for i in steps for t in J._elements))
+    L = iota_lattice(K)
+    if j > 0:
+        L = L.scaled(tuple((k, -1) for k in K._elements))
     d = n * j
     exps = dict(L.factored_generator_at(d))
     step = 1 if d > 0 else -1
@@ -170,10 +166,12 @@ def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
 def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j recomputed through the twisted endomorphism lattice M(j).
 
-    M(j) applies the inverted involutions at J+n, ..., J+nj (j positive) or
-    the plain involutions at J, J-n, ..., J+(j+1)n (j negative) to the free
-    lattice; the piece is the monic generator of its degree-nj component,
-    converted from x-power to y-power form on its root exponents.
+    M(j) is iota_K A, with K the involution set of (S^n iota_J)^j moved past
+    its shift, the union of J+n, ..., J+nj (j positive) or of J, J-n, ...,
+    J+(j+1)n (j negative), scaled by f_K^{-1} when j > 0.  The involutions
+    sit at distinct roots, so they commute.  The piece is the monic generator
+    of the degree-nj component, converted from x-power to y-power form on its
+    root exponents.
     """
     exps, p = _oracle_roots(_validated(J, n), n, j)
     return (RationalPoly.from_roots(exps), p)
@@ -262,8 +260,4 @@ def simplicity_root_test(J, n: int) -> bool:
     """The GWA parameter has no repeated roots and no two roots congruent mod n."""
     J = _validated(J, n)
     roots = [-i for i in complement(J, n)]
-    for a in roots:
-        for b in roots:
-            if a != b and (a - b) % n == 0:
-                return False
-    return len(roots) == len(set(roots))
+    return len({r % n for r in roots}) == len(roots)

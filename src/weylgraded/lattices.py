@@ -366,7 +366,7 @@ class GradedLattice:
 def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
     """The lattice of iota_J(A) shifted by the given degree."""
     L = GradedLattice.free()
-    for j in sorted(FinSet(J)):
+    for j in (J if isinstance(J, FinSet) else FinSet(J))._elements:
         L = L.involute(j)
     return L.shifted(shift) if shift else L
 

@@ -333,7 +333,7 @@ class RationalPoly:
 
     def __rtruediv__(self, other):
         o = self._wrap(other)
-        return o / self
+        return NotImplemented if o is NotImplemented else o / self
 
     def __pow__(self, k: int) -> "RationalPoly":
         if k < 0:
@@ -356,13 +356,15 @@ class RationalPoly:
     # comparison / presentation ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalPoly.constant(other)
-        if not isinstance(other, RationalPoly):
+        o = self._wrap(other)
+        if o is NotImplemented:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self) -> int:
+        # a constant hashes as its value, since it compares equal to it
+        if self._den == _ONE and len(self._num) <= 1:
+            return hash(self._num[0] if self._num else 0)
         return hash((self._num, self._den))
 
     def __repr__(self) -> str:
@@ -459,8 +461,7 @@ class SkewElement:
         """
         if r >= 0:
             return cls({-r: RationalPoly.falling(r)})
-        n = -r
-        return cls({n: RationalPoly.one() / RationalPoly.rising(n)})
+        return cls({-r: RationalPoly.from_roots(dict.fromkeys(range(-r), -1))})
 
     # structure -------------------------------------------------------------
 
@@ -489,9 +490,8 @@ class SkewElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RationalPoly)):
-            f = other if isinstance(other, RationalPoly) else RationalPoly.constant(other)
-            return SkewElement({m: c * f for m, c in self._terms.items()})
-        if not isinstance(other, SkewElement):
+            other = SkewElement({0: other})
+        elif not isinstance(other, SkewElement):
             return NotImplemented
         out: dict[int, RationalPoly] = {}
         for m, f in self._terms.items():
@@ -504,8 +504,7 @@ class SkewElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RationalPoly)):
-            f = other if isinstance(other, RationalPoly) else RationalPoly.constant(other)
-            return SkewElement({m: f * c for m, c in self._terms.items()})
+            return SkewElement({0: other}) * self
         return NotImplemented
 
     def __pow__(self, k: int) -> "SkewElement":

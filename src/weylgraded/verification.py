@@ -259,6 +259,10 @@ def _commutator(rng: random.Random) -> Cases:
     x, yy = SkewElement.x_power(1), SkewElement.y_power(1)
     commutator = x * yy - yy * x
     yield {"commutator": commutator}, commutator == SkewElement.one()
+    # z as a RationalPoly operand is the degree-0 element of D, so it is twisted past x and y
+    z = RationalPoly.z()
+    yield {"x z": x * z}, x * z == (z + 1) * x
+    yield {"y z": yy * z}, yy * z == (z - 1) * yy
 
 
 @register("skew", "x^m y^m = z(z+1)...(z+m-1) for m <= 6")

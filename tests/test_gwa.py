@@ -3,8 +3,10 @@ from math import log10
 
 import pytest
 
-from weylgraded.zfin import FinSet
+from weylgraded.zfin import FinSet, affine_image
 from weylgraded.skew import RationalPoly, SkewElement
+from weylgraded.lattices import iota_lattice
+from weylgraded.picard import PicElement, power
 from weylgraded import gwa
 from weylgraded.gwa import (
     complement,
@@ -118,6 +120,22 @@ class TestOracle:
 
     def test_two_residue_piece(self):
         assert twisted_endo_piece_oracle(fs(0, 1), 2, -1) == (Z * (Z + 1), 2)
+
+    def test_lattice_is_iota_of_the_involution_set_of_F_to_the_j(self, monkeypatch):
+        """M(j) is iota_K A, with K the involution set of (S^n iota_J)^j moved past its shift."""
+        built = []
+
+        def recording(K, shift=0):
+            built.append(K)
+            return iota_lattice(K, shift)
+
+        monkeypatch.setattr(gwa, "iota_lattice", recording)
+        for J, n in admissible_pairs(6):
+            for j in range(-8, 9):
+                built.clear()
+                twisted_endo_piece_oracle(J, n, j)
+                K = affine_image(power(PicElement(1, n, J), j).J, 1, n * j)
+                assert built == [K], (J, n, j)
 
 
 class TestRingStructure:

@@ -62,6 +62,16 @@ class TestRationalPoly:
         assert str(poly(0, -1)) == "-z"
         assert str(RationalPoly.zero()) == "0"
 
+    def test_unknown_dividend_raises_type_error(self):
+        with pytest.raises(TypeError):
+            object() / Z
+
+    def test_constant_hashes_as_its_value(self):
+        assert RationalPoly.constant(2) == 2
+        assert len({RationalPoly.constant(2), 2}) == 1
+        assert len({RationalPoly.constant(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({RationalPoly.zero(), 0}) == 1
+
 
 coefficients = st.one_of(
     st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -235,6 +245,11 @@ class TestRingAxioms:
     def test_unit(self, u):
         assert u * SkewElement.one() == u
         assert SkewElement.one() * u == u
+
+    @given(skew_elements(), st.one_of(coefficients, rational_polys))
+    def test_scalar_operand_is_the_degree_zero_element(self, u, f):
+        assert u * f == u * SkewElement.from_poly(f)
+        assert f * u == SkewElement.from_poly(f) * u
 
 
 class TestWeylMembership:
