@@ -26,8 +26,9 @@ over as (root, exponent) pairs, and the oracle turns x^d into y^{-d} on
 those exponents: x^d = z (z+1) ... (z+d-1) y^{-d} adds 1 at the roots
 0..d-1 when d >= 0, and
 x^d = y^{-d} / ((z-1) ... (z+d)) subtracts 1 at the roots -1..d when d < 0.
-The piece is multiplied out once, and no gcd is taken.  The two computation
-paths share no code beyond raw arithmetic.
+The sweep compares the two paths' root maps ({root: exponent}, p), zero
+exponents dropped; a piece is multiplied out, once and with no gcd, only to
+be returned or printed.  The two paths share no code beyond raw arithmetic.
 
 A coefficient of prod (z+t) is at most prod (1+|t|), so a piece or relation
 has at most sum log10(1+|t|) digits, known from its roots before it is
@@ -42,7 +43,7 @@ from typing import Mapping
 
 from .zfin import AdmissiblePair, FinSet
 from .skew import RationalPoly, SkewElement
-from .lattices import iota_lattice
+from .lattices import _integer_roots, iota_lattice
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
 
 
 def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
-    """Piece j as ({root: exponent} of h, p), read off the lattice M(j)."""
+    """Piece j as ({root: exponent} of h, p), zero exponents dropped, read off M(j)."""
     steps = range(1, j + 1) if j > 0 else range(j + 1, 1)
     K = FinSet._of(frozenset(t + n * i for i in steps for t in J._elements))
     L = iota_lattice(K)
@@ -160,7 +161,7 @@ def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     step = 1 if d > 0 else -1
     for t in range(min(d, 0), max(d, 0)):
         exps[t] = exps.get(t, 0) + step
-    return exps, -d
+    return {t: e for t, e in exps.items() if e}, -d
 
 
 def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
@@ -257,7 +258,10 @@ def verify_gwa_embedding(J, n: int) -> bool:
 
 
 def simplicity_root_test(J, n: int) -> bool:
-    """The GWA parameter has no repeated roots and no two roots congruent mod n."""
-    J = _validated(J, n)
-    roots = [-i for i in complement(J, n)]
-    return len({r % n for r in roots}) == len(roots)
+    """The GWA parameter has no repeated roots and no two roots congruent mod n.
+
+    The roots are read back off the fbar that factors builds.
+    """
+    fbar, _ = factors(J, n)
+    roots = _integer_roots(fbar.num, fbar)
+    return set(roots.values()) <= {1} and len({t % n for t in roots}) == len(roots)

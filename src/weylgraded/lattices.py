@@ -13,9 +13,9 @@ A's are kept; line t of A is 1 for m <= t < 0 and 0 otherwise.  Along each
 line of an A-module the exponent is constant except for a possible single
 unit drop between degrees t and t+1; whether it drops decides whether the
 simple factor at t is Y(t) or X(t), which makes isomorphism testing and the
-involution functors completely mechanical.  An involution edits one line, a shift relabels them,
-intersections and hom generators take maxima line by line, and no polynomial
-gcd is ever taken.
+involution functors completely mechanical.  A set of involutions edits its own lines in one pass,
+a shift relabels them, intersections and hom generators take maxima line by
+line, and no polynomial gcd is ever taken.
 
 A lattice also enters as the generators on a window [lo, hi], continued by
 g_m = g_hi for m > hi and g_m = g_{m+1} (z+m) for m < lo, and leaves on the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from operator import add, sub
+from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .zfin import FinSet, absorb_shift
@@ -301,14 +301,24 @@ class GradedLattice:
 
     # functor actions ---------------------------------------------------------
 
-    def involute(self, j: int) -> "GradedLattice":
-        """Apply the involution at index j: pass to the reject of F_j.
+    def involute(self, K: FinSet) -> "GradedLattice":
+        """Apply the involution at every index j of K: pass to the reject of each F_j.
 
         When F_j is X(j) the degrees <= j are multiplied by (z+j); when it is
-        Y(j) the degrees >= j+1 are.  Only line j changes.
+        Y(j) the degrees >= j+1 are.  Index j edits only line j, so K is one pass.
         """
-        step = (0, ((j + 1, 1),)) if self._drops_at(j) else (1, ((j + 1, -1),))
-        return self._with({j: _combine(add, self._line(j), step)})
+        if not isinstance(K, FinSet):
+            raise TypeError(f"involute takes a FinSet of indices, got {K!r}")
+        lines = {}
+        for j in K._elements:
+            v, jumps = self._line(j)
+            steps = dict(jumps)
+            if j + 1 in steps:  # Y(j): the jump at j+1 rises by 1
+                steps[j + 1] += 1
+            else:  # X(j): the value rises by 1 below a new jump of -1 at j+1
+                v, steps[j + 1] = v + 1, -1
+            lines[j] = (v, tuple(sorted((m, d) for m, d in steps.items() if d)))
+        return self._with(lines)
 
     def _drops_at(self, j: int) -> bool:
         """Whether the exponent of (z+j) drops between degrees j and j+1."""
@@ -365,9 +375,7 @@ class GradedLattice:
 
 def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
     """The lattice of iota_J(A) shifted by the given degree."""
-    L = GradedLattice.free()
-    for j in (J if isinstance(J, FinSet) else FinSet(J))._elements:
-        L = L.involute(j)
+    L = GradedLattice.free().involute(J if isinstance(J, FinSet) else FinSet(J))
     return L.shifted(shift) if shift else L
 
 

@@ -24,6 +24,7 @@ reduces in full, as RationalPoly(num, den) always does.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction, str]
@@ -415,6 +416,23 @@ def _poly_str(cs: _Coeffs) -> str:
     return text
 
 
+def _element_operand(op):
+    """op with an int, Fraction or RationalPoly operand read as the degree-0 element of D.
+
+    Any other operand that is not a SkewElement is NotImplemented.
+    """
+
+    @wraps(op)
+    def coerced(self, other):
+        if isinstance(other, (int, Fraction, RationalPoly)):
+            other = SkewElement({0: other})
+        elif not isinstance(other, SkewElement):
+            return NotImplemented
+        return op(self, other)
+
+    return coerced
+
+
 class SkewElement:
     """Finite sum of terms c_m(z) x^m with c_m in k(z)."""
 
@@ -476,23 +494,28 @@ class SkewElement:
 
     # arithmetic ------------------------------------------------------------
 
+    @_element_operand
     def __add__(self, other: "SkewElement") -> "SkewElement":
         out = dict(self._terms)
         for m, c in other._terms.items():
             out[m] = out[m] + c if m in out else c
         return SkewElement(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "SkewElement":
         return SkewElement({m: -c for m, c in self._terms.items()})
 
+    @_element_operand
     def __sub__(self, other: "SkewElement") -> "SkewElement":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalPoly)):
-            other = SkewElement({0: other})
-        elif not isinstance(other, SkewElement):
-            return NotImplemented
+    @_element_operand
+    def __rsub__(self, other: "SkewElement") -> "SkewElement":
+        return other + (-self)
+
+    @_element_operand
+    def __mul__(self, other: "SkewElement") -> "SkewElement":
         out: dict[int, RationalPoly] = {}
         for m, f in self._terms.items():
             for n, g in other._terms.items():
@@ -502,10 +525,9 @@ class SkewElement:
                 out[d] = out[d] + c if d in out else c
         return SkewElement(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalPoly)):
-            return SkewElement({0: other}) * self
-        return NotImplemented
+    @_element_operand
+    def __rmul__(self, other: "SkewElement") -> "SkewElement":
+        return other * self
 
     def __pow__(self, k: int) -> "SkewElement":
         if k < 0:

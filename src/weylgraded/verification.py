@@ -343,7 +343,7 @@ def _schanuel(rng: random.Random) -> Cases:
 def _iota_squared(rng: random.Random) -> Cases:
     for J in _subsets(range(-2, 3), 2):
         L = iota_lattice(J)
-        yield {"J": J}, L.involute(0).involute(0) == L.scaled(RationalPoly.z())
+        yield {"J": J}, L.involute(FinSet([0])).involute(FinSet([0])) == L.scaled(RationalPoly.z())
 
 
 # --- picard ----------------------------------------------------------------
@@ -507,15 +507,15 @@ def _same_class_is_rotation(rng: random.Random) -> Cases:
 @register(
     "rings",
     "lattice oracle reproduces closed-form pieces",
-    "n <= {n}, |j| <= 8; S({{0}},1) at j = +-200, +-2000",
+    "root maps, n <= {n}, |j| <= 8; S({{0}},1) at j = +-200, +-2000, +-20000",
     window=6,
 )
 def _oracle_matches_closed_form(n_max: int) -> Cases:
     cases = [(pair, j) for pair in _admissible_pairs(n_max) for j in range(-8, 9)]
-    cases += [(AdmissiblePair(FinSet([0]), 1), j) for j in (-200, 200, -2000, 2000)]
+    cases += [(AdmissiblePair(FinSet([0]), 1), j) for j in (-200, 200, -2000, 2000, -20000, 20000)]
     for pair, j in cases:
-        oracle = gwa.twisted_endo_piece_oracle(pair.J, pair.n, j)
-        yield {"pair": pair, "j": j}, oracle == gwa.graded_piece_closed_form(pair.J, pair.n, j)
+        oracle = gwa._oracle_roots(pair.J, pair.n, j)
+        yield {"pair": pair, "j": j}, oracle == gwa._closed_form_roots(pair.J, pair.n, j)
 
 
 @register("rings", "idealizer ring pieces are z y^-j k[z] off degree 0", "S({0},1), |j| <= 4")

@@ -151,6 +151,13 @@ class TestRingStructure:
     def test_simplicity_roots(self, pair):
         assert simplicity_root_test(pair[0], pair[1])
 
+    @pytest.mark.parametrize("roots", [[0, 2], [1, 1]])
+    def test_simplicity_reads_the_built_fbar(self, monkeypatch, roots):
+        # fbar = z (z+2) has two roots congruent mod 2, and (z+1)^2 a repeated one
+        fbar = RationalPoly.linear_product(roots)
+        monkeypatch.setattr(gwa, "factors", lambda J, n: (fbar, RationalPoly.one()))
+        assert not simplicity_root_test(FinSet(), 2)
+
     def test_weyl_case_relations(self):
         assert verify_gwa_embedding(FinSet(), 1)
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -21,7 +22,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _factor
+from weylgraded.lattices import _combine, _factor
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -108,7 +109,7 @@ class TestScale:
 
     def test_inverse_involution_normalizes(self):
         # z^{-1} iota_0(iota_0 A) = A
-        twice = iota_lattice(fs(0)).involute(0)
+        twice = iota_lattice(fs(0)).involute(fs(0))
         assert twice.scaled(ONE / Z) == A
 
     def test_zero_rejected(self):
@@ -122,6 +123,24 @@ class TestScale:
             for _ in range(4):
                 f = _random_factored(rng)
                 assert L.scaled(f) == L.scaled(_expand(f)), (L, f)
+
+
+class TestInvolute:
+    def test_set_equals_one_index_steps_in_any_order(self):
+        rng = random.Random(14)
+        for _ in range(3000):
+            lo = rng.randint(-4, 4)
+            gens = [_random_factored(rng, exps=(-2, -1, 1, 2)) for _ in range(rng.randint(1, 4))]
+            L = GradedLattice(lo, gens)
+            K = rng.sample(range(-7, 8), rng.randint(0, 6))
+            want = L
+            for j in K:
+                want = _ref_involute_at(want, j)
+            assert L.involute(FinSet(K)) == want, (lo, gens, K)
+
+    def test_index_must_be_a_finset(self):
+        with pytest.raises(TypeError):
+            A.involute(0)
 
 
 class TestIsAModule:
@@ -283,6 +302,15 @@ class TestCanonicalWindow:
     def test_json_roundtrip(self):
         L = iota_lattice(fs(0, 2), -1)
         assert GradedLattice.from_json(L.to_json()) == L
+
+
+# --- the one-index involution step, kept as the reference -------------------
+
+
+def _ref_involute_at(L, j):
+    """The involution at the single index j, as the old one-index step built it."""
+    step = (0, ((j + 1, 1),)) if L._drops_at(j) else (1, ((j + 1, -1),))
+    return L._with({j: _combine(add, L._line(j), step)})
 
 
 # --- the windowed representation, kept as the reference ----------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -250,6 +251,25 @@ class TestRingAxioms:
     def test_scalar_operand_is_the_degree_zero_element(self, u, f):
         assert u * f == u * SkewElement.from_poly(f)
         assert f * u == SkewElement.from_poly(f) * u
+
+    @pytest.mark.parametrize("f", [2, Fraction(-1, 3), Z + 1, ONE / (Z - 2)])
+    def test_scalar_operand_of_add(self, f):
+        u = SkewElement({2: Z + 1, 0: ONE, -1: ONE / Z})
+        assert u + f == f + u == u + SkewElement.from_poly(f)
+
+    @pytest.mark.parametrize("f", [2, Fraction(-1, 3), Z + 1, ONE / (Z - 2)])
+    def test_scalar_operand_of_sub(self, f):
+        u = SkewElement({2: Z + 1, 0: ONE, -1: ONE / Z})
+        assert u - f == u - SkewElement.from_poly(f)
+        assert f - u == SkewElement.from_poly(f) - u
+
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    def test_other_operands_are_rejected(self, op):
+        for other in (1.5, "z", None):
+            with pytest.raises(TypeError):
+                op(x(), other)
+            with pytest.raises(TypeError):
+                op(other, x())
 
 
 class TestWeylMembership:
