@@ -30,6 +30,14 @@ The sweep compares the two paths' root maps ({root: exponent}, p), zero
 exponents dropped; a piece is multiplied out, once and with no gcd, only to
 be returned or printed.  The two paths share no code beyond raw arithmetic.
 
+verify_ring_closure checks closure on the closed form's root maps too.  Since
+y^p h(z) = h(z - p) y^p, the product of generators h_i y^{p_i} and h_j y^{p_j} is
+h_i(z) h_j(z - p_i) y^{p_i + p_j}: its exponents are h_i's plus h_j's moved by
+-p_i, root t of h_j becoming t - p_i.  It lies in piece i + j exactly when its
+y-power is p_{i+j} and its exponent at every root of h_{i+j} is at least that
+root's there, so the check takes no product and no gcd in D; the tests keep the
+dense products as its reference.  verify_gwa_embedding computes in D.
+
 A coefficient of prod (z+t) is at most prod (1+|t|), so a piece or relation
 has at most sum log10(1+|t|) digits, known from its roots before it is
 multiplied out.  ring_pieces and present refuse, with ValueError, output
@@ -193,25 +201,31 @@ def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> Ring
     return RingPieces(n=n, pieces={j: (expand(exps), p) for j, (exps, p) in found.items()})
 
 
-def _piece_generator(J, n: int, j: int) -> SkewElement:
-    h, p = graded_piece_closed_form(J, n, j)
-    return SkewElement.from_poly(h) * SkewElement.y_power(p)
+def _product_lands(a, b, target) -> bool:
+    """h_a y^{p_a} h_b y^{p_b} lies in h y^p k[z], for pieces given as (root map, p)."""
+    (h_a, p_a), (h_b, p_b), (h, p) = a, b, target
+    return p_a + p_b == p and all(h_a.get(t, 0) + h_b.get(t + p_a, 0) >= e for t, e in h.items())
 
 
-# verify_ring_closure refuses a check whose dense work passes this bound.  It
-# multiplies (2w+1)^2 pairs of generators of degree up to n*w in z, each
-# product costing about (n*w)^2, so the work is (2w+1)^2 (n*w)^2.  Measured at
-# 50 to 210 ns per unit (2 CPUs, Python 3.11): (n, w) = (1, 40) takes 1.6 s and
-# (20, 10) 1.4 s, while (1, 80), at 1.7e8, took 26 s.
+# verify_ring_closure refuses a check whose work passes this bound.  The work,
+# (2w+1)^2 (n*w)^2, is the cost of its (2w+1)^2 generator products taken densely
+# in D, each of degree up to n*w in z.  On root exponents a product costs about
+# n*w steps, so the check answers far inside the bound (2 CPUs, Python 3.11):
+# (n, w) = (1, 40) takes 6 ms, (20, 10) 2 ms and (1, 47), the largest window
+# under the bound at n = 1, 8 ms.
 RING_CLOSURE_MAX_WORK = 2 * 10**7
 
 
 def verify_ring_closure(J, n: int, window: int) -> bool:
-    """Products of piece generators land in the right pieces.
+    """Products of piece generators land in the right pieces, checked on root exponents.
 
-    Since each piece is a single cyclic module h y^p k[z], closure on the
-    generators implies closure of all products.  Raises ValueError, before
-    any product is built, when (2 window + 1)^2 (n window)^2 passes
+    Since y^p h(z) = h(z - p) y^p, the product of the generators of pieces i and
+    j is h_i(z) h_j(z - p_i) y^{p_i + p_j}: root t of h_j becomes t - p_i.  For
+    |i|, |j|, |i + j| <= window it must have the y-power p_{i+j} and, at every
+    root of h_{i+j}, an exponent at least h_{i+j}'s there; no element of D is
+    built.  Since each piece is a single cyclic module h y^p k[z], closure on the
+    generators implies closure of all products.  Raises ValueError, before any
+    product is checked, when (2 window + 1)^2 (n window)^2 passes
     RING_CLOSURE_MAX_WORK.
     """
     J = _validated(J, n)
@@ -224,18 +238,13 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
             f"{work} units of work, over the limit RING_CLOSURE_MAX_WORK = "
             f"{RING_CLOSURE_MAX_WORK}"
         )
-    gens = {j: _piece_generator(J, n, j) for j in range(-window, window + 1)}
-    for i in range(-window, window + 1):
-        for j in range(-window, window + 1):
-            if abs(i + j) > window:
-                continue
-            product = gens[i] * gens[j]
-            target = gens[i + j]
-            d = n * (i + j)
-            c, t = product.coefficient(d), target.coefficient(d)
-            if product.degrees() != (d,) or not (c / t).is_polynomial():
-                return False
-    return True
+    pieces = {j: _closed_form_roots(J, n, j) for j in range(-window, window + 1)}
+    return all(
+        _product_lands(pieces[i], pieces[j], pieces[i + j])
+        for i in pieces
+        for j in pieces
+        if abs(i + j) <= window
+    )
 
 
 def verify_gwa_embedding(J, n: int) -> bool:

@@ -534,12 +534,15 @@ def _veronese_pieces(rng: random.Random) -> Cases:
 
 
 @register(
-    "rings", "ring closure, GWA relations, root separation", "all admissible n <= {n}", window=4
+    "rings",
+    "ring closure, GWA relations, root separation",
+    "all admissible n <= {n}, closure window 5",
+    window=4,
 )
 def _ring_structure(n_max: int) -> Cases:
     for pair in _admissible_pairs(n_max):
         yield {"pair": pair}, (
-            gwa.verify_ring_closure(pair.J, pair.n, 3)
+            gwa.verify_ring_closure(pair.J, pair.n, 5)
             and gwa.verify_gwa_embedding(pair.J, pair.n)
             and gwa.simplicity_root_test(pair.J, pair.n)
         )

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import log10
 
@@ -173,6 +174,90 @@ class TestRingStructure:
         for n, window in [(1, 4), (2, 3)]:
             with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 441"):
                 verify_ring_closure(fs(0), n, window)
+
+
+# Reference: the closure check as dense products in D, multiplying the
+# graded_piece_closed_form generators h y^p as SkewElements.
+def _dense_generator(J, n, j):
+    h, p = graded_piece_closed_form(J, n, j)
+    return SkewElement.from_poly(h) * SkewElement.y_power(p)
+
+
+def _dense_product(J, n, i, j):
+    """(degrees of the product of generators i and j, its coefficient over the target's)."""
+    product = _dense_generator(J, n, i) * _dense_generator(J, n, j)
+    d = n * (i + j)
+    return product.degrees(), product.coefficient(d) / _dense_generator(J, n, i + j).coefficient(d)
+
+
+def _dense_closure(J, n, window):
+    for i in range(-window, window + 1):
+        for j in range(-window, window + 1):
+            if abs(i + j) <= window:
+                degrees, ratio = _dense_product(J, n, i, j)
+                if degrees != (n * (i + j),) or not ratio.is_polynomial():
+                    return False
+    return True
+
+
+class TestClosureOnRoots:
+    def test_each_product_agrees_with_D(self):
+        for J, n in admissible_pairs(4):
+            pieces = {j: gwa._closed_form_roots(J, n, j) for j in range(-3, 4)}
+            for i in pieces:
+                for j in pieces:
+                    if abs(i + j) > 3:
+                        continue
+                    degrees, ratio = _dense_product(J, n, i, j)
+                    assert degrees == (n * (i + j),), (J, n, i, j)
+                    lands = gwa._product_lands(pieces[i], pieces[j], pieces[i + j])
+                    assert lands == ratio.is_polynomial(), (J, n, i, j)
+
+    def test_agrees_with_D_on_every_pair(self):
+        for J, n in admissible_pairs(5):
+            for window in (1, 2, 3):
+                assert verify_ring_closure(J, n, window) is _dense_closure(J, n, window) is True
+
+    def test_can_fail(self, monkeypatch):
+        # piece 1 of S({0}, 1) is z y^-1 k[z]; as y^-1 k[z] its square y^-2 is not in
+        # piece 2, z y^-2 k[z].  Every window-1 product has a factor or its target in
+        # degree 0, so window 1 cannot see it.
+        closed_form = gwa._closed_form_roots
+        monkeypatch.setattr(
+            gwa, "_closed_form_roots", lambda J, n, j: ({}, -1) if j == 1 else closed_form(J, n, j)
+        )
+        got = [verify_ring_closure(fs(0), 1, window) for window in (1, 2, 3)]
+        assert got == [_dense_closure(fs(0), 1, window) for window in (1, 2, 3)]
+        assert got == [True, False, False]
+
+    def test_y_power_must_match(self):
+        # y^-1 y^-1 = y^-2 lies in y^-2 k[z] but not in y^-1 k[z] or y^-3 k[z]
+        assert gwa._product_lands(({}, -1), ({}, -1), ({}, -2))
+        assert not gwa._product_lands(({}, -1), ({}, -1), ({}, -1))
+        assert not gwa._product_lands(({}, -1), ({}, -1), ({}, -3))
+
+    def test_mutated_pieces_agree_with_D(self, monkeypatch):
+        closed_form = gwa._closed_form_roots
+        rng = random.Random(17)
+        pairs = admissible_pairs(4)
+        answers = []
+        for _ in range(400):
+            J, n = rng.choice(pairs)
+            window = rng.randint(1, 3)
+            k = rng.randint(-window, window)
+            roots, p = closed_form(J, n, k)
+            if roots and rng.random() < 0.5:
+                del roots[rng.choice(sorted(roots))]
+            else:
+                roots[rng.choice([t for t in range(-2 * n * window, 2 * n * window + 1) if t not in roots])] = 1
+            mutated = (roots, p)
+            monkeypatch.setattr(
+                gwa, "_closed_form_roots", lambda J, n, j: mutated if j == k else closed_form(J, n, j)
+            )
+            got = verify_ring_closure(J, n, window)
+            assert got == _dense_closure(J, n, window), (J, n, window, k, mutated)
+            answers.append(got)
+        assert 0 < answers.count(True) < answers.count(False)
 
 
 class TestRingPieces:
