@@ -36,7 +36,7 @@ from .zfin import (
 )
 from .picard import PicElement, compose, inverse, power
 from .classify import canonical_admissible, same_morita_class
-from . import gwa
+from . import gwa, picard
 from .lattices import (
     cokernel_support,
     hom_generator,
@@ -164,7 +164,22 @@ def _parse_sum(text: str) -> ProjectiveSum:
             raise ExpressionError("empty summand; write {} for A", sc.pos)
         summands.append((sc.int_set(bare=True), sc.integer() if sc.accept("@") else 0))
     sc.end()
+    for J, s in summands:
+        _bounded_shift(s, f"summand {J}@{s} has a shift")
     return ProjectiveSum(tuple(summands))
+
+
+def _bounded_shift(s: int, what: str) -> None:
+    """ValueError when |s| passes picard.POWER_MAX_SET_SIZE.
+
+    iota_J A<s> is iota_K A with |K| <= |J| + |s|, so a shift builds work
+    linear in |s|; the bound on an involution set bounds it too.
+    """
+    if abs(s) > picard.POWER_MAX_SET_SIZE:
+        raise ValueError(
+            f"{what} over the limit POWER_MAX_SET_SIZE = {picard.POWER_MAX_SET_SIZE} "
+            "in absolute value"
+        )
 
 
 def _parse_combo(text: str) -> list[tuple[FinSet, int]]:
@@ -352,6 +367,7 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_mod(args) -> int:
+    _bounded_shift(args.shift, f"--shift {args.shift} is")
     if args.cmd == "dset":
         E = to_dset(parse_int_set(args.J), args.shift)
         _emit(args, str(E), E.to_json())
@@ -360,6 +376,7 @@ def _cmd_mod(args) -> int:
         human = "\n".join(f"deg {m}: ({g}) x^{m} k[z]" for m, g in L.generators.items())
         _emit(args, human, L.to_json())
     else:
+        _bounded_shift(args.shift2, f"--shift2 {args.shift2} is")
         P = iota_lattice(parse_int_set(args.J), args.shift)
         Q = iota_lattice(parse_int_set(args.J2), args.shift2)
         if args.cmd == "hom":
@@ -543,7 +560,7 @@ def run_command(argv: Sequence[str]) -> int:
     except ExpressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

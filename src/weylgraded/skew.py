@@ -8,18 +8,19 @@ The ground field is Q: every computation in this library is integrally
 supported, so exact rational coefficients suffice and nothing is ever floated.
 A coefficient is stored as an int when it is integral and as a Fraction only
 when it is not, never as a float: every division goes through _div, which
-divides ints exactly and everything else through Fraction, and every stored
-result of Fraction arithmetic goes through _tidy.  Since 2 == Fraction(2) with
-equal hashes, the two forms compare alike.
+divides ints exactly and everything else through Fraction, and every other
+stored result of Fraction arithmetic goes through _coeffs, which stores
+integral values as ints.  Since 2 == Fraction(2) with equal hashes, the two forms
+compare alike.
 
-A RationalPoly is a reduced fraction with a monic denominator, and a
-polynomial gcd is taken only where a common factor can appear (Knuth, TAOCP
-vol. 2, 4.5.1).  A Taylor shift keeps num and den coprime and den monic, so
-it takes none.  A product of two reduced fractions can cancel only across
-it, so * and / take gcd(n1, d2) and gcd(n2, d1), and skip each one whose
-denominator is 1.  A sum needs none when a denominator is 1; over equal
-denominators it reduces against that one denominator, and otherwise it
-reduces in full, as RationalPoly(num, den) always does.
+A RationalPoly is a reduced fraction with a monic denominator, and it has one
+reducer: RationalPoly(num, den) divides out the gcd of num and den and makes
+den monic, and +, -, * and / build their plain results through it.  Taylor
+shifts and products of distinct linear factors are reduced by construction,
+so shift, from_roots and linear_product build theirs as given.
+
+SkewElement arithmetic and == read an int, Fraction or RationalPoly operand as
+the degree-0 element of D, and a degree-0 element hashes as its coefficient.
 """
 from __future__ import annotations
 
@@ -57,13 +58,6 @@ def _coeffs(values: Iterable[Scalar]) -> _Coeffs:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _tidy(cs: _Coeffs) -> _Coeffs:
-    """cs with every integral Fraction stored as an int."""
-    if Fraction not in map(type, cs):
-        return cs
-    return tuple(c if type(c) is int or c.denominator != 1 else c.numerator for c in cs)
 
 
 def _padd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
@@ -108,15 +102,6 @@ def _pdivmod(a: _Coeffs, b: _Coeffs) -> tuple[_Coeffs, _Coeffs]:
         while r and r[-1] == 0:
             r.pop()
     return tuple(q), tuple(r)
-
-
-def _cancel(a: _Coeffs, b: _Coeffs) -> tuple[_Coeffs, _Coeffs]:
-    """a and b divided by their monic gcd, skipped when either is a constant."""
-    if len(a) > 1 and len(b) > 1:
-        g = _pgcd(a, b)
-        if len(g) > 1:
-            return _pdivmod(a, g)[0], _pdivmod(b, g)[0]
-    return a, b
 
 
 def _pgcd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
@@ -166,7 +151,10 @@ class RationalPoly:
         if not n or d == _ONE:
             self._num, self._den = n, _ONE
             return
-        n, d = _cancel(n, d)
+        if len(n) > 1 and len(d) > 1:
+            g = _pgcd(n, d)
+            if len(g) > 1:
+                n, d = _pdivmod(n, g)[0], _pdivmod(d, g)[0]
         lc = d[-1]
         if lc != 1:
             n = tuple(_div(c, lc) for c in n)
@@ -271,22 +259,9 @@ class RationalPoly:
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        if not o._num:
-            return self
-        if not self._num:
-            return o
-        (n1, d1), (n2, d2) = (self._num, self._den), (o._num, o._den)
-        if d1 == d2:
-            if d1 == _ONE:
-                return _ratio(_tidy(_padd(n1, n2)), _ONE)
-            # only a factor of the shared denominator can cancel
-            return RationalPoly(_padd(n1, n2), d1)
-        if d2 == _ONE:
-            (n1, d1), (n2, d2) = (n2, d2), (n1, d1)
-        if d1 == _ONE:
-            # n1 + n2/d2 = (n1 d2 + n2)/d2, and d2 is coprime to n2
-            return _ratio(_tidy(_padd(_pmul(n1, d2), n2)), d2)
-        return RationalPoly(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        return RationalPoly(
+            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)), _pmul(self._den, o._den)
+        )
 
     __radd__ = __add__
 
@@ -302,20 +277,11 @@ class RationalPoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _times(self, n2: _Coeffs, d2: _Coeffs) -> "RationalPoly":
-        """self * n2/d2 for n2/d2 reduced with d2 monic; factors cancel only across the product."""
-        n1, d1 = self._num, self._den
-        if not n1 or not n2:
-            return _ratio(_ZERO, _ONE)
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
-        return _ratio(_tidy(_pmul(n1, n2)), _tidy(_pmul(d1, d2)))
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._times(o._num, o._den)
+        return RationalPoly(_pmul(self._num, o._num), _pmul(self._den, o._den))
 
     __rmul__ = __mul__
 
@@ -323,14 +289,7 @@ class RationalPoly:
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        n, d = o._num, o._den
-        lc = n[-1]
-        if lc != 1:
-            n = tuple(_div(c, lc) for c in n)
-            d = tuple(_div(c, lc) for c in d)
-        return self._times(d, n)
+        return RationalPoly(_pmul(self._num, o._den), _pmul(self._den, o._num))
 
     def __rtruediv__(self, other):
         o = self._wrap(other)
@@ -351,8 +310,8 @@ class RationalPoly:
         """The conjugate f(z + m) = x^m f x^{-m}; num and den stay coprime, den monic."""
         if not m:
             return self
-        den = self._den if self._den == _ONE else _tidy(_pshift(self._den, m))
-        return _ratio(_tidy(_pshift(self._num, m)), den)
+        den = self._den if self._den == _ONE else _coeffs(_pshift(self._den, m))
+        return _ratio(_coeffs(_pshift(self._num, m)), den)
 
     # comparison / presentation ----------------------------------------------
 
@@ -537,11 +496,15 @@ class SkewElement:
             out = out * self
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SkewElement) and self._terms == other._terms
+    @_element_operand
+    def __eq__(self, other: "SkewElement") -> bool:
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((m, c) for m, c in self._terms.items())))
+        # a degree-0 element hashes as its coefficient, since it compares equal to it
+        if self._terms.keys() <= {0}:
+            return hash(self.coefficient(0))
+        return hash(tuple(sorted(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"SkewElement({self})"

@@ -355,6 +355,36 @@ class TestRunCommand:
             "support": [{"point": -3, "count": 1}, {"point": 0, "count": 1}]
         }
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["mod", "dset", "--J", "0", "--shift", "{s}"], "--shift {s} is"),
+            (["mod", "hom", "--J", "0", "--J2", "", "--shift2", "{s}"], "--shift2 {s} is"),
+            (["mod", "coker", "--J", "0", "--shift", "{s}", "--J2", ""], "--shift {s} is"),
+            (["k0", "normalize", "{{}}@{s}"], "summand {{}}@{s} has a shift"),
+            (["k0", "iso", "{{}}", "{{1}}+{{0}}@{s}"], "summand {{0}}@{s} has a shift"),
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shift_past_the_set_limit(self, argv, what, sign, capsys, monkeypatch):
+        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 1000)
+        assert run_command([a.format(s=sign * 1000) for a in argv]) == 0
+        capsys.readouterr()
+        assert run_command([a.format(s=sign * 1001) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {what.format(s=sign * 1001)} over the limit "
+            "POWER_MAX_SET_SIZE = 1000 in absolute value\n"
+        )
+
+    def test_mod_lattice_shift_past_the_set_limit(self, capsys):
+        assert run_command(["mod", "lattice", "--J", "0", "--shift", "-1000001"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --shift -1000001 is over the limit POWER_MAX_SET_SIZE = 1000000 "
+            "in absolute value\n"
+        )
+
     def test_k0_normalize(self, capsys):
         assert run_command(["k0", "normalize", "{1,3}+{0,1,2}", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == [

@@ -162,6 +162,12 @@ class TestRingStructure:
     def test_weyl_case_relations(self):
         assert verify_gwa_embedding(FinSet(), 1)
 
+    @pytest.mark.parametrize("pair", admissible_pairs(3))
+    def test_embedding_can_fail(self, pair, monkeypatch):
+        shift = RationalPoly.shift
+        monkeypatch.setattr(RationalPoly, "shift", lambda f, m: shift(f, m + 1))
+        assert not verify_gwa_embedding(*pair)
+
     def test_closure_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             verify_ring_closure(FinSet([0]), 1, -5)

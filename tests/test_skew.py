@@ -134,8 +134,9 @@ class TestCoefficientForm:
 def reference_build(num, den):
     """The always-reduce construction: a full gcd, then a monic denominator.
 
-    Every RationalPoly result was once built this way; the arithmetic now
-    cancels only where a factor can, and must give the same num and den.
+    RationalPoly(num, den) is the one reducer, and +, * and / build through
+    it; shift builds its result as given, since a Taylor shift keeps num and
+    den coprime and den monic.  Each must give this num and den.
     """
     n, d = _coeffs(num), _coeffs(den)
     if not n or d == (1,):
@@ -251,6 +252,19 @@ class TestRingAxioms:
     def test_scalar_operand_is_the_degree_zero_element(self, u, f):
         assert u * f == u * SkewElement.from_poly(f)
         assert f * u == SkewElement.from_poly(f) * u
+        assert (u == f) is (u == SkewElement.from_poly(f))
+        assert (f == u) is (SkewElement.from_poly(f) == u)
+        assert SkewElement.from_poly(f) == f
+        assert hash(SkewElement.from_poly(f)) == hash(f)
+
+    def test_degree_zero_element_equals_its_coefficient(self):
+        assert SkewElement.from_poly(Z) == Z
+        assert Z == SkewElement.from_poly(Z)
+        assert 1 == SkewElement.one()
+        assert len({SkewElement.one(), 1, RationalPoly.one()}) == 1
+        assert len({SkewElement.zero(), 0, RationalPoly.zero()}) == 1
+        assert x() != Z and Z != x()
+        assert (SkewElement.one() == "a") is False
 
     @pytest.mark.parametrize("f", [2, Fraction(-1, 3), Z + 1, ONE / (Z - 2)])
     def test_scalar_operand_of_add(self, f):
