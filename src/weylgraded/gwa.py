@@ -36,8 +36,9 @@ h_i(z) h_j(z - p_i) y^{p_i + p_j}: its exponents are h_i's plus h_j's moved by
 -p_i, root t of h_j becoming t - p_i.  It lies in piece i + j exactly when its
 y-power is p_{i+j} and its exponent at every root of h_{i+j} is at least that
 root's there, so the check takes no product and no gcd in D; the tests keep the
-dense products as its reference.  verify_gwa_embedding computes in D, on the
-fbar that factors builds.
+dense products as its reference.  verify_gwa_embedding multiplies monomials
+h(z) y^p of D the same way, as (root map, p) through _times, with fbar's roots
+read from complement(J, n); the tests keep its products in D as the reference.
 
 A coefficient of prod (z+t) is at most prod (1+|t|), so a piece or relation
 has at most sum log10(1+|t|) digits, known from its roots before it is
@@ -51,7 +52,7 @@ from math import log10
 from typing import Mapping
 
 from .zfin import AdmissiblePair, FinSet
-from .skew import RationalPoly, SkewElement
+from .skew import RationalPoly
 from .lattices import _integer_roots, iota_lattice
 
 
@@ -202,8 +203,25 @@ def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> Ring
     return RingPieces(n=n, pieces=pieces)
 
 
+def _times(a, b) -> tuple[dict[int, int], int]:
+    """h_a y^{p_a} h_b y^{p_b} = h_a(z) h_b(z - p_a) y^{p_a + p_b}, on (root map, p).
+
+    Root t of h_b becomes t - p_a; zero exponents are dropped.
+    """
+    (h_a, p_a), (h_b, p_b) = a, b
+    h = dict(h_a)
+    for t, e in h_b.items():
+        h[t - p_a] = h.get(t - p_a, 0) + e
+    return {t: e for t, e in h.items() if e}, p_a + p_b
+
+
 def _product_lands(a, b, target) -> bool:
-    """h_a y^{p_a} h_b y^{p_b} lies in h y^p k[z], for pieces given as (root map, p)."""
+    """h_a y^{p_a} h_b y^{p_b} lies in h y^p k[z], for pieces given as (root map, p).
+
+    It is _times(a, b) followed by a comparison: the product has target's y-power
+    and, at each root of target's h, at least its exponent there.  The two are
+    fused here so that no root map is built.
+    """
     (h_a, p_a), (h_b, p_b), (h, p) = a, b, target
     return p_a + p_b == p and all(h_a.get(t, 0) + h_b.get(t + p_a, 0) >= e for t, e in h.items())
 
@@ -214,9 +232,9 @@ def _product_lands(a, b, target) -> bool:
 # n*w steps, so the check answers far inside the bound (2 CPUs, Python 3.11):
 # (n, w) = (1, 40) takes 6 ms, (20, 10) 2 ms and (1, 47), the largest window
 # under the bound at n = 1, 8 ms.  The bound is kept for `ring verify`, which
-# runs the dense verify_gwa_embedding in D after this check: at window 1 the
-# factor (n*w)^2 = n^2 is what stops it at n <= 1490, before products of
-# degree n in z.
+# runs verify_gwa_embedding after this check: at window 1 the factor
+# (n*w)^2 = n^2 bounds the embedding's n root-map products for x^n, each of
+# which copies up to n roots, and stops it at n <= 1490.
 RING_CLOSURE_MAX_WORK = 2 * 10**7
 
 
@@ -253,18 +271,27 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
 
 def verify_gwa_embedding(J, n: int) -> bool:
     """X = fbar y^{-n}, Y = y^n and z in D satisfy Xz = (z+n)X, Yz = (z-n)Y, XY = fbar
-    and YX = fbar(z-n), and x^n = z (z+1) ... (z+n-1) y^{-n}; fbar is from factors.
+    and YX = fbar(z-n), and x^n = z (z+1) ... (z+n-1) y^{-n}.
+
+    Each side is a monomial h(z) y^p of D, multiplied as (root map, p) by _times
+    under y^p h(z) = h(z - p) y^p: fbar's roots are complement(J, n), and x is
+    z y^{-1}, since y = (z-1) x^{-1}.  No element of D is built and no gcd taken;
+    x^n takes n products of up to n roots each.
     """
-    fbar, _ = factors(J, n)
-    z = RationalPoly.z()
-    X = fbar * SkewElement.y_power(-n)
-    Y = SkewElement.y_power(n)
+    fbar = dict.fromkeys(complement(_validated(J, n), n), 1)
+    z = ({0: 1}, 0)
+    X = (fbar, -n)
+    Y = ({}, n)
+    x = ({0: 1}, -1)
+    x_n = ({}, 0)
+    for _ in range(n):
+        x_n = _times(x_n, x)
     return (
-        X * z == (z + n) * X
-        and Y * z == (z - n) * Y
-        and X * Y == fbar
-        and Y * X == fbar.shift(-n)
-        and SkewElement.x_power(n) == RationalPoly.rising(n) * SkewElement.y_power(-n)
+        _times(X, z) == _times(({n: 1}, 0), X)
+        and _times(Y, z) == _times(({-n: 1}, 0), Y)
+        and _times(X, Y) == (fbar, 0)
+        and _times(Y, X) == ({t - n: 1 for t in fbar}, 0)
+        and x_n == (dict.fromkeys(range(n), 1), -n)
     )
 
 

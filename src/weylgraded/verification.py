@@ -518,6 +518,17 @@ def _oracle_matches_closed_form(n_max: int) -> Cases:
         yield {"pair": pair, "j": j}, oracle == gwa._closed_form_roots(pair.J, pair.n, j)
 
 
+@register(
+    "rings",
+    "oracle table equals the closed-form table over a long range",
+    "S({0},1), S({},2), S({0,2},3), S({1},4), S({0,3,4},5); |j| <= 40",
+)
+def _oracle_table_long_range(rng: random.Random) -> Cases:
+    for J, n in [([0], 1), ([], 2), ([0, 2], 3), ([1], 4), ([0, 3, 4], 5)]:
+        oracle = gwa.ring_pieces(J, n, -40, 40, oracle=True)
+        yield {"pair": AdmissiblePair(FinSet(J), n)}, oracle.pieces == gwa.ring_pieces(J, n, -40, 40).pieces
+
+
 @register("rings", "idealizer ring pieces are z y^-j k[z] off degree 0", "S({0},1), |j| <= 4")
 def _idealizer_pieces(rng: random.Random) -> Cases:
     for j in range(-4, 5):
@@ -537,7 +548,7 @@ def _veronese_pieces(rng: random.Random) -> Cases:
     "rings",
     "ring closure, GWA relations, root separation",
     "all admissible n <= {n}, closure window 5",
-    window=4,
+    window=6,
 )
 def _ring_structure(n_max: int) -> Cases:
     for pair in _admissible_pairs(n_max):

@@ -164,8 +164,18 @@ class TestRingStructure:
 
     @pytest.mark.parametrize("pair", admissible_pairs(3))
     def test_embedding_can_fail(self, pair, monkeypatch):
+        # the dense reference: D's transport rule moved by one
         shift = RationalPoly.shift
         monkeypatch.setattr(RationalPoly, "shift", lambda f, m: shift(f, m + 1))
+        assert not _dense_embedding(*pair)
+
+    @pytest.mark.parametrize("pair", admissible_pairs(3))
+    def test_embedding_on_roots_can_fail(self, pair, monkeypatch):
+        # the same mutation on root maps: root t of h_b lands at t - p_a + 1
+        times = gwa._times
+        monkeypatch.setattr(
+            gwa, "_times", lambda a, b: times(a, ({t + 1: e for t, e in b[0].items()}, b[1]))
+        )
         assert not verify_gwa_embedding(*pair)
 
     def test_closure_rejects_nonpositive_window(self):
@@ -180,6 +190,54 @@ class TestRingStructure:
         for n, window in [(1, 4), (2, 3)]:
             with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 441"):
                 verify_ring_closure(fs(0), n, window)
+
+
+# Reference: the embedding check as dense products in D, on the fbar that
+# factors builds.
+def _dense_embedding(J, n):
+    fbar, _ = gwa.factors(J, n)
+    z = RationalPoly.z()
+    X = fbar * SkewElement.y_power(-n)
+    Y = SkewElement.y_power(n)
+    return (
+        X * z == (z + n) * X
+        and Y * z == (z - n) * Y
+        and X * Y == fbar
+        and Y * X == fbar.shift(-n)
+        and SkewElement.x_power(n) == RationalPoly.rising(n) * SkewElement.y_power(-n)
+    )
+
+
+class TestEmbeddingOnRoots:
+    def test_agrees_with_D_on_every_pair(self):
+        for J, n in admissible_pairs(6):
+            assert verify_gwa_embedding(J, n) is _dense_embedding(J, n) is True, (J, n)
+
+    def test_times_is_the_transport_rule(self):
+        # (z+3) y^2 * z y^-1 = (z+3) (z-2) y  and  y^-1 * (z+1) = (z+2) y^-1
+        assert gwa._times(({3: 1}, 2), ({0: 1}, -1)) == ({3: 1, -2: 1}, 1)
+        assert gwa._times(({}, -1), ({1: 1}, 0)) == ({2: 1}, -1)
+        # exponents that cancel are dropped
+        assert gwa._times(({0: 1}, 1), ({1: -1}, 0)) == ({}, 1)
+
+    def test_product_lands_is_times_then_compare(self):
+        rng = random.Random(19)
+
+        def monomial():
+            roots = {t: rng.choice([-2, -1, 1, 2]) for t in rng.sample(range(-6, 7), rng.randint(0, 4))}
+            return roots, rng.randint(-3, 3)
+
+        answers = []
+        for _ in range(2000):
+            a, b, target = monomial(), monomial(), monomial()
+            if rng.random() < 0.5:
+                target = (target[0], a[1] + b[1])
+            h, p = gwa._times(a, b)
+            expected = p == target[1] and all(h.get(t, 0) >= e for t, e in target[0].items())
+            got = gwa._product_lands(a, b, target)
+            assert got == expected, (a, b, target)
+            answers.append(got)
+        assert 0 < answers.count(True) < answers.count(False)
 
 
 # Reference: the closure check as dense products in D, multiplying the
