@@ -214,13 +214,6 @@ def _pieces_human(pieces) -> str:
     return "\n".join(f"S_{j} = {_piece_human(h, p)}" for j, (h, p) in sorted(pieces.pieces.items()))
 
 
-def _support_payload(support) -> list[dict]:
-    return [
-        {"point": str(pt) if pt.denominator != 1 else int(pt), "count": c}
-        for pt, c in support
-    ]
-
-
 # --- command handlers ------------------------------------------------------------
 
 
@@ -385,7 +378,7 @@ def _cmd_mod(args) -> int:
         else:  # coker
             support = cokernel_support(P, Q)
             human = ", ".join(f"point {pt} x{c}" for pt, c in support) or "(empty)"
-            _emit(args, human, {"support": _support_payload(support)})
+            _emit(args, human, {"support": [{"point": pt, "count": c} for pt, c in support]})
     return 0
 
 

@@ -22,7 +22,7 @@ where K is the involution set of F^j moved past its shift: the union of the
 J + n i over i = 1..j when j > 0 and over i = 0, -1, ..., j+1 when j < 0.
 When j > 0 it is scaled by f_K^{-1}, the product of the (z+k)^{-1} over K.
 The piece is its degree-nj generator g x^{nj}.  The lattice layer hands g
-over as (root, exponent) pairs, and the oracle turns x^d into y^{-d} on
+over as a root map {root: exponent}, and the oracle turns x^d into y^{-d} on
 those exponents: x^d = z (z+1) ... (z+d-1) y^{-d} adds 1 at the roots
 0..d-1 when d >= 0, and
 x^d = y^{-d} / ((z-1) ... (z+d)) subtracts 1 at the roots -1..d when d < 0.
@@ -165,9 +165,9 @@ def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     K = FinSet._of(frozenset(t + n * i for i in steps for t in J._elements))
     L = iota_lattice(K)
     if j > 0:
-        L = L.scaled(tuple((k, -1) for k in K._elements))
+        L = L.scaled(dict.fromkeys(K._elements, -1))
     d = n * j
-    exps = dict(L.factored_generator_at(d))
+    exps = L.factored_generator_at(d)
     step = 1 if d > 0 else -1
     for t in range(min(d, 0), max(d, 0)):
         exps[t] = exps.get(t, 0) + step
@@ -231,10 +231,9 @@ def _product_lands(a, b, target) -> bool:
 # in D, each of degree up to n*w in z.  On root exponents a product costs about
 # n*w steps, so the check answers far inside the bound (2 CPUs, Python 3.11):
 # (n, w) = (1, 40) takes 6 ms, (20, 10) 2 ms and (1, 47), the largest window
-# under the bound at n = 1, 8 ms.  The bound is kept for `ring verify`, which
-# runs verify_gwa_embedding after this check: at window 1 the factor
-# (n*w)^2 = n^2 bounds the embedding's n root-map products for x^n, each of
-# which copies up to n roots, and stops it at n <= 1490.
+# under the bound at n = 1, 8 ms.  At window 1 the bound stops `ring verify`
+# at n <= 1490, though verify_gwa_embedding, which it runs after this check,
+# takes x^n by repeated squaring, about 2 log2 n root-map products.
 RING_CLOSURE_MAX_WORK = 2 * 10**7
 
 
@@ -269,6 +268,14 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     )
 
 
+def _power(a, k: int) -> tuple[dict[int, int], int]:
+    """a^k for k >= 1, on (root map, p), by repeated squaring through _times."""
+    if k == 1:
+        return a
+    half = _power(_times(a, a), k // 2)
+    return _times(half, a) if k % 2 else half
+
+
 def verify_gwa_embedding(J, n: int) -> bool:
     """X = fbar y^{-n}, Y = y^n and z in D satisfy Xz = (z+n)X, Yz = (z-n)Y, XY = fbar
     and YX = fbar(z-n), and x^n = z (z+1) ... (z+n-1) y^{-n}.
@@ -276,16 +283,13 @@ def verify_gwa_embedding(J, n: int) -> bool:
     Each side is a monomial h(z) y^p of D, multiplied as (root map, p) by _times
     under y^p h(z) = h(z - p) y^p: fbar's roots are complement(J, n), and x is
     z y^{-1}, since y = (z-1) x^{-1}.  No element of D is built and no gcd taken;
-    x^n takes n products of up to n roots each.
+    x^n is taken by repeated squaring, in about 2 log2 n products.
     """
     fbar = dict.fromkeys(complement(_validated(J, n), n), 1)
     z = ({0: 1}, 0)
     X = (fbar, -n)
     Y = ({}, n)
-    x = ({0: 1}, -1)
-    x_n = ({}, 0)
-    for _ in range(n):
-        x_n = _times(x_n, x)
+    x_n = _power(({0: 1}, -1), n)
     return (
         _times(X, z) == _times(({n: 1}, 0), X)
         and _times(Y, z) == _times(({-n: 1}, 0), Y)

@@ -20,7 +20,9 @@ line, and no polynomial gcd is ever taken.
 A lattice also enters as the generators on a window [lo, hi], continued by
 g_m = g_hi for m > hi and g_m = g_{m+1} (z+m) for m < lo, and leaves on the
 shortest such window.  A RationalPoly that does not split over integer roots
-is rejected with ValueError.
+is rejected with ValueError.  A generator, or a scale factor, that is kept
+factored is a root map {t: e}, the product of the (z+t)^e, as everywhere else
+in the package; e < 0 is a denominator.
 """
 from __future__ import annotations
 
@@ -107,10 +109,6 @@ class DSet:
         return cls(FinSet.from_json(data["exceptions"]))
 
 
-# A factored generator: sorted pairs (j, e) with integer root j and nonzero
-# exponent e, standing for the product of the (z+j)^e; e < 0 is a denominator.
-_Factored = tuple
-
 # A root line (v, jumps): the exponent of (z+t) as a function of the degree m.
 # It is v below the first jump and changes by d at each jump (m, d); jumps are
 # sorted by m, with distinct m and nonzero d.
@@ -188,17 +186,15 @@ def _integer_roots(coeffs: tuple, g: RationalPoly) -> dict[int, int]:
     return roots
 
 
-def _factor(g) -> _Factored:
-    """Factor a nonzero rational function over integer roots, dropping its leading constant."""
-    if not isinstance(g, RationalPoly):
-        g = RationalPoly(g)
+def _factor(g: RationalPoly) -> dict[int, int]:
+    """The root map {t: e} of a nonzero rational function, its leading constant dropped."""
     if g.is_zero():
         raise ValueError("lattice generators must be nonzero")
     exps = _integer_roots(g.num, g)
     if not g.is_polynomial():
         # num and den are coprime, so their roots are distinct
         exps.update((j, -e) for j, e in _integer_roots(g.den, g).items())
-    return tuple(sorted(exps.items()))
+    return exps
 
 
 class GradedLattice:
@@ -207,23 +203,21 @@ class GradedLattice:
     The generators are stored by root line: line t is the exponent of (z+t)
     as a step function of the degree, kept only where it differs from A's.
     Generators enter as RationalPoly values, which must split over integer
-    roots (ValueError otherwise), or as (root, exponent) pairs, and leave
-    multiplied out as RationalPoly values, or as those pairs through
-    factored_generator_at.
+    roots (ValueError otherwise), and leave multiplied out as RationalPoly
+    values, or as root maps through factored_generator_at.
     """
 
     __slots__ = ("_lines",)
 
-    def __init__(self, lo: int, gens: Sequence[RationalPoly | _Factored]) -> None:
+    def __init__(self, lo: int, gens: Sequence[RationalPoly]) -> None:
         """Lattice with generators gens[i] at degree lo + i.
 
         Each generator is a nonzero RationalPoly, whose leading constant is
-        dropped, or an already-factored tuple of (root, exponent) pairs.
-        Above the window g_m = g_hi; below it g_m = g_{m+1} (z+m).
+        dropped.  Above the window g_m = g_hi; below it g_m = g_{m+1} (z+m).
         """
         if not gens:
             raise ValueError("a lattice needs at least one stored generator")
-        exps = [dict(g if isinstance(g, tuple) else _factor(g)) for g in gens]
+        exps = [_factor(g) for g in gens]
         lines = {}
         # A's lines between 0 and lo change under the left-tail rule
         for t in set().union(*exps, range(min(lo, 0), max(lo, 0))):
@@ -291,13 +285,13 @@ class GradedLattice:
         return {m: self.generator_at(m) for m in range(self.lo, self.hi + 1)}
 
     def generator_at(self, m: int) -> RationalPoly:
-        return RationalPoly.from_roots(dict(self.factored_generator_at(m)))
+        return RationalPoly.from_roots(self.factored_generator_at(m))
 
-    def factored_generator_at(self, m: int) -> _Factored:
-        """The degree-m generator as sorted (root, exponent) pairs, not multiplied out."""
+    def factored_generator_at(self, m: int) -> dict[int, int]:
+        """The degree-m generator as a new root map {t: e}, zero exponents dropped."""
         exps = dict.fromkeys(range(m, 0), 1)
         exps.update((t, _value(line, m)) for t, line in self._lines.items())
-        return tuple(sorted((t, e) for t, e in exps.items() if e))
+        return {t: e for t, e in exps.items() if e}
 
     # functor actions ---------------------------------------------------------
 
@@ -335,13 +329,10 @@ class GradedLattice:
             lines[t + s] = (v, tuple((m + s, d) for m, d in jumps))
         return GradedLattice._of(_canonical(lines))
 
-    def scaled(self, f: RationalPoly | _Factored) -> "GradedLattice":
-        """Left-multiply every degree piece by f: a nonzero rational function,
-        whose leading constant is dropped, or its (root, exponent) pairs."""
-        if isinstance(f, RationalPoly) and f.is_zero():
-            raise ValueError("cannot scale a lattice by zero")
+    def scaled(self, f: Mapping[int, int]) -> "GradedLattice":
+        """Left-multiply every degree piece by the product of the (z+t)^e over the root map f."""
         lines = {}
-        for t, e in f if isinstance(f, tuple) else _factor(f):
+        for t, e in f.items():
             v, jumps = self._line(t)
             lines[t] = (v + e, jumps)
         return self._with(lines)
@@ -422,13 +413,11 @@ def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
     The degree-m constraint is q in (g^Q_m / g^P_m) k[z], so on each root line
     the exponent of q is the largest that the ratio takes.
     """
-    hom = ((t, e) for t, ratio in _ratios(P, Q).items() if (e := max(_values(ratio))))
-    return RationalPoly.from_roots(dict(hom))
+    hom = {t: e for t, ratio in _ratios(P, Q).items() if (e := max(_values(ratio)))}
+    return RationalPoly.from_roots(hom)
 
 
-def cokernel_support(
-    P: GradedLattice, Q: GradedLattice
-) -> tuple[tuple[Fraction, int], ...]:
+def cokernel_support(P: GradedLattice, Q: GradedLattice) -> tuple[tuple[int, int], ...]:
     """Support multiset of Q / h P for the maximal embedding h = hom_generator.
 
     The degree-m annihilator is q_m = h g^P_m / g^Q_m, whose exponent on line t
@@ -437,7 +426,7 @@ def cokernel_support(
     and t+1, so the multiset is read off a_t(t) + a_t(t+1).
     """
     lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
-    support: dict[Fraction, int] = {}
+    support: dict[int, int] = {}
     for t, ratio in _ratios(P, Q).items():
         if not ratio[1]:
             continue
@@ -447,7 +436,7 @@ def cokernel_support(
                 "inputs are outside the involution family"
             )
         if count := 2 * max(_values(ratio)) - _value(ratio, t) - _value(ratio, t + 1):
-            support[Fraction(-t)] = count
+            support[-t] = count
     return tuple(sorted(support.items()))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,30 @@ class TestRunCommand:
         assert run_command(["verify", "--suite", "zfin", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+
+
+def _readme_examples():
+    """(argv, expected first line or None) for each line of README's command-line examples."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "weylgraded", line
+        _, arrow, expected = line.partition("# -> ")
+        examples.append((argv, expected.strip() if arrow else None))
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert sum(expected is not None for _, expected in examples) == 5
+    for argv, expected in examples:
+        for flags in ([], ["--json"]):
+            assert run_command(argv + flags) == 0, argv + flags
+            out = capsys.readouterr().out
+            if expected is not None and not flags:
+                assert out.splitlines()[0] == expected, argv
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -220,6 +220,15 @@ class TestEmbeddingOnRoots:
         # exponents that cancel are dropped
         assert gwa._times(({0: 1}, 1), ({1: -1}, 0)) == ({}, 1)
 
+    def test_x_power_by_repeated_squaring(self, monkeypatch):
+        # x^n takes about 2 log2 n products, where one product per power took n
+        calls = []
+        times = gwa._times
+        monkeypatch.setattr(gwa, "_times", lambda a, b: calls.append(1) or times(a, b))
+        n = 30000
+        assert verify_gwa_embedding(fs(0), n)
+        assert len(calls) <= 2 * n.bit_length() + 4
+
     def test_product_lands_is_times_then_compare(self):
         rng = random.Random(19)
 
