@@ -16,29 +16,32 @@ pieces have closed forms (degree j of S means D-degree n*j):
 so the closed form builds each coefficient from its roots: J, and for j > 0
 every 0 <= t < nj with t mod n not in J.
 
+Each piece, and each side of W's relations in D, is a monomial h(z) y^p of
+D, held as (root map, p) with the root map {t: e} of h = prod (z+t)^e.  One
+block of this module, _times, _product_lands, _power and _x_power, is their
+arithmetic, on those bare tuples.  Since y^p h(z) = h(z - p) y^p,
+
+    h_a y^{p_a} h_b y^{p_b} = h_a(z) h_b(z - p_a) y^{p_a + p_b}
+
+moves root t of h_b to t - p_a.  Since xy = z, x = z y^{-1}, and
+
+    x^d = z (z+1) ... (z+d-1) y^{-d}                 for d >= 0,
+    x^d = ((z-1) (z-2) ... (z+d))^{-1} y^{-d}         for d < 0.
+
 The independent oracle rebuilds each piece from the twisted endomorphism
 construction with F = S^n iota_J and P = A.  M(j) is the lattice iota_K A,
 where K is the involution set of F^j moved past its shift: the union of the
 J + n i over i = 1..j when j > 0 and over i = 0, -1, ..., j+1 when j < 0.
 When j > 0 it is scaled by f_K^{-1}, the product of the (z+k)^{-1} over K.
-The piece is its degree-nj generator g x^{nj}.  The lattice layer hands g
-over as a root map {root: exponent}, and the oracle turns x^d into y^{-d} on
-those exponents: x^d = z (z+1) ... (z+d-1) y^{-d} adds 1 at the roots
-0..d-1 when d >= 0, and
-x^d = y^{-d} / ((z-1) ... (z+d)) subtracts 1 at the roots -1..d when d < 0.
+The piece is its degree-nj generator g x^{nj}; the lattice layer hands g
+over as a root map, and the oracle multiplies it by x^{nj} as monomials.
 The sweep compares the two paths' root maps ({root: exponent}, p), zero
 exponents dropped; a piece is multiplied out, once and with no gcd, only to
 be returned or printed.  The two paths share no code beyond raw arithmetic.
 
-verify_ring_closure checks closure on the closed form's root maps too.  Since
-y^p h(z) = h(z - p) y^p, the product of generators h_i y^{p_i} and h_j y^{p_j} is
-h_i(z) h_j(z - p_i) y^{p_i + p_j}: its exponents are h_i's plus h_j's moved by
--p_i, root t of h_j becoming t - p_i.  It lies in piece i + j exactly when its
-y-power is p_{i+j} and its exponent at every root of h_{i+j} is at least that
-root's there, so the check takes no product and no gcd in D; the tests keep the
-dense products as its reference.  verify_gwa_embedding multiplies monomials
-h(z) y^p of D the same way, as (root map, p) through _times, with fbar's roots
-read from complement(J, n); the tests keep its products in D as the reference.
+verify_ring_closure checks closure on the closed form's root maps, and
+verify_gwa_embedding checks W's relations, x^n and x^{-n} x^n = 1, both on
+monomials with no gcd; the tests keep their products in D as the reference.
 
 A coefficient of prod (z+t) is at most prod (1+|t|), so a piece or relation
 has at most sum log10(1+|t|) digits, known from its roots before it is
@@ -167,11 +170,7 @@ def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     if j > 0:
         L = L.scaled(dict.fromkeys(K._elements, -1))
     d = n * j
-    exps = L.factored_generator_at(d)
-    step = 1 if d > 0 else -1
-    for t in range(min(d, 0), max(d, 0)):
-        exps[t] = exps.get(t, 0) + step
-    return {t: e for t, e in exps.items() if e}, -d
+    return _times((L.factored_generator_at(d), 0), _x_power(d))
 
 
 def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
@@ -181,8 +180,7 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
     its shift, the union of J+n, ..., J+nj (j positive) or of J, J-n, ...,
     J+(j+1)n (j negative), scaled by f_K^{-1} when j > 0.  The involutions
     sit at distinct roots, so they commute.  The piece is the monic generator
-    of the degree-nj component, converted from x-power to y-power form on its
-    root exponents.
+    g of the degree-nj component, as the monomial g x^{nj}.
     """
     exps, p = _oracle_roots(_validated(J, n), n, j)
     return (RationalPoly.from_roots(exps), p)
@@ -203,20 +201,23 @@ def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> Ring
     return RingPieces(n=n, pieces=pieces)
 
 
-def _times(a, b) -> tuple[dict[int, int], int]:
-    """h_a y^{p_a} h_b y^{p_b} = h_a(z) h_b(z - p_a) y^{p_a + p_b}, on (root map, p).
+# --- monomials h(z) y^p of D as (root map, p); the module docstring states the rules ---
 
-    Root t of h_b becomes t - p_a; zero exponents are dropped.
-    """
+
+def _times(a, b) -> tuple[dict[int, int], int]:
+    """The product a b of two monomials; with no zero exponent in a or b, none in a b."""
     (h_a, p_a), (h_b, p_b) = a, b
     h = dict(h_a)
     for t, e in h_b.items():
-        h[t - p_a] = h.get(t - p_a, 0) + e
-    return {t: e for t, e in h.items() if e}, p_a + p_b
+        t -= p_a
+        e += h.pop(t, 0)
+        if e:
+            h[t] = e
+    return h, p_a + p_b
 
 
 def _product_lands(a, b, target) -> bool:
-    """h_a y^{p_a} h_b y^{p_b} lies in h y^p k[z], for pieces given as (root map, p).
+    """The product a b lies in h y^p k[z] for target = (h, p).
 
     It is _times(a, b) followed by a comparison: the product has target's y-power
     and, at each root of target's h, at least its exponent there.  The two are
@@ -224,6 +225,21 @@ def _product_lands(a, b, target) -> bool:
     """
     (h_a, p_a), (h_b, p_b), (h, p) = a, b, target
     return p_a + p_b == p and all(h_a.get(t, 0) + h_b.get(t + p_a, 0) >= e for t, e in h.items())
+
+
+def _power(a, k: int) -> tuple[dict[int, int], int]:
+    """a^k for k >= 1, on (root map, p), by repeated squaring through _times."""
+    if k == 1:
+        return a
+    half = _power(_times(a, a), k // 2)
+    return _times(half, a) if k % 2 else half
+
+
+def _x_power(d: int) -> tuple[dict[int, int], int]:
+    """x^d: exponent 1 at the roots 0..d-1 when d >= 0, and -1 at the roots d..-1 when d < 0."""
+    if d >= 0:
+        return dict.fromkeys(range(d), 1), -d
+    return dict.fromkeys(range(d, 0), -1), -d
 
 
 # verify_ring_closure refuses a check whose work passes this bound.  The work,
@@ -240,14 +256,12 @@ RING_CLOSURE_MAX_WORK = 2 * 10**7
 def verify_ring_closure(J, n: int, window: int) -> bool:
     """Products of piece generators land in the right pieces, checked on root exponents.
 
-    Since y^p h(z) = h(z - p) y^p, the product of the generators of pieces i and
-    j is h_i(z) h_j(z - p_i) y^{p_i + p_j}: root t of h_j becomes t - p_i.  For
-    |i|, |j|, |i + j| <= window it must have the y-power p_{i+j} and, at every
-    root of h_{i+j}, an exponent at least h_{i+j}'s there; no element of D is
-    built.  Since each piece is a single cyclic module h y^p k[z], closure on the
-    generators implies closure of all products.  Raises ValueError, before any
-    product is checked, when (2 window + 1)^2 (n window)^2 passes
-    RING_CLOSURE_MAX_WORK.
+    For |i|, |j|, |i + j| <= window the product of the generators of pieces i
+    and j must lie in piece i + j, by _product_lands on their monomials; no
+    element of D is built.  Since each piece is a single cyclic module
+    h y^p k[z], closure on the generators implies closure of all products.
+    Raises ValueError, before any product is checked, when
+    (2 window + 1)^2 (n window)^2 passes RING_CLOSURE_MAX_WORK.
     """
     J = _validated(J, n)
     if window < 1:
@@ -268,22 +282,14 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     )
 
 
-def _power(a, k: int) -> tuple[dict[int, int], int]:
-    """a^k for k >= 1, on (root map, p), by repeated squaring through _times."""
-    if k == 1:
-        return a
-    half = _power(_times(a, a), k // 2)
-    return _times(half, a) if k % 2 else half
-
-
 def verify_gwa_embedding(J, n: int) -> bool:
     """X = fbar y^{-n}, Y = y^n and z in D satisfy Xz = (z+n)X, Yz = (z-n)Y, XY = fbar
-    and YX = fbar(z-n), and x^n = z (z+1) ... (z+n-1) y^{-n}.
+    and YX = fbar(z-n); x^n is _x_power(n), and _x_power(-n) x^n = 1.
 
-    Each side is a monomial h(z) y^p of D, multiplied as (root map, p) by _times
-    under y^p h(z) = h(z - p) y^p: fbar's roots are complement(J, n), and x is
-    z y^{-1}, since y = (z-1) x^{-1}.  No element of D is built and no gcd taken;
-    x^n is taken by repeated squaring, in about 2 log2 n products.
+    Each side is a monomial, multiplied by _times: fbar's roots are
+    complement(J, n), and x is z y^{-1}.  x^n is taken by repeated squaring, in
+    about 2 log2 n products, so the last two checks prove both of _x_power's
+    branches, which the oracle relies on.
     """
     fbar = dict.fromkeys(complement(_validated(J, n), n), 1)
     z = ({0: 1}, 0)
@@ -295,7 +301,8 @@ def verify_gwa_embedding(J, n: int) -> bool:
         and _times(Y, z) == _times(({-n: 1}, 0), Y)
         and _times(X, Y) == (fbar, 0)
         and _times(Y, X) == ({t - n: 1 for t in fbar}, 0)
-        and x_n == (dict.fromkeys(range(n), 1), -n)
+        and x_n == _x_power(n)
+        and _times(_x_power(-n), x_n) == ({}, 0)
     )
 
 

@@ -8,7 +8,7 @@ from weylgraded.zfin import FinSet, affine_image
 from weylgraded.skew import RationalPoly, SkewElement
 from weylgraded.lattices import iota_lattice
 from weylgraded.picard import PicElement, power
-from weylgraded import gwa
+from weylgraded import gwa, verification
 from weylgraded.gwa import (
     complement,
     graded_piece_closed_form,
@@ -178,6 +178,24 @@ class TestRingStructure:
         )
         assert not verify_gwa_embedding(*pair)
 
+    def test_x_power_branch_moved_by_one_fails(self, monkeypatch):
+        # x^d for d < 0 with its roots d..-1 moved to d+1..0: the embedding check's
+        # x^-n x^n = 1 catches it on every pair, and so does the oracle sweep
+        x_power = gwa._x_power
+
+        def moved(d):
+            return x_power(d) if d >= 0 else (dict.fromkeys(range(d + 1, 1), -1), -d)
+
+        monkeypatch.setattr(gwa, "_x_power", moved)
+        pairs = admissible_pairs(3)
+        assert len(pairs) == 14
+        assert not any(verify_gwa_embedding(*pair) for pair in pairs)
+        sweep = verification.SUITES["rings"][0]
+        assert sweep.fn is verification._oracle_matches_closed_form
+        result = verification.run_check(sweep)
+        assert result.raised is None
+        assert result.failure is not None and result.failure["j"] < 0, result.failure
+
     def test_closure_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             verify_ring_closure(FinSet([0]), 1, -5)
@@ -219,6 +237,11 @@ class TestEmbeddingOnRoots:
         assert gwa._times(({}, -1), ({1: 1}, 0)) == ({2: 1}, -1)
         # exponents that cancel are dropped
         assert gwa._times(({0: 1}, 1), ({1: -1}, 0)) == ({}, 1)
+
+    def test_x_power_is_the_power_in_D(self):
+        for d in range(-6, 7):
+            h, p = gwa._x_power(d)
+            assert SkewElement.x_power(d) == RationalPoly.from_roots(h) * SkewElement.y_power(p), d
 
     def test_x_power_by_repeated_squaring(self, monkeypatch):
         # x^n takes about 2 log2 n products, where one product per power took n

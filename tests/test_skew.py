@@ -1,6 +1,7 @@
 from fractions import Fraction
+from itertools import islice
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -134,9 +135,9 @@ class TestCoefficientForm:
 def reference_build(num, den):
     """The always-reduce construction: a full gcd, then a monic denominator.
 
-    RationalPoly(num, den) is the one reducer, and +, * and / build through
-    it; shift builds its result as given, since a Taylor shift keeps num and
-    den coprime and den monic.  Each must give this num and den.
+    shift builds its result as given, since a Taylor shift keeps num and den
+    coprime and den monic; on the binomial expansion of f, this must give
+    f.shift(m)'s num and den.
     """
     n, d = _coeffs(num), _coeffs(den)
     if not n or d == (1,):
@@ -157,14 +158,44 @@ def binomial_shift(a, m):
     return out
 
 
-REFERENCE = {
-    "+": lambda f, g, m: reference_build(
-        _padd(_pmul(f.num, g.den), _pmul(g.num, f.den)), _pmul(f.den, g.den)
-    ),
-    "*": lambda f, g, m: reference_build(_pmul(f.num, g.num), _pmul(f.den, g.den)),
-    "/": lambda f, g, m: reference_build(_pmul(f.num, g.den), _pmul(f.den, g.num)),
-    "shift": lambda f, g, m: reference_build(binomial_shift(f.num, m), binomial_shift(f.den, m)),
-}
+def horner(a, x):
+    """a(x) for the coefficients a, lowest first, over Fraction."""
+    out = Fraction(0)
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def value_at(f, x):
+    return horner(f.num, x) / horner(f.den, x)
+
+
+def _trimmed(a):
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fraction_gcd(a, b):
+    """A gcd of the polynomials a and b, by Euclid's remainder sequence over Fraction."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q, k = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[k + i] -= q * c
+            r = _trimmed(r)
+        a, b = b, r
+    return a
+
+
+def _degree(f):
+    return max(len(f.num), len(f.den)) - 1
+
+
+VALUES = {"+": add, "*": mul, "/": truediv}
 
 roots = st.lists(st.integers(-3, 3), max_size=3)
 scalars = st.one_of(
@@ -205,15 +236,32 @@ def operand_pairs(draw):
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("op", sorted(REFERENCE))
+    @pytest.mark.parametrize("op", ["*", "+", "/", "shift"])
     @given(pair=operand_pairs(), m=st.integers(-3, 3))
     def test_matches_the_always_reduce_reference(self, op, pair, m):
         f, g = pair
         assume(op != "/" or not g.is_zero())
         got = STEPS[op](f, g, m)
-        want = REFERENCE[op](f, g, m)
-        assert (got.num, got.den) == want
-        assert [type(c) for c in got.num + got.den] == [type(c) for c in want[0] + want[1]]
+        if op == "shift":
+            want = reference_build(binomial_shift(f.num, m), binomial_shift(f.den, m))
+            assert (got.num, got.den) == want
+            assert [type(c) for c in got.num + got.den] == [type(c) for c in want[0] + want[1]]
+            return
+        # No step of skew's reducer: a monic denominator, coprime to the numerator by
+        # a Euclid over Fraction, and the value of f op g at more points than
+        # got.num * den - num * got.den has roots, where (num, den) is f op g unreduced.
+        # These pin the one reduced form.
+        assert all(exact_form(c) for c in got.num + got.den)
+        assert got.den[-1] == 1 and got.num[-1:] != (0,)
+        assert len(fraction_gcd(got.num, got.den)) == 1
+        poles = (got.den, f.den, g.den, g.num) if op == "/" else (got.den, f.den, g.den)
+        needed = _degree(got) + _degree(f) + _degree(g) + 1
+        points = (x for x in sorted(range(-60, 61), key=abs) if all(horner(a, x) for a in poles))
+        points = list(islice(points, needed))
+        assert len(points) == needed
+        for x in points:
+            value = VALUES[op](value_at(f, x), value_at(g, x))
+            assert value_at(got, x) == value, x
 
 
 class TestDefiningRelations:
