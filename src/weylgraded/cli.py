@@ -404,7 +404,7 @@ def _cmd_k0(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    passed, failed, results = run_suites(names, seed=args.seed, window=args.window)
+    passed, failed, results = run_suites(names, seed=args.seed)
     lines = []
     for r in results:
         cases = f"  [{r.cases}]" if r.cases else ""
@@ -417,7 +417,6 @@ def _cmd_verify(args) -> int:
     lines.append(f"{passed} passed, {failed} failed")
     payload = {
         "seed": args.seed,
-        "window": args.window,
         "passed": passed,
         "failed": failed,
         "results": [{**r._asdict(), "passed": r.passed} for r in results],
@@ -521,9 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf = leaf(sub, "verify", help="run invariant sweeps")
     vf.add_argument("--suite", default="all", choices=["all", *sorted(SUITES)])
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument(
-        "--window", type=_positive_int, default=None, help="cap the window-shaped sweep sizes"
-    )
     return parser
 
 

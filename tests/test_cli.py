@@ -10,7 +10,7 @@ import pytest
 from weylgraded.zfin import FinSet, necklace_count
 from weylgraded.picard import PicElement, compose, identity, iota, omega, shift
 from weylgraded import gwa
-from weylgraded.cli import ExpressionError, parse_expression, run_command
+from weylgraded.cli import ExpressionError, build_parser, parse_expression, run_command
 
 
 def fs(*xs):
@@ -476,6 +476,17 @@ def test_readme_examples(capsys):
             out = capsys.readouterr().out
             if expected is not None and not flags:
                 assert out.splitlines()[0] == expected, argv
+
+
+def test_readme_commands_parse():
+    # every `weylgraded` line of every sh block, `verify` examples included
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh\n")[1:]]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("weylgraded ")]
+    assert len(lines) == 24
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

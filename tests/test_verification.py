@@ -1,12 +1,13 @@
 import json
-import os
+import random
 import re
 
 import pytest
 
 from weylgraded.cli import run_command
 from weylgraded.zfin import FinSet
-from weylgraded.verification import SUITES, Check, run_check, run_suites
+from weylgraded import gwa, verification
+from weylgraded.verification import SUITES, Check, run_check
 
 CHECKS = [check for suite in sorted(SUITES) for check in SUITES[suite]]
 IDS = [f"{check.suite}.{check.fn.__name__.lstrip('_')}" for check in CHECKS]
@@ -20,24 +21,25 @@ def test_registered_check(check):
     assert result.count > 0, f"{check.name} checked no case"
 
 
-def test_window_does_not_leak_into_later_runs(capsys):
-    assert run_command(["verify", "--suite", "zfin", "--window", "1"]) == 0
-    assert "[n <= 1]" in capsys.readouterr().out
-    assert "WEYLGRADED_MAX_WINDOW" not in os.environ
-    _, _, results = run_suites(["zfin"])
-    cases = {r.name: r.cases for r in results}
-    assert cases["necklace enumeration matches counting formula"] == "n <= 18"
+def test_verify_has_no_window_option(capsys):
+    assert run_command(["verify", "--suite", "zfin", "--window", "2"]) == 2
+    assert "unrecognized arguments: --window 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("window", ["0", "-3"])
-def test_window_must_be_positive(window, capsys):
-    assert run_command(["verify", "--suite", "zfin", "--window", window]) == 2
-    assert "usage:" in capsys.readouterr().err
+def test_oracle_sweep_samples_after_its_exhaustive_cases(monkeypatch):
+    # only the cases are compared, so both sides of the check are stubbed out
+    monkeypatch.setattr(gwa, "_oracle_roots", lambda J, n, j: None)
+    monkeypatch.setattr(gwa, "_closed_form_roots", lambda J, n, j: None)
 
+    def cases(seed):
+        sweep = verification._oracle_matches_closed_form(random.Random(seed))
+        return [(inputs["pair"], inputs["j"]) for inputs, _ in sweep]
 
-def test_run_suites_rejects_nonpositive_window():
-    with pytest.raises(ValueError):
-        run_suites(["zfin"], window=0)
+    zero, one = cases(0), cases(1)
+    assert len(zero) == len(one) == 2553 + 2000
+    assert zero[:2553] == one[:2553]
+    assert zero[2553:] != one[2553:]
+    assert all(pair.n <= 8 and -16 <= j <= 16 for pair, j in zero[2553:] + one[2553:])
 
 
 def _lines_match(out, patterns):
@@ -107,18 +109,19 @@ def test_verify_json_reports_every_result(monkeypatch, capsys):
     cases = [({"n": 1}, True), ({"J": FinSet([0, 2]), "n": 3}, False)]
     checks = [
         Check("mixed", "fails at its second case", "two cases", lambda rng: iter(cases)),
-        Check("mixed", "window-shaped", "n <= {n}", lambda n: iter([({"n": n}, True)]), window=5),
+        Check("mixed", "passes", "one case", lambda rng: iter([({"n": 3}, True)])),
     ]
     monkeypatch.setitem(SUITES, "mixed", checks)
-    assert run_command(["verify", "--suite", "mixed", "--seed", "2", "--window", "3", "--json"]) == 1
+    assert run_command(["verify", "--suite", "mixed", "--seed", "2", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert (data["seed"], data["window"], data["passed"], data["failed"]) == (2, 3, 1, 1)
+    assert set(data) == {"seed", "passed", "failed", "results"}
+    assert (data["seed"], data["passed"], data["failed"]) == (2, 1, 1)
     first, second = data["results"]
     assert first["name"] == "fails at its second case"
     assert (first["passed"], first["count"], first["raised"]) == (False, 2, None)
     assert first["failure"] == {"J": [0, 2], "n": 3}
     assert (second["cases"], second["passed"], second["count"], second["failure"]) == (
-        "n <= 3", True, 1, None
+        "one case", True, 1, None
     )
     assert all(isinstance(r["seconds"], float) for r in data["results"])
 
@@ -126,5 +129,5 @@ def test_verify_json_reports_every_result(monkeypatch, capsys):
 def test_verify_json_passing_suite(capsys):
     assert run_command(["verify", "--suite", "actions", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert (data["seed"], data["window"], data["failed"]) == (0, None, 0)
+    assert (data["seed"], data["failed"]) == (0, 0)
     assert data["passed"] == len(data["results"]) == len(SUITES["actions"])
