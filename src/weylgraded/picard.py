@@ -10,13 +10,18 @@ a closed formula derived from the rewriting relations
 
 and realizes the restricted wreath product of Z/2Z by the infinite dihedral
 group.  The D-infinity image acts on support indices by n -> a n + rank.
+
+Powers are closed forms too: the set of (S^b iota_J)^k is the boundary
+preimage of J xor (J - kb) (for b > 0), so ``power`` costs no composition
+per factor, and it is refused by the exact size of its answer's set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .zfin import AdmissiblePair, FinSet, absorb_shift, affine_image, affine_overlap
+from .zfin import AdmissiblePair, FinSet, _boundary_runs, absorb_shift, affine_image
 from .lattices import DSet, SimpleLabel
 
 
@@ -96,49 +101,50 @@ def inverse(F: PicElement) -> PicElement:
 
 
 # ``power`` refuses to build an involution set of more than this many elements.
-# The set of F^k for even F = S^b iota_J can hold up to k |J| elements, so a
+# The set of F^k for even F = S^b iota_J can hold up to |k| |J| elements, so a
 # large enough k would exhaust memory instead of answering.
 POWER_MAX_SET_SIZE = 10**6
 
 
 def power(F: PicElement, k: int) -> PicElement:
-    """F^k by repeated squaring: O(log |k|) compositions.
+    """F^k in time O(|J| log |J| + |K|), K the set of F^k, whatever k is.
 
-    Every factor is a power of F, so the factors commute and the order of the
-    products does not matter.  Each composition costs time linear in the sets
-    it combines; only the squares F^(2^i) with 2^i <= |k| are built.  Raises
-    ValueError, before building it, when a set would have more than
-    POWER_MAX_SET_SIZE elements.
+    For even F = S^b iota_J with b != 0 and k >= 0, F^k = S^(kb) iota_K with
+    K = xor of the J - i b for 0 <= i < k.  The sum telescopes: K xor
+    (K - |b|) is J xor (J - kb) when b > 0 and (J - (k-1)b) xor (J + b) when
+    b < 0, so K is the boundary preimage mod |b| of a set of at most 2 |J|
+    elements.  Its runs are counted before K is built.  Negative k goes
+    through the inverse.  Odd F has F^4 = e and iota_J has iota_J^2 = e, so
+    their powers take at most three compositions.
+
+    Raises ValueError when the set of F^k has more than POWER_MAX_SET_SIZE
+    elements; an even F with b != 0 builds nothing before that check.
     """
+    if F.a == -1 or F.b == 0:
+        out = identity()
+        for _ in range(k % (4 if F.a == -1 else 2)):
+            out = compose(F, out)
+        _refuse_past_limit(len(out.J))
+        return out
     if k < 0:
         return power(inverse(F), -k)
-    out = identity()
-    while k:
-        if k & 1:
-            out = _bounded_compose(F, out)
-        k >>= 1
-        if k:
-            F = _bounded_compose(F, F)
-    return out
+    J, b = F.J, F.b
+    if b > 0:
+        ends = J ^ affine_image(J, 1, -k * b)
+    else:
+        ends = affine_image(J, 1, -(k - 1) * b) ^ affine_image(J, 1, b)
+    runs = _boundary_runs(ends, abs(b))
+    # each run is range(a + n, c + n, n) with n dividing c - a; len() overflows past sys.maxsize
+    _refuse_past_limit(sum((r.stop - r.start) // r.step for r in runs))
+    return PicElement(1, k * b, FinSet._of(frozenset(chain.from_iterable(runs))))
 
 
-def _bounded_compose(F: PicElement, G: PicElement) -> PicElement:
-    """compose(F, G), refused when its set would exceed POWER_MAX_SET_SIZE.
-
-    That set is A xor B with A = F.J - F.a G.b and B = G.J (reflected to
-    -1 - G.J when F is odd), so it has |A| + |B| - 2 |A & B| elements; the
-    overlap is counted only when |A| + |B| is over the limit.
-    """
-    size = len(F.J) + len(G.J)
+def _refuse_past_limit(size: int) -> None:
     if size > POWER_MAX_SET_SIZE:
-        s = -F.a * G.b
-        size -= 2 * affine_overlap(F.J, F.a, s if F.a == 1 else -1 - s, G.J)
-        if size > POWER_MAX_SET_SIZE:
-            raise ValueError(
-                f"power would build an involution set of {size} elements, over the "
-                f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
-            )
-    return compose(F, G)
+        raise ValueError(
+            f"power would build an involution set of {size} elements, over the "
+            f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
+        )
 
 
 def sign_rank(F: PicElement) -> tuple[int, int]:

@@ -366,6 +366,16 @@ def _odd_elements(rng: random.Random) -> Cases:
         yield {"F": F}, compose(F, F) == PicElement(1, 0, expected_J) and power(F, 4) == identity()
 
 
+@register("picard", "power equals k-fold composition", "300 random (F, k), |k| <= 40")
+def _power_by_composition(rng: random.Random) -> Cases:
+    for _ in range(300):
+        F, k = _random_pic(rng), rng.randint(-40, 40)
+        G, want = F if k >= 0 else inverse(F), identity()
+        for _ in range(abs(k)):
+            want = compose(G, want)
+        yield {"F": F, "k": k}, power(F, k) == want
+
+
 @register("picard", "sign_rank: surjective homomorphism onto D-infinity", "2000 random pairs")
 def _sign_rank(rng: random.Random) -> Cases:
     for _ in range(2000):

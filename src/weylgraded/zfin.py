@@ -107,6 +107,14 @@ class AdmissiblePair:
         if J and (min(J) < 0 or max(J) >= self.n):
             raise ValueError(f"J = {self.J} is not a subset of [0, {self.n})")
 
+    @classmethod
+    def _of(cls, J: FinSet, n: int) -> "AdmissiblePair":
+        """The pair (J, n), which must already be admissible: no check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "J", J)
+        object.__setattr__(p, "n", n)
+        return p
+
     def __str__(self) -> str:
         return f"({self.J}, {self.n})"
 
@@ -145,11 +153,6 @@ def _image(J: FinSet, scale: int, offset: int) -> Iterator[int]:
     return map(offset.__add__, elems)
 
 
-def affine_overlap(J: FinSet, scale: int, offset: int, K: FinSet) -> int:
-    """|affine_image(J, scale, offset) & K|, counted without building the image."""
-    return sum(map(K._elements.__contains__, _image(J, scale, offset)))
-
-
 def slice(J: FinSet, n: int, i: int) -> FinSet:
     """The i-th residue slice {j : n*j + i in J}."""
     if n < 1:
@@ -170,13 +173,22 @@ def inverse_boundary(J: FinSet, n: int) -> FinSet:
     """The unique K with boundary(K, n) == J.
 
     Exists exactly when every residue slice of J has even size.  Built
-    constructively: per residue, pair consecutive slice elements a < b and
-    take the run {a+n, a+2n, ..., b}.  One pass over the sorted elements puts
-    each in its residue's bucket, already sorted, so the cost is linear in
-    |J| and |K| (after the sort), whatever n is.
+    constructively from the runs of ``_boundary_runs``.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    return FinSet._of(frozenset(chain.from_iterable(_boundary_runs(J, n))))
+
+
+def _boundary_runs(J: FinSet, n: int) -> list[range]:
+    """The disjoint runs whose union is inverse_boundary(J, n), for n >= 1.
+
+    Per residue, pair consecutive slice elements a < b and take the run
+    {a+n, a+2n, ..., b}.  One pass over the sorted elements puts each in its
+    residue's bucket, already sorted, so the cost is linear in |J| (after the
+    sort), whatever n is; no run is expanded.  Raises NotInImageError when a
+    residue slice has odd size.
+    """
     buckets: dict[int, list[int]] = {}
     for t in sorted(J._elements):
         buckets.setdefault(t % n, []).append(t)
@@ -185,8 +197,7 @@ def inverse_boundary(J: FinSet, n: int) -> FinSet:
         raise NotInImageError(
             f"slice {min(odd)} of {J} mod {n} has odd size; no boundary preimage exists"
         )
-    runs = (range(a + n, b + n, n) for s in buckets.values() for a, b in zip(s[::2], s[1::2]))
-    return FinSet._of(frozenset(chain.from_iterable(runs)))
+    return [range(a + n, b + n, n) for s in buckets.values() for a, b in zip(s[::2], s[1::2])]
 
 
 def _delta_range(s: int) -> range:
@@ -253,7 +264,7 @@ def necklace_canonical(p: AdmissiblePair) -> NecklaceClass:
     gaps.append(js[0] + n - js[-1])
     start = js[_least_rotation(gaps)]
     best = frozenset((j - start) % n for j in js)
-    return NecklaceClass(AdmissiblePair(FinSet._of(best), n))
+    return NecklaceClass(AdmissiblePair._of(FinSet._of(best), n))
 
 
 def _totient(d: int) -> int:
@@ -317,4 +328,4 @@ def necklace_enumerate(n: int) -> list[NecklaceClass]:
         while word and word[-1] == 1:
             word.pop()
     reps.sort(key=lambda t: (len(t), t))
-    return [NecklaceClass(AdmissiblePair(FinSet._of(frozenset(t)), n)) for t in reps]
+    return [NecklaceClass(AdmissiblePair._of(FinSet._of(frozenset(t)), n)) for t in reps]

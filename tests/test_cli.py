@@ -166,6 +166,15 @@ class TestRunCommand:
             "over the limit POWER_MAX_SET_SIZE = 1000\n"
         )
 
+    def test_pic_pow_refusal_names_the_size_of_the_power(self, capsys):
+        assert run_command(["pic", "pow", "S*i{0}", "2000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: power would build an involution set of 2000000 elements, "
+            "over the limit POWER_MAX_SET_SIZE = 1000000\n"
+        )
+
     def test_ring_present(self, capsys):
         assert run_command(["ring", "present", "--J", "0", "--n", "2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -21,7 +21,6 @@ from weylgraded.picard import (
     shift,
     sign_rank,
 )
-from weylgraded.picard import _bounded_compose
 
 
 def fs(*xs):
@@ -153,23 +152,28 @@ class TestPower:
         with pytest.raises(ValueError, match="POWER_MAX_SET_SIZE"):
             power(F, -101)
 
-    def test_refusal_counts_the_composed_set_exactly(self, monkeypatch):
+    def test_refusal_names_the_exact_size_of_the_power(self, monkeypatch):
         monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 6)
         rng = random.Random(5)
-        refused = 0
-        for _ in range(400):
-            F, G = (
-                PicElement(rng.choice((1, -1)), rng.randint(-4, 4), fs(*rng.sample(range(-5, 6), k)))
-                for k in (rng.randint(0, 6), rng.randint(0, 6))
-            )
-            size = len(compose(F, G).J)
-            if size > 6:
+        refused = answered = 0
+        for _ in range(600):
+            J = fs(*rng.sample(range(-5, 6), rng.randint(0, 6)))
+            F, k = PicElement(rng.choice((1, -1)), rng.randint(-4, 4), J), rng.randint(-40, 40)
+            want = _power_by_repeated_compose(F, k)
+            if len(want.J) > 6:
                 refused += 1
-                with pytest.raises(ValueError, match=f"set of {size} elements"):
-                    _bounded_compose(F, G)
+                with pytest.raises(ValueError, match=f"set of {len(want.J)} elements"):
+                    power(F, k)
             else:
-                assert _bounded_compose(F, G) == compose(F, G)
-        assert 0 < refused < 400
+                answered += 1
+                assert power(F, k) == want, (F, k)
+        assert refused and answered
+
+    @pytest.mark.parametrize("k", [10**12, 10**30])
+    def test_refuses_without_building(self, k):
+        # a set of 10**12 elements could not be built in memory
+        with pytest.raises(ValueError, match=f"set of {k} elements"):
+            power(compose(shift(1), iota(fs(0))), k)
 
 
 class TestCoverageWitness:
