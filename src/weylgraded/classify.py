@@ -3,11 +3,16 @@
 Every generative element is conjugate to a unique-up-to-rotation S^n iota_J
 with (J, n) admissible; necklace rotation classes of these pairs enumerate the
 graded Morita equivalence classes of rings graded equivalent to A.
+
+Negative rank is repaired by omega, through the closed form
+omega S^b iota_J omega^-1 = S^-b iota_{-1-J}: an element of rank b < 0 is read
+as S^|b| iota_{-1-J}, and no composition with omega is taken on it.
 """
 from __future__ import annotations
 
 from collections import Counter
 from itertools import compress
+from operator import invert
 
 from .zfin import (
     AdmissiblePair,
@@ -16,44 +21,49 @@ from .zfin import (
     necklace_canonical,
     necklace_count,
 )
-from .picard import PicElement, compose, inverse, iota, is_generative, omega
+from .picard import PicElement, compose, iota, is_generative, omega
 
 
-def canonical_admissible(F: PicElement) -> tuple[AdmissiblePair, PicElement]:
-    """Admissible pair (J, n) and a conjugator g with g F g^{-1} = S^n iota_J.
+def _admissible_pair(F: PicElement) -> AdmissiblePair:
+    """The admissible pair (J, n) of a generative F = S^b iota_K.
 
-    Negative rank is first repaired by conjugating with omega; the involution
-    part is then trimmed to residues by inverting the boundary operator on the
-    even-sliced complement.  The pair is returned exactly as constructed; any
-    rotation canonicalization is a separate, explicit step.
+    n = |b|, and J holds the residues mod n hit an odd number of times by K
+    (b > 0) or by -1 - K (b < 0).  Raises ValueError when F is not generative.
     """
     if not is_generative(F):
         raise ValueError(
             f"{F} is not generative (needs sign +1 and nonzero rank); "
             "no admissible conjugate exists"
         )
-    F1 = F
-    if F.b < 0:
-        w = omega()
-        F1 = compose(compose(w, F), inverse(w))
-    n, K = F1.b, F1.J
-    counts = Counter(map(n.__rmod__, K._elements))
-    J = FinSet._of(frozenset(compress(counts, map((1).__and__, counts.values()))))  # odd counts
-    g = iota(inverse_boundary(J ^ K, n))
-    if F.b < 0:
-        g = compose(g, w)
-    return AdmissiblePair(J, n), g
+    b, K = F.b, F.J._elements
+    n = abs(b)
+    counts = Counter(map(n.__rmod__, K if b > 0 else map(invert, K)))
+    J = frozenset(compress(counts, map((1).__and__, counts.values())))  # odd counts
+    return AdmissiblePair._of(FinSet._of(J), n)
+
+
+def canonical_admissible(F: PicElement) -> tuple[AdmissiblePair, PicElement]:
+    """Admissible pair (J, n) and a conjugator g with g F g^{-1} = S^n iota_J.
+
+    The pair is ``_admissible_pair(F)``.  With K the set of F (b > 0) or
+    -1 - that set (b < 0), g is iota_L for L the boundary preimage mod n of
+    J xor K, followed by omega when b < 0.  The pair is returned exactly as
+    constructed; any rotation canonicalization is a separate, explicit step.
+    """
+    pair = _admissible_pair(F)
+    if F.b > 0:
+        return pair, iota(inverse_boundary(pair.J ^ F.J, pair.n))
+    K = FinSet._of(frozenset(map(invert, F.J._elements)))
+    return pair, compose(iota(inverse_boundary(pair.J ^ K, pair.n)), omega())
 
 
 def same_morita_class(F: PicElement, G: PicElement) -> bool:
-    """Conjugacy test: equal necklace types of the canonical admissible pairs.
+    """Conjugacy test: equal necklace types of the two admissible pairs.
 
     Equivalently, the twisted endomorphism rings the two elements present are
-    graded Morita equivalent.
+    graded Morita equivalent.  No conjugator is built.
     """
-    pf, _ = canonical_admissible(F)
-    pg, _ = canonical_admissible(G)
-    return necklace_canonical(pf) == necklace_canonical(pg)
+    return necklace_canonical(_admissible_pair(F)) == necklace_canonical(_admissible_pair(G))
 
 
 def morita_class_count(n: int) -> int:

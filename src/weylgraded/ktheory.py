@@ -8,7 +8,10 @@ exchange isomorphism
 
 rewrites any multiset into a unique ascending chain J_1 <= ... <= J_m.  Two
 sums are isomorphic exactly when their chains agree, which is also equality in
-K_0; in particular summand cancellation holds in the graded category.
+K_0; in particular summand cancellation holds in the graded category.  The
+chain of m summands is fixed by m and by how many shift-absorbed summand sets
+hold each integer (its top count(t) links hold t), so two sums are isomorphic
+exactly when they have equal rank and equal membership counts.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .zfin import FinSet, absorb_shift
 from .picard import PicElement, identity
-from .lattices import DSet
+from .lattices import _dset_min
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:
     up in exactly the top count(t) links of the chain.
     """
     m = len(S.summands)
-    counts = Counter(chain.from_iterable(absorb_shift(J, s)._elements for J, s in S.summands))
+    counts = _membership_counts(S)
     by_count: list[list[int]] = [[] for _ in range(m + 1)]
     for t, c in counts.items():
         by_count[c].append(t)
@@ -107,9 +110,18 @@ def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:
     return ProjectiveSum(tuple(links))
 
 
+def _membership_counts(S: ProjectiveSum) -> Counter:
+    """How many of the shift-absorbed summand sets of S hold each integer."""
+    return Counter(chain.from_iterable(absorb_shift(J, s)._elements for J, s in S.summands))
+
+
 def iso_test(S1: ProjectiveSum, S2: ProjectiveSum) -> bool:
-    """Graded isomorphism of the two direct sums."""
-    return normalize_sum(S1) == normalize_sum(S2)
+    """Graded isomorphism of the two direct sums.
+
+    Equal summand count and equal membership counts, which is equality of the
+    chain normal forms without building them.
+    """
+    return len(S1) == len(S2) and _membership_counts(S1) == _membership_counts(S2)
 
 
 def stably_free_witness(J: FinSet | Iterable[int]) -> tuple[list[int], list[int]]:
@@ -145,20 +157,20 @@ def theta_map(combo: Mapping[FinSet, int] | Iterable[tuple[FinSet, int]]) -> Pic
 
 
 def k0_class(S: ProjectiveSum) -> K0Class:
-    """Coordinates of [S] on the shifted-free basis, via the stably-free witnesses.
+    """Coordinates of [S] on the shifted-free basis, read off each summand.
 
     The summand iota_J A<s> is iota_K A<n> with K inside Z>=1, where n is the
-    least element of its DSet (Z>=0 xor J) + s.  By the cocycle identity
-    absorb_shift(absorb_shift(J, s), -n) = absorb_shift(J, s - n), K takes
-    one absorb_shift.
+    least element of its DSet (Z>=0 xor J) + s and K = absorb_shift(J, s - n),
+    by the cocycle identity of absorb_shift.  Its stably-free witness (see
+    ``stably_free_witness``) gives the class
+    [A<n>] + sum over k in K of ([A<k+n+1>] - [A<k+n>]).
     """
     coeffs: dict[int, int] = {}
     for J, s in S.summands:
-        m = DSet(J).min_element()
+        m = _dset_min(J._elements)
         n = m + s
-        adds, result = stably_free_witness(absorb_shift(J, -m))
-        for r in result:
-            coeffs[r + n] = coeffs.get(r + n, 0) + 1
-        for l in adds:
-            coeffs[l + n] = coeffs.get(l + n, 0) - 1
+        coeffs[n] = coeffs.get(n, 0) + 1
+        for k in absorb_shift(J, -m)._elements:
+            coeffs[k + n + 1] = coeffs.get(k + n + 1, 0) + 1
+            coeffs[k + n] = coeffs.get(k + n, 0) - 1
     return K0Class(coeffs)

@@ -89,14 +89,7 @@ class DSet:
         return (j >= 0) != (j in self.exceptions)
 
     def min_element(self) -> int:
-        E = self.exceptions._elements
-        low = min(E, default=0)
-        if low < 0:
-            return low
-        t = 0
-        while t in E:
-            t += 1
-        return t
+        return _dset_min(self.exceptions._elements)
 
     def __str__(self) -> str:
         return f"Z>=0 xor {self.exceptions}"
@@ -107,6 +100,17 @@ class DSet:
     @classmethod
     def from_json(cls, data: dict) -> "DSet":
         return cls(FinSet.from_json(data["exceptions"]))
+
+
+def _dset_min(E: frozenset) -> int:
+    """Least element of Z>=0 xor E."""
+    low = min(E, default=0)
+    if low < 0:
+        return low
+    t = 0
+    while t in E:
+        t += 1
+    return t
 
 
 # A root line (v, jumps): the exponent of (z+t) as a function of the degree m.

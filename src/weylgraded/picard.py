@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import invert
 
 from .zfin import AdmissiblePair, FinSet, _boundary_runs, absorb_shift, affine_image
 from .lattices import DSet, SimpleLabel
@@ -36,8 +37,21 @@ class PicElement:
     def __post_init__(self) -> None:
         if self.a not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.a}")
+        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+            raise TypeError(
+                f"sign and shift exponent must be integers, got {self.a!r} and {self.b!r}"
+            )
         if not isinstance(self.J, FinSet):
             object.__setattr__(self, "J", FinSet(self.J))
+
+    @classmethod
+    def _of(cls, a: int, b: int, J: FinSet) -> "PicElement":
+        """The normal form (a, b, J), which must already be valid: no check."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "a", a)
+        object.__setattr__(F, "b", b)
+        object.__setattr__(F, "J", J)
+        return F
 
     def __mul__(self, other: "PicElement") -> "PicElement":
         return compose(self, other)
@@ -85,19 +99,25 @@ def omega() -> PicElement:
 
 
 def compose(F: PicElement, G: PicElement) -> PicElement:
-    """Normal form of F after G (functor composition, right-to-left)."""
-    twisted = G.J if F.a == 1 else affine_image(G.J, -1, -1)
-    return PicElement(
-        F.a * G.a,
-        F.b + F.a * G.b,
-        affine_image(F.J, 1, -F.a * G.b) ^ twisted,
-    )
+    """Normal form of F after G (functor composition, right-to-left).
+
+    The set is (F.J - F.a G.b) xor G.J, with G.J first reflected to -1 - G.J
+    (that is ~G.J) when F is odd.
+    """
+    a, b = F.a, G.b
+    t = -a * b
+    left = F.J._elements
+    if t:
+        left = frozenset(map(t.__add__, left))
+    right = G.J._elements if a == 1 else frozenset(map(invert, G.J._elements))
+    return PicElement._of(a * G.a, F.b + a * b, FinSet._of(left ^ right))
 
 
 def inverse(F: PicElement) -> PicElement:
+    b = F.b
     if F.a == 1:
-        return PicElement(1, -F.b, affine_image(F.J, 1, F.b))
-    return PicElement(-1, F.b, affine_image(F.J, -1, -1 - F.b))
+        return PicElement._of(1, -b, FinSet._of(frozenset(map(b.__add__, F.J._elements))))
+    return PicElement._of(-1, b, FinSet._of(frozenset(map((-1 - b).__sub__, F.J._elements))))
 
 
 # ``power`` refuses to build an involution set of more than this many elements.
@@ -182,10 +202,10 @@ def act_on_simple(F: PicElement, S: SimpleLabel) -> SimpleLabel:
 def act_on_dset(F: PicElement, E: DSet) -> DSet:
     """Image of a DSet: omega reflects through -1 and complements, iota_J flips,
     the shift translates; re-encoded against the base ray."""
-    exc = E.exceptions
+    exc = E.exceptions._elements
     if F.a == -1:
-        exc = affine_image(exc, -1, -1)
-    return DSet(absorb_shift(exc ^ F.J, F.b))
+        exc = frozenset(map(invert, exc))
+    return DSet(absorb_shift(FinSet._of(exc ^ F.J._elements), F.b))
 
 
 def coverage_witness(

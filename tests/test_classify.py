@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from weylgraded.zfin import AdmissiblePair, FinSet, inverse_boundary, slice
+from weylgraded.zfin import AdmissiblePair, FinSet, inverse_boundary, necklace_canonical, slice
 from weylgraded.picard import PicElement, compose, inverse, iota, omega, shift
 from weylgraded.classify import (
     canonical_admissible,
@@ -88,8 +89,30 @@ class TestSameMoritaClass:
         assert same_morita_class(F, F)
 
     def test_rejects_non_generative(self):
-        with pytest.raises(ValueError):
-            same_morita_class(shift(1), iota(fs(0)))
+        for bad in [iota(fs(0)), omega(), PicElement(-1, 3, fs(1))]:
+            for args in [(shift(1), bad), (bad, shift(1))]:
+                with pytest.raises(ValueError, match=re.escape(str(bad))):
+                    same_morita_class(*args)
+
+    def test_matches_the_sliced_pairs_necklaces(self):
+        def necklace(F):
+            return necklace_canonical(_canonical_admissible_by_slices(F)[0])
+
+        rng = random.Random(7)
+        answers = set()
+        for i in range(2000):
+            b = rng.choice([-1, 1]) * rng.randint(1, 9)
+            F = PicElement(1, b, FinSet(rng.sample(range(-30, 31), rng.randint(0, 10))))
+            if i % 2:
+                J = FinSet(rng.sample(range(-9, 10), 4))
+                G = conjugate(PicElement(rng.choice([1, -1]), rng.randint(-9, 9), J), F)
+            else:
+                c = rng.choice([-1, 1]) * rng.randint(1, 9)
+                G = PicElement(1, c, FinSet(rng.sample(range(-30, 31), rng.randint(0, 10))))
+            want = necklace(F) == necklace(G)
+            assert same_morita_class(F, G) == want, (F, G)
+            answers.add(want)
+        assert answers == {True, False}
 
 
 class TestClassCounts:

@@ -69,6 +69,39 @@ class TestIsoTest:
         S = ProjectiveSum.of(fs(0, 2), (fs(1), -1))
         assert iso_test(S, S)
 
+    def test_rank_separates_sums_with_equal_counts(self):
+        # A and A + A: no summand set holds any integer, but the ranks differ
+        assert not iso_test(ProjectiveSum.of(FinSet()), ProjectiveSum.of(FinSet(), FinSet()))
+
+    def test_matches_the_chain_comparison(self):
+        rng = random.Random(13)
+
+        def random_sum(m):
+            return ProjectiveSum(tuple(
+                (FinSet(rng.sample(range(-5, 6), rng.randint(0, 4))), rng.randint(-3, 3))
+                for _ in range(m)
+            ))
+
+        def rewrite(S):
+            # shift-absorb, re-shift by t, and exchange one pair: an isomorphic sum
+            sets = [absorb_shift(J, s) for J, s in S.summands]
+            rng.shuffle(sets)
+            if len(sets) >= 2:
+                J, K = sets[0], sets[1]
+                sets[:2] = [J | K, J & K]
+            return ProjectiveSum(tuple(
+                (absorb_shift(J, -t), t) for J, t in ((J, rng.randint(-3, 3)) for J in sets)
+            ))
+
+        answers = set()
+        for i in range(2000):
+            S1 = random_sum(rng.randint(0, 4))
+            S2 = rewrite(S1) if i % 2 else random_sum(rng.randint(0, 4))
+            want = normalize_sum(S1) == normalize_sum(S2)
+            assert iso_test(S1, S2) == want, (str(S1), str(S2))
+            answers.add(want)
+        assert answers == {True, False}
+
 
 class TestStablyFreeWitness:
     def test_two_element_example(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylgraded.zfin import FinSet
+from weylgraded.zfin import FinSet, absorb_shift, affine_image
 from weylgraded.lattices import DSet, SimpleLabel
 from weylgraded.picard import (
     PicElement,
@@ -46,6 +46,47 @@ class TestCompose:
         # w * iota_j * w = iota_{-1-j}
         got = compose(compose(omega(), iota(fs(3))), omega())
         assert got == iota(fs(-4))
+
+
+def _compose_by_affine_images(F, G):
+    """compose through the checked zfin.affine_image; kept as the reference."""
+    twisted = G.J if F.a == 1 else affine_image(G.J, -1, -1)
+    return PicElement(F.a * G.a, F.b + F.a * G.b, affine_image(F.J, 1, -F.a * G.b) ^ twisted)
+
+
+def _inverse_by_affine_images(F):
+    if F.a == 1:
+        return PicElement(1, -F.b, affine_image(F.J, 1, F.b))
+    return PicElement(-1, F.b, affine_image(F.J, -1, -1 - F.b))
+
+
+def _random_element(rng):
+    J = FinSet(rng.sample(range(-12, 13), rng.randint(0, 6)))
+    return PicElement(rng.choice([1, -1]), rng.randint(-6, 6), J)
+
+
+class TestTrustedPathAgainstAffineImages:
+    def test_compose_inverse_and_dset_action(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            F, G = _random_element(rng), _random_element(rng)
+            E = DSet(FinSet(rng.sample(range(-8, 9), rng.randint(0, 5))))
+            assert compose(F, G) == _compose_by_affine_images(F, G), (F, G)
+            assert inverse(F) == _inverse_by_affine_images(F), F
+            exc = E.exceptions if F.a == 1 else affine_image(E.exceptions, -1, -1)
+            assert act_on_dset(F, E) == DSet(absorb_shift(exc ^ F.J, F.b)), (F, E)
+
+
+class TestRejectsNonIntegers:
+    @pytest.mark.parametrize("b", [2.5, 2.0, "2", Fraction(5, 2)])
+    def test_shift_exponent(self, b):
+        with pytest.raises(TypeError, match="shift exponent"):
+            PicElement(1, b, FinSet())
+
+    @pytest.mark.parametrize("a", [1.0, -1.0, Fraction(1)])
+    def test_sign_equal_to_one_in_value(self, a):
+        with pytest.raises(TypeError, match="sign"):
+            PicElement(a, 2, FinSet())
 
 
 class TestInverse:
