@@ -36,7 +36,7 @@ from .zfin import (
 )
 from .picard import PicElement, compose, inverse, power
 from .classify import canonical_admissible, same_morita_class
-from . import gwa, picard
+from . import gwa, picard, skew
 from .lattices import (
     cokernel_support,
     hom_generator,
@@ -290,10 +290,10 @@ def _classify_table(args) -> int:
     return 0
 
 
-# ``necklace count`` prints counts of at most gwa.MAX_PRINTED_DIGITS decimal
+# ``necklace count`` prints counts of at most skew.MAX_PRINTED_DIGITS decimal
 # digits.  The count for n is at most 2^n, so the limit holds for every n with
 # 2^n < 10^4300, that is n <= 14284.
-NECKLACE_COUNT_MAX_N = (10 ** gwa.MAX_PRINTED_DIGITS).bit_length() - 1
+NECKLACE_COUNT_MAX_N = (10 ** skew.MAX_PRINTED_DIGITS).bit_length() - 1
 
 
 def _cmd_necklace(args) -> int:
@@ -301,7 +301,7 @@ def _cmd_necklace(args) -> int:
         if args.n > NECKLACE_COUNT_MAX_N:
             raise ValueError(
                 f"necklace count is limited to n <= {NECKLACE_COUNT_MAX_N}, whose counts "
-                f"have at most {gwa.MAX_PRINTED_DIGITS} digits; got n = {args.n}"
+                f"have at most {skew.MAX_PRINTED_DIGITS} digits; got n = {args.n}"
             )
         c = necklace_count(args.n)
         _emit(args, str(c), {"n": args.n, "count": c})

@@ -43,16 +43,12 @@ verify_ring_closure checks closure on the closed form's root maps, and
 verify_gwa_embedding checks W's relations, x^n and x^{-n} x^n = 1, both on
 monomials with no gcd; the tests keep their products in D as the reference.
 
-A coefficient of prod (z+t) is at most prod (1+|t|), so a piece or relation
-has at most sum log10(1+|t|) digits, known from its roots before it is
-multiplied out.  ring_pieces and present refuse, with ValueError, output
-past MAX_PRINTED_DIGITS, the longest int Python turns into text.
+Every product this module returns is multiplied out by RationalPoly.from_roots,
+which refuses one too long to print (skew.MAX_PRINTED_DIGITS).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log10
-from typing import Mapping
 
 from .zfin import AdmissiblePair, FinSet
 from .skew import RationalPoly
@@ -98,21 +94,6 @@ def _validated(J, n: int) -> FinSet:
     return J
 
 
-# Python converts an int of at most this many decimal digits to text
-# (sys.get_int_max_str_digits() by default).
-MAX_PRINTED_DIGITS = 4300
-
-
-def _refuse_unprintable(exps: Mapping[int, int], what: str) -> None:
-    """ValueError when prod (z+t)^e over exps may have a coefficient too long to print."""
-    digits = sum(abs(e) * log10(1 + abs(t)) for t, e in exps.items())
-    if digits > MAX_PRINTED_DIGITS:
-        raise ValueError(
-            f"{what} could have coefficients of up to {digits:.0f} digits, over the limit "
-            f"MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
-        )
-
-
 def complement(J: FinSet, n: int) -> FinSet:
     return FinSet._of(frozenset(range(n)).difference(J._elements))
 
@@ -120,29 +101,26 @@ def complement(J: FinSet, n: int) -> FinSet:
 def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
     """(f, f_J) of S(J, n): the products of (z+t) over [0, n) minus J and over J.
 
-    Raises ValueError when either could not be printed (MAX_PRINTED_DIGITS).
+    Raises ValueError when either could not be printed (skew.MAX_PRINTED_DIGITS).
     """
     J = _validated(J, n)
-    rest = complement(J, n)
-    for roots in (rest, J):
-        _refuse_unprintable(dict.fromkeys(roots, 1), f"the presentation of S({J}, {n})")
-    return RationalPoly.linear_product(rest), RationalPoly.linear_product(J)
+    return tuple(RationalPoly.from_roots(dict.fromkeys(r, 1)) for r in (complement(J, n), J))
 
 
 def present(J, n: int) -> GWAPresentation:
     """The presentation of S(J, n); f never has repeated or n-congruent roots.
 
-    Raises ValueError when a relation could not be printed (MAX_PRINTED_DIGITS).
+    Raises ValueError when a product could not be printed (skew.MAX_PRINTED_DIGITS).
     """
     J = _validated(J, n)
-    fbar, f_J = factors(J, n)
-    shifted = [c - n for c in complement(J, n)]
-    _refuse_unprintable(dict.fromkeys(shifted, 1), f"the presentation of S({J}, {n})")
+    rest = complement(J, n)
+    fbar = RationalPoly.from_roots(dict.fromkeys(rest, 1))
+    f_J = RationalPoly.from_roots(dict.fromkeys(J, 1))
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",
         f"X Y = {fbar}",
-        f"Y X = {RationalPoly.linear_product(shifted)}",
+        f"Y X = {RationalPoly.from_roots({t - n: 1 for t in rest})}",
     )
     return GWAPresentation(n=n, f=fbar, idealizer_factor=f_J, relations=relations)
 
@@ -158,8 +136,8 @@ def _closed_form_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
 
 def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j of S(J, n) as (h, p) with the piece equal to h(z) y^p k[z]."""
-    roots, p = _closed_form_roots(_validated(J, n), n, j)
-    return (RationalPoly.linear_product(roots), p)
+    exps, p = _closed_form_roots(_validated(J, n), n, j)
+    return (RationalPoly.from_roots(exps), p)
 
 
 def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
@@ -189,16 +167,15 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
 def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> RingPieces:
     """Table of pieces over a degree range, by closed form or by the oracle.
 
-    Every piece's roots are found before any is multiplied out, and a piece
-    that could not be printed raises ValueError (MAX_PRINTED_DIGITS).
+    Pieces are multiplied from the top degree down, since piece j >= 1 holds the
+    factors of every lower piece and one with j <= 0 at most J's; so a table that
+    could not be printed raises ValueError (skew.MAX_PRINTED_DIGITS) before any is.
     """
     J = _validated(J, n)
     find = _oracle_roots if oracle else _closed_form_roots
-    found = {j: find(J, n, j) for j in range(j_min, j_max + 1)}
-    for j, (exps, _) in found.items():
-        _refuse_unprintable(exps, f"piece {j} of S({J}, {n})")
-    pieces = {j: (RationalPoly.from_roots(exps), p) for j, (exps, p) in found.items()}
-    return RingPieces(n=n, pieces=pieces)
+    found = ((j, find(J, n, j)) for j in range(j_max, j_min - 1, -1))
+    pieces = {j: (RationalPoly.from_roots(exps), p) for j, (exps, p) in found}
+    return RingPieces(n=n, pieces=dict(sorted(pieces.items())))
 
 
 # --- monomials h(z) y^p of D as (root map, p); the module docstring states the rules ---

@@ -19,6 +19,10 @@ den monic, and +, -, * and / build their plain results through it.  Taylor
 shifts and products of distinct linear factors are reduced by construction,
 so shift, from_roots and linear_product build theirs as given.
 
+from_roots multiplies out a root map {t: e}, prod (z+t)^e, and is the one
+place that refuses output too long to print (MAX_PRINTED_DIGITS); the
+arithmetic itself, SkewElement included, is unbounded.
+
 SkewElement arithmetic and == read an int, Fraction or RationalPoly operand as
 the degree-0 element of D, and a degree-0 element hashes as its coefficient.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from math import log10
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction, str]
@@ -35,6 +40,10 @@ _Coeffs = tuple
 
 _ZERO: _Coeffs = ()
 _ONE: _Coeffs = (1,)
+
+# Python converts an int of at most this many decimal digits to text
+# (sys.get_int_max_str_digits() by default).
+MAX_PRINTED_DIGITS = 4300
 
 
 def _exact(v: Scalar) -> Union[int, Fraction]:
@@ -196,12 +205,20 @@ class RationalPoly:
     def from_roots(cls, exps: Mapping[int, int]) -> "RationalPoly":
         """prod of (z + t)^e over the items (t, e) of exps; e < 0 puts (z + t) in the denominator.
 
-        The roots are distinct, so the numerator and denominator are coprime
-        and no gcd is taken.
+        A coefficient of prod (z+t) is at most prod (1+|t|), so past
+        MAX_PRINTED_DIGITS digits it raises ValueError before it multiplies.
+        The roots are distinct, so num and den are coprime and no gcd is taken.
         """
-        num = cls.linear_product(t for t, e in exps.items() for _ in range(e))
-        den = cls.linear_product(t for t, e in exps.items() for _ in range(-e))
-        return _ratio(num._num, den._num)
+        num, den, digits = [], [], 0.0
+        for t, e in exps.items():
+            (num if e > 0 else den).extend([t] * abs(e))
+            digits += abs(e) * log10(1 + abs(t))
+        if digits > MAX_PRINTED_DIGITS:
+            raise ValueError(
+                f"a product of {len(num) + len(den)} linear factors could have coefficients of up "
+                f"to {digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
+            )
+        return _ratio(cls.linear_product(num)._num, cls.linear_product(den)._num)
 
     @classmethod
     def rising(cls, d: int) -> "RationalPoly":
@@ -438,7 +455,7 @@ class SkewElement:
         """
         if r >= 0:
             return cls({-r: RationalPoly.falling(r)})
-        return cls({-r: RationalPoly.from_roots(dict.fromkeys(range(-r), -1))})
+        return cls({-r: _ratio(_ONE, RationalPoly.rising(-r)._num)})
 
     # structure -------------------------------------------------------------
 

@@ -232,9 +232,13 @@ class TestRunCommand:
             ["ring", "present", "--J", "0", "--n", "3000"],
             ["ring", "pieces", "--J", "0", "--n", "1000", "--min", "-5", "--max", "5"],
             ["ring", "oracle", "--J", "0", "--n", "1000", "--min", "-5", "--max", "5", "--json"],
+            ["mod", "hom", "--J", "", "--J2", ",".join(map(str, range(0, 20000, 2)))],
+            ["mod", "lattice", "--J", "-2500"],
+            # refused at the top piece, before the 1599 lower ones are multiplied out
+            ["ring", "pieces", "--J", "", "--n", "1", "--min", "1", "--max", "1600"],
         ],
     )
-    def test_ring_output_past_the_printed_digits(self, argv, capsys):
+    def test_output_past_the_printed_digits(self, argv, capsys):
         assert run_command(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -369,7 +369,7 @@ class TestRingPieces:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_refuses_pieces_past_the_printed_digits(self, oracle, monkeypatch):
-        monkeypatch.setattr("weylgraded.gwa.MAX_PRINTED_DIGITS", 300)
+        monkeypatch.setattr("weylgraded.skew.MAX_PRINTED_DIGITS", 300)
         # piece j of S({}, 1) is z (z+1) ... (z+j-1): at most sum log10(1+t) digits over t < j
         bounds = [0.0]
         while bounds[-1] <= 300:

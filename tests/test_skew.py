@@ -1,7 +1,8 @@
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, factorial, log10
 from operator import add, mul, sub, truediv
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -233,6 +234,39 @@ def operand_pairs(draw):
     else:
         g = RationalPoly.zero()
     return (g, f) if draw(st.booleans()) else (f, g)
+
+
+class TestFromRoots:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_refuses_maps_past_the_printed_digits(self, sign, monkeypatch):
+        monkeypatch.setattr("weylgraded.skew.MAX_PRINTED_DIGITS", 300)
+        # prod (z+t) over 1 <= t <= k has at most sum log10(1+t) digits
+        bounds = [0.0]
+        while bounds[-1] <= 300:
+            bounds.append(bounds[-1] + log10(1 + len(bounds)))
+        last = len(bounds) - 2
+        h = RationalPoly.linear_product(range(1, last + 1))
+        assert 250 < max(len(str(abs(c))) for c in h.num) <= 300
+        # sign -1 puts every factor (z - t) in the denominator
+        expected = h if sign == 1 else ONE / RationalPoly.falling(last)
+        assert RationalPoly.from_roots({sign * t: sign for t in range(1, last + 1)}) == expected
+        with pytest.raises(
+            ValueError,
+            match=f"a product of {last + 1} linear factors .* over the limit MAX_PRINTED_DIGITS = 300",
+        ):
+            RationalPoly.from_roots({sign * t: sign for t in range(1, last + 2)})
+
+    def test_refuses_before_it_multiplies(self):
+        start = perf_counter()
+        with pytest.raises(ValueError, match="a product of 1000000 linear factors"):
+            RationalPoly.from_roots({1: 500000, -2: -500000})
+        assert perf_counter() - start < 0.5
+
+    def test_arithmetic_is_unbounded(self):
+        # the z coefficient of z (z+1) ... (z+1599) is 1599!, of 4430 digits
+        assert RationalPoly.linear_product(range(1600)).num[1] == factorial(1599)
+        inverse = SkewElement.y_power(-1600).coefficient(1600)
+        assert inverse.num == (1,) and inverse.den[1] == factorial(1599)
 
 
 class TestCancellation:
