@@ -15,7 +15,10 @@ unit drop between degrees t and t+1; whether it drops decides whether the
 simple factor at t is Y(t) or X(t), which makes isomorphism testing and the
 involution functors completely mechanical.  A set of involutions edits its own lines in one pass,
 a shift relabels them, intersections and hom generators take maxima line by
-line, and no polynomial gcd is ever taken.
+line, and no polynomial gcd is ever taken.  Every query is one linear pass
+per root line: two lines combine by a merge walk of their sorted jumps, the
+shortest window is one scan of the lines, and A's own lines, which are not
+stored, are read in closed form.
 
 A lattice also enters as the generators on a window [lo, hi], continued by
 g_m = g_hi for m > hi and g_m = g_{m+1} (z+m) for m < lo, and leaves on the
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import inf, isqrt
 from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -49,6 +52,8 @@ class SimpleLabel:
         if self.kind in ("X", "Y"):
             if self.n is None or self.param is not None:
                 raise ValueError(f"{self.kind}-labels carry an integer index")
+            if not isinstance(self.n, int):
+                raise TypeError(f"{self.kind}-labels carry an integer index, got {self.n!r}")
         elif self.kind == "M":
             if self.param is None or self.n is not None:
                 raise ValueError("M-labels carry a rational parameter")
@@ -56,6 +61,15 @@ class SimpleLabel:
                 raise ValueError("M-parameters must be non-integral")
         else:
             raise ValueError(f"unknown simple kind {self.kind!r}")
+
+    @classmethod
+    def _of(cls, kind: str, n: int) -> "SimpleLabel":
+        """The label kind(n) for kind "X" or "Y" and an int n: no check."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "kind", kind)
+        object.__setattr__(S, "n", n)
+        object.__setattr__(S, "param", None)
+        return S
 
     @classmethod
     def X(cls, n: int) -> "SimpleLabel":
@@ -134,15 +148,33 @@ def _values(line: _Line) -> Iterable[int]:
     return accumulate((d for _, d in line[1]), initial=line[0])
 
 
+_END = (inf, 0)  # past the last jump of a line
+
+
 def _combine(op: Callable[[int, int], int], a: _Line, b: _Line) -> _Line:
-    """The line m -> op(a(m), b(m))."""
-    start = prev = op(a[0], b[0])
+    """The line m -> op(a(m), b(m)), in one merge walk of the two jump lists.
+
+    The walk relies on each jump list being sorted by m, and steps both
+    lines at a point where both jump, so it is linear in the jumps.
+    """
+    x, ja = a
+    y, jb = b
+    start = prev = op(x, y)
     jumps = []
-    for p in sorted({p for p, _ in a[1] + b[1]}):
-        cur = op(_value(a, p), _value(b, p))
+    ia, ib = iter(ja), iter(jb)
+    pa, da = next(ia, _END)
+    pb, db = next(ib, _END)
+    while (p := min(pa, pb)) < inf:
+        if pa == p:
+            x += da
+            pa, da = next(ia, _END)
+        if pb == p:
+            y += db
+            pb, db = next(ib, _END)
+        cur = op(x, y)
         if cur != prev:
             jumps.append((p, cur - prev))
-        prev = cur
+            prev = cur
     return (start, tuple(jumps))
 
 
@@ -262,31 +294,49 @@ class GradedLattice:
                 del merged[t]
         return GradedLattice._of(merged)
 
-    @property
-    def hi(self) -> int:
-        """The last degree whose generator differs from the one below it."""
-        t = -1
-        while t in self._lines:
-            t -= 1
-        return max([t + 1] + [m for _, jumps in self._lines.values() for m, _ in jumps])
+    def _bounds(self) -> tuple[int, int]:
+        """(lo, hi) in one scan of the lines.
+
+        hi is the last degree whose generator differs from the one below it:
+        the last jump of any line, or the first degree past the run of
+        negative lines -1, -2, ... that are stored.  lo is the first degree m
+        with g_m != g_{m+1} (z+m), or hi if that is lower: line t follows
+        that rule up to its first jump off the pattern (t+1, -1), and an
+        unstored line t >= 0 breaks it at t+1.
+        """
+        lines = self._lines
+        top = -1
+        while top in lines:
+            top -= 1
+        bottom = 0
+        while bottom in lines:
+            bottom += 1
+        hi, first = top + 1, bottom + 1
+        for t, (_, jumps) in lines.items():
+            if not jumps:
+                first = min(first, t + 1)
+                continue
+            hi = max(hi, jumps[-1][0])
+            if jumps[0] != (t + 1, -1):
+                first = min(first, jumps[0][0], t + 1)
+            elif len(jumps) > 1:
+                first = min(first, jumps[1][0])
+        return min(hi, first - 1), hi
 
     @property
     def lo(self) -> int:
-        """The first degree m with g_m != g_{m+1} (z+m), or hi if that is lower.
+        """The first degree of the shortest window; see _bounds."""
+        return self._bounds()[0]
 
-        Line t follows that rule up to its first jump off the pattern (t+1, -1).
-        """
-        t = 0
-        while t in self._lines:
-            t += 1
-        firsts = [
-            m for r, (_, jumps) in self._lines.items() for m, _ in set(jumps) ^ {(r + 1, -1)}
-        ]
-        return min(self.hi, min(firsts + [t + 1]) - 1)
+    @property
+    def hi(self) -> int:
+        """The last degree of the shortest window; see _bounds."""
+        return self._bounds()[1]
 
     @property
     def generators(self) -> dict[int, RationalPoly]:
-        return {m: self.generator_at(m) for m in range(self.lo, self.hi + 1)}
+        lo, hi = self._bounds()
+        return {m: self.generator_at(m) for m in range(lo, hi + 1)}
 
     def generator_at(self, m: int) -> RationalPoly:
         return RationalPoly.from_roots(self.factored_generator_at(m))
@@ -304,12 +354,18 @@ class GradedLattice:
 
         When F_j is X(j) the degrees <= j are multiplied by (z+j); when it is
         Y(j) the degrees >= j+1 are.  Index j edits only line j, so K is one pass.
+        A line that is not stored is A's, and is edited in closed form: to
+        (1, ((j+1, -1),)) for j >= 0 (X(j)) and to the constant (1, ()) for j < 0 (Y(j)).
         """
         if not isinstance(K, FinSet):
             raise TypeError(f"involute takes a FinSet of indices, got {K!r}")
         lines = {}
         for j in K._elements:
-            v, jumps = self._line(j)
+            line = self._lines.get(j)
+            if line is None:
+                lines[j] = (1, ((j + 1, -1),)) if j >= 0 else (1, ())
+                continue
+            v, jumps = line
             steps = dict(jumps)
             if j + 1 in steps:  # Y(j): the jump at j+1 rises by 1
                 steps[j + 1] += 1
@@ -319,8 +375,14 @@ class GradedLattice:
         return self._with(lines)
 
     def _drops_at(self, j: int) -> bool:
-        """Whether the exponent of (z+j) drops between degrees j and j+1."""
-        return any(m == j + 1 for m, _ in self._line(j)[1])
+        """Whether the exponent of (z+j) drops between degrees j and j+1.
+
+        A line that is not stored is A's, which drops exactly when j < 0.
+        """
+        line = self._lines.get(j)
+        if line is None:
+            return j < 0
+        return any(m == j + 1 for m, _ in line[1])
 
     def shifted(self, s: int) -> "GradedLattice":
         """Left multiplication by x^s: line t becomes line t+s, its jumps moved by s.
@@ -390,7 +452,9 @@ def is_A_module(L: GradedLattice) -> bool:
 
 def simple_factor(L: GradedLattice, j: int) -> SimpleLabel:
     """F_j(L): X(j) when the root line z=-j does not drop at j, else Y(j)."""
-    return SimpleLabel.Y(j) if L._drops_at(j) else SimpleLabel.X(j)
+    if not isinstance(j, int):
+        raise TypeError(f"simple factors are indexed by integers, got {j!r}")
+    return SimpleLabel._of("Y" if L._drops_at(j) else "X", j)
 
 
 def to_dset(J: FinSet | Iterable[int], shift: int = 0) -> DSet:
@@ -403,7 +467,7 @@ def lattice_dset(L: GradedLattice) -> DSet:
 
     Its exceptions are the lines whose drop at t -> t+1 differs from A's.
     """
-    return DSet(FinSet(t for t in L._lines if L._drops_at(t) != (t < 0)))
+    return DSet(FinSet._of(frozenset(t for t in L._lines if L._drops_at(t) != (t < 0))))
 
 
 def _ratios(P: GradedLattice, Q: GradedLattice) -> dict[int, _Line]:
@@ -429,17 +493,27 @@ def cokernel_support(P: GradedLattice, Q: GradedLattice) -> tuple[tuple[int, int
     the factor (z+t) on exactly one side of the transition between degrees t
     and t+1, so the multiset is read off a_t(t) + a_t(t+1).
     """
-    lo, hi = min(P.lo, Q.lo), max(P.hi, Q.hi)
+    (p_lo, p_hi), (q_lo, q_hi) = P._bounds(), Q._bounds()
+    lo, hi = min(p_lo, q_lo), max(p_hi, q_hi)
     support: dict[int, int] = {}
-    for t, ratio in _ratios(P, Q).items():
-        if not ratio[1]:
+    for t, (v, jumps) in _ratios(P, Q).items():
+        if not jumps:
             continue
         if not lo - 2 <= t <= hi + 1:
             raise ValueError(
                 "cokernel is not integrally supported on the expected window; "
                 "inputs are outside the involution family"
             )
-        if count := 2 * max(_values(ratio)) - _value(ratio, t) - _value(ratio, t + 1):
+        # the maximum and the values at t and t+1, in one walk of the line
+        top = at = after = v
+        for m, d in jumps:
+            v += d
+            top = max(top, v)
+            if m <= t:
+                at = v
+            if m <= t + 1:
+                after = v
+        if count := 2 * top - at - after:
             support[-t] = count
     return tuple(sorted(support.items()))
 

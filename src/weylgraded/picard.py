@@ -189,7 +189,7 @@ def act_on_simple(F: PicElement, S: SimpleLabel) -> SimpleLabel:
         if F.a == -1:
             lam = -lam - 1
         return SimpleLabel.M(lam + F.b)
-    n = int(S.n)  # type: ignore[arg-type]
+    n: int = S.n  # type: ignore[assignment]
     if F.a == -1:
         kind = "Y" if kind == "X" else "X"
         n = -n - 1

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -22,7 +22,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _combine, _factor
+from weylgraded.lattices import _combine, _factor, _value
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -124,7 +124,49 @@ class TestScale:
                 assert L.scaled(f) == want, (L, f)
 
 
+def _random_line(rng, points=range(-4, 5)):
+    """A line with up to 5 jumps on a few points, so two lines often share one."""
+    ps = sorted(rng.sample(points, rng.randint(0, 5)))
+    return (rng.randint(-2, 2), tuple((p, rng.choice((-2, -1, 1, 2))) for p in ps))
+
+
+def _pointwise(op, a, b, points=range(-6, 7)):
+    """The line m -> op(a(m), b(m)), built from its values at every m."""
+    values = [op(_value(a, m), _value(b, m)) for m in points]
+    jumps = tuple((m, w - v) for m, v, w in zip(points[1:], values, values[1:]) if w != v)
+    return (op(a[0], b[0]), jumps)
+
+
+class TestCombine:
+    @pytest.mark.parametrize("op", [add, sub, max, min])
+    def test_equals_the_pointwise_definition(self, op):
+        rng = random.Random(26)
+        shared = cancelled = 0
+        for _ in range(3000):
+            a, b = _random_line(rng), _random_line(rng)
+            got = _combine(op, a, b)
+            assert got == _pointwise(op, a, b), (a, b)
+            common = {p for p, _ in a[1]} & {p for p, _ in b[1]}
+            shared += bool(common)
+            cancelled += bool(common - {p for p, _ in got[1]})
+        assert shared > 1000 and cancelled > 100
+
+    def test_line_against_itself(self):
+        line = (1, tuple((m, 1 if m % 2 else -1) for m in range(1, 41)))
+        assert _combine(max, line, line) == line
+        assert _combine(sub, line, line) == (0, ())
+
+
 class TestInvolute:
+    def test_on_lines_of_A_equals_the_one_index_step(self):
+        # line j of A is not stored, so involute reads it in closed form
+        rng = random.Random(27)
+        bases = [A] + [iota_lattice(FinSet(rng.sample(range(-8, 9), 3)), 1) for _ in range(20)]
+        for L in bases:
+            for j in range(-8, 9):
+                if j not in L._lines:
+                    assert L.involute(fs(j)) == _ref_involute_at(L, j), (L, j)
+
     def test_set_equals_one_index_steps_in_any_order(self):
         rng = random.Random(14)
         for _ in range(3000):
@@ -164,6 +206,25 @@ class TestSimpleFactor:
 
     def test_involution_flips(self):
         assert simple_factor(iota_lattice(fs(2)), 2) == SimpleLabel.Y(2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SimpleLabel.X(1.5),
+            lambda: SimpleLabel.Y(Fraction(3, 2)),
+            lambda: simple_factor(iota_lattice([0, 2]), 1.5),
+        ],
+    )
+    def test_index_must_be_an_int(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_trusted_label_equals_checked(self):
+        for kind in ("X", "Y"):
+            for n in range(-5, 6):
+                fast, checked = SimpleLabel._of(kind, n), SimpleLabel(kind, n=n)
+                assert fast == checked and hash(fast) == hash(checked)
+                assert str(fast) == str(checked)
 
 
 class TestDSet:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, log10
+from math import comb, factorial, log10, prod
 from operator import add, mul, sub, truediv
 from time import perf_counter
 
@@ -263,8 +263,11 @@ class TestFromRoots:
         assert perf_counter() - start < 0.5
 
     def test_arithmetic_is_unbounded(self):
-        # the z coefficient of z (z+1) ... (z+1599) is 1599!, of 4430 digits
-        assert RationalPoly.linear_product(range(1600)).num[1] == factorial(1599)
+        # the constant term of (z+10^6) ... (z+10^6+719) has 4321 digits
+        roots = range(10**6, 10**6 + 720)
+        constant = RationalPoly.linear_product(roots).num[0]
+        assert constant == prod(roots) and 10**4320 <= constant < 10**4321
+        # y^-1600 has the coefficient 1 / (z (z+1) ... (z+1599)), whose z coefficient 1599! has 4430 digits
         inverse = SkewElement.y_power(-1600).coefficient(1600)
         assert inverse.num == (1,) and inverse.den[1] == factorial(1599)
 
