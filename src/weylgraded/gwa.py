@@ -42,6 +42,8 @@ be returned or printed.  The two paths share no code beyond raw arithmetic.
 verify_ring_closure checks closure on the closed form's root maps, and
 verify_gwa_embedding checks W's relations, x^n and x^{-n} x^n = 1, both on
 monomials with no gcd; the tests keep their products in D as the reference.
+simplicity_root_test reads its roots back off fbar as _fbar builds it, and
+builds no f_J.
 
 Every product this module returns is multiplied out by RationalPoly.from_roots,
 which refuses one too long to print (skew.MAX_PRINTED_DIGITS).
@@ -98,13 +100,18 @@ def complement(J: FinSet, n: int) -> FinSet:
     return FinSet._of(frozenset(range(n)).difference(J._elements))
 
 
+def _fbar(J: FinSet, n: int) -> RationalPoly:
+    """fbar of S(J, n) for a validated pair: the product of (z+t) over [0, n) minus J."""
+    return RationalPoly.from_roots(dict.fromkeys(complement(J, n), 1))
+
+
 def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
     """(f, f_J) of S(J, n): the products of (z+t) over [0, n) minus J and over J.
 
     Raises ValueError when either could not be printed (skew.MAX_PRINTED_DIGITS).
     """
     J = _validated(J, n)
-    return tuple(RationalPoly.from_roots(dict.fromkeys(r, 1)) for r in (complement(J, n), J))
+    return _fbar(J, n), RationalPoly.from_roots(dict.fromkeys(J, 1))
 
 
 def present(J, n: int) -> GWAPresentation:
@@ -198,10 +205,16 @@ def _product_lands(a, b, target) -> bool:
 
     It is _times(a, b) followed by a comparison: the product has target's y-power
     and, at each root of target's h, at least its exponent there.  The two are
-    fused here so that no root map is built.
+    fused here so that no root map is built, and the first shortfall answers.
     """
     (h_a, p_a), (h_b, p_b), (h, p) = a, b, target
-    return p_a + p_b == p and all(h_a.get(t, 0) + h_b.get(t + p_a, 0) >= e for t, e in h.items())
+    if p_a + p_b != p:
+        return False
+    get_a, get_b = h_a.get, h_b.get
+    for t, e in h.items():
+        if get_a(t, 0) + get_b(t + p_a, 0) < e:
+            return False
+    return True
 
 
 def _power(a, k: int) -> tuple[dict[int, int], int]:
@@ -222,11 +235,12 @@ def _x_power(d: int) -> tuple[dict[int, int], int]:
 # verify_ring_closure refuses a check whose work passes this bound.  The work,
 # (2w+1)^2 (n*w)^2, is the cost of its (2w+1)^2 generator products taken densely
 # in D, each of degree up to n*w in z.  On root exponents a product costs about
-# n*w steps, so the check answers far inside the bound (2 CPUs, Python 3.11):
-# (n, w) = (1, 40) takes 6 ms, (20, 10) 2 ms and (1, 47), the largest window
-# under the bound at n = 1, 8 ms.  At window 1 the bound stops `ring verify`
-# at n <= 1490, though verify_gwa_embedding, which it runs after this check,
-# takes x^n by repeated squaring, about 2 log2 n root-map products.
+# n*w steps, so the check answers far inside the bound (2 CPUs, Python 3.11,
+# J = {0}, best of 7): (n, w) = (1, 40) takes 3 ms, (20, 10) 1.6 ms and
+# (1, 47), the largest window under the bound at n = 1, 4 ms.  At window 1 the
+# bound stops `ring verify` at n <= 1490, though verify_gwa_embedding, which it
+# runs after this check, takes x^n by repeated squaring, about 2 log2 n
+# root-map products.
 RING_CLOSURE_MAX_WORK = 2 * 10**7
 
 
@@ -286,8 +300,8 @@ def verify_gwa_embedding(J, n: int) -> bool:
 def simplicity_root_test(J, n: int) -> bool:
     """The GWA parameter has no repeated roots and no two roots congruent mod n.
 
-    The roots are read back off the fbar that factors builds.
+    The roots are read back off the fbar that _fbar builds.
     """
-    fbar, _ = factors(J, n)
+    fbar = _fbar(_validated(J, n), n)
     roots = _integer_roots(fbar.num, fbar)
     return set(roots.values()) <= {1} and len({t % n for t in roots}) == len(roots)

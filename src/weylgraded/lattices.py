@@ -57,7 +57,9 @@ class SimpleLabel:
         elif self.kind == "M":
             if self.param is None or self.n is not None:
                 raise ValueError("M-labels carry a rational parameter")
-            if Fraction(self.param).denominator == 1:
+            if not isinstance(self.param, (int, Fraction)):
+                raise TypeError(f"M-labels carry an int or Fraction parameter, got {self.param!r}")
+            if self.param.denominator == 1:
                 raise ValueError("M-parameters must be non-integral")
         else:
             raise ValueError(f"unknown simple kind {self.kind!r}")
@@ -81,7 +83,7 @@ class SimpleLabel:
 
     @classmethod
     def M(cls, lam) -> "SimpleLabel":
-        return cls("M", param=Fraction(lam))
+        return cls("M", param=lam)
 
     def __str__(self) -> str:
         if self.kind == "M":

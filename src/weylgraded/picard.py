@@ -185,7 +185,7 @@ def act_on_simple(F: PicElement, S: SimpleLabel) -> SimpleLabel:
     """Image of a graded simple, applying omega, then iota_J, then the shift."""
     kind = S.kind
     if kind == "M":
-        lam = Fraction(S.param)  # type: ignore[arg-type]
+        lam: Fraction = S.param  # type: ignore[assignment]
         if F.a == -1:
             lam = -lam - 1
         return SimpleLabel.M(lam + F.b)

@@ -17,7 +17,10 @@ A RationalPoly is a reduced fraction with a monic denominator, and it has one
 reducer: RationalPoly(num, den) divides out the gcd of num and den and makes
 den monic, and +, -, * and / build their plain results through it.  Taylor
 shifts and products of distinct linear factors are reduced by construction,
-so shift, from_roots and linear_product build theirs as given.
+so shift, from_roots and linear_product build theirs as given.  The last two,
+and rising and falling through linear_product, take every product of linear
+factors in _linear_coeffs, one factor at a time into a single coefficient
+list, with no intermediate RationalPoly.
 
 from_roots multiplies out a root map {t: e}, prod (z+t)^e, and is the one
 place that refuses output too long to print (MAX_PRINTED_DIGITS); the
@@ -95,6 +98,23 @@ def _pmul(a: _Coeffs, b: _Coeffs) -> _Coeffs:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _linear_coeffs(js: Iterable[int]) -> _Coeffs:
+    """Coefficients of prod over js of (z + j), multiplied into one list in place.
+
+    Each factor raises the degree by one: the new top coefficient is 1, and
+    from the top down c_i becomes j c_i + c_{i-1}, so every c_{i-1} is read
+    before it is overwritten.  The leading coefficient stays 1, so the result
+    has no trailing zero.
+    """
+    cs = [1]
+    for j in js:
+        cs.append(1)
+        for i in range(len(cs) - 2, 0, -1):
+            cs[i] = j * cs[i] + cs[i - 1]
+        cs[0] *= j
+    return tuple(cs)
 
 
 def _pdivmod(a: _Coeffs, b: _Coeffs) -> tuple[_Coeffs, _Coeffs]:
@@ -196,10 +216,7 @@ class RationalPoly:
     @classmethod
     def linear_product(cls, js: Iterable[int]) -> "RationalPoly":
         """prod over js of (z + j); empty product is 1.  Integer arithmetic throughout."""
-        cs = [1]
-        for j in js:
-            cs = [j * a + b for a, b in zip(cs + [0], [0] + cs)]
-        return _ratio(tuple(cs), _ONE)
+        return _ratio(_linear_coeffs(js), _ONE)
 
     @classmethod
     def from_roots(cls, exps: Mapping[int, int]) -> "RationalPoly":
@@ -218,7 +235,7 @@ class RationalPoly:
                 f"a product of {len(num) + len(den)} linear factors could have coefficients of up "
                 f"to {digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
             )
-        return _ratio(cls.linear_product(num)._num, cls.linear_product(den)._num)
+        return _ratio(_linear_coeffs(num), _linear_coeffs(den) if den else _ONE)
 
     @classmethod
     def rising(cls, d: int) -> "RationalPoly":

@@ -321,6 +321,13 @@ class TestExtTable:
         with pytest.raises(ValueError):
             SimpleLabel.M(2)
 
+    @pytest.mark.parametrize(
+        "build", [lambda: SimpleLabel.M(0.1), lambda: SimpleLabel("M", param=0.5)]
+    )
+    def test_weight_parameter_must_be_exact(self, build):
+        with pytest.raises(TypeError):
+            build()
+
 
 class TestFactoredBoundary:
     @pytest.mark.parametrize("g", [Z * Z + 1, Z + Fraction(1, 2), (Z * Z + 1) / Z])

@@ -127,11 +127,11 @@ class TestActOnSimple:
 
     def test_shift_on_weight_module(self):
         got = act_on_simple(shift(2), SimpleLabel.M(Fraction(1, 2)))
-        assert got == SimpleLabel.M(Fraction(5, 2))
+        assert got == SimpleLabel.M(Fraction(5, 2)) and type(got.param) is Fraction
 
     def test_omega_on_weight_module(self):
         got = act_on_simple(omega(), SimpleLabel.M(Fraction(1, 2)))
-        assert got == SimpleLabel.M(Fraction(-3, 2))
+        assert got == SimpleLabel.M(Fraction(-3, 2)) and type(got.param) is Fraction
 
 
 class TestActOnDSet:

@@ -1,4 +1,7 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import comb, factorial, log10, prod
 from operator import add, mul, sub, truediv
@@ -7,6 +10,7 @@ from time import perf_counter
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from weylgraded import skew
 from weylgraded.skew import (
     RationalPoly,
     SkewElement,
@@ -236,7 +240,37 @@ def operand_pairs(draw):
     return (g, f) if draw(st.booleans()) else (f, g)
 
 
+def _folded(roots):
+    """prod (z + t) over roots as a fold of _pmul, the reference for _linear_coeffs."""
+    return reduce(_pmul, [(t, 1) for t in roots], (1,))
+
+
 class TestFromRoots:
+    @pytest.mark.parametrize("signs", ["positive", "negative", "mixed"])
+    def test_equals_a_fold_of_pmul(self, signs, monkeypatch):
+        built = []
+        ratio = skew._ratio
+        monkeypatch.setattr(skew, "_ratio", lambda num, den: built.append(1) or ratio(num, den))
+        rng, seen = random.Random(signs), Counter()
+        sign = {"positive": [1], "negative": [-1], "mixed": [1, -1]}[signs]
+        for _ in range(300):
+            roots = rng.choices(range(-12, 13), k=rng.randint(0, 40))
+            counts = Counter(roots)
+            seen.update(zero=0 in counts, negative=min(counts, default=0) < 0,
+                        repeated=len(counts) < len(roots))
+            exps = {t: rng.choice(sign) * e for t, e in counts.items()}
+            num = [t for t, e in exps.items() for _ in range(e)]
+            den = [t for t, e in exps.items() for _ in range(-e)]
+            built.clear()
+            got = RationalPoly.from_roots(exps)
+            # the one RationalPoly it builds is its answer
+            assert len(built) == 1
+            assert (got.num, got.den) == (_folded(num), _folded(den)), exps
+            assert RationalPoly.linear_product(roots).num == _folded(roots)
+        assert seen["zero"] and seen["negative"] and seen["repeated"], seen
+        built.clear()
+        assert RationalPoly.from_roots({}) == ONE and len(built) == 1
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_refuses_maps_past_the_printed_digits(self, sign, monkeypatch):
         monkeypatch.setattr("weylgraded.skew.MAX_PRINTED_DIGITS", 300)
