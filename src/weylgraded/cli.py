@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .zfin import (
     NECKLACE_ENUM_MAX_CLASSES,
@@ -197,11 +197,9 @@ def _parse_combo(text: str) -> list[tuple[FinSet, int]]:
 # --- output helpers -------------------------------------------------------------
 
 
-def _emit(args, human: str, payload) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+def _emit(args, human: Callable[[], str], payload: Callable[[], object]) -> None:
+    """Print payload() as JSON under --json, else human(); only the printed side is built."""
+    print(json.dumps(payload(), sort_keys=True) if args.json else human())
 
 
 def _piece_human(h, p: int) -> str:
@@ -226,7 +224,7 @@ def _cmd_pic(args) -> int:
     elif args.cmd == "conj":
         g = parse_expression(args.by)
         F = compose(g, compose(F, inverse(g)))
-    _emit(args, str(F), F.to_json())
+    _emit(args, lambda: str(F), F.to_json)
     return 0
 
 
@@ -236,16 +234,13 @@ def _cmd_classify(args) -> int:
     F = parse_expression(args.expr)
     if args.cmd == "canonical":
         pair, g = canonical_admissible(F)
-        _emit(
-            args,
-            f"pair: {pair}\nconjugator: {g}",
-            {"pair": pair.to_json(), "conjugator": g.to_json()},
-        )
+        _emit(args, lambda: f"pair: {pair}\nconjugator: {g}",
+              lambda: {"pair": pair.to_json(), "conjugator": g.to_json()})
         return 0
     G = parse_expression(args.other)
     same = same_morita_class(F, G)
-    _emit(args, "same graded Morita class" if same else "different graded Morita classes",
-          {"same_class": same})
+    _emit(args, lambda: "same graded Morita class" if same else "different graded Morita classes",
+          lambda: {"same_class": same})
     return 0
 
 
@@ -264,29 +259,33 @@ def _classify_table(args) -> int:
                 f"{NECKLACE_ENUM_MAX_CLASSES} classes in all, that is --max-n <= {n - 1}; "
                 f"got --max-n {args.max_n}"
             )
-    as_json = getattr(args, "json", False)
-    lines, ranks = [], []
+    ranks = []
     for n in range(1, args.max_n + 1):
-        classes = necklace_enumerate(n)
-        lines.append(f"rank {n}: {len(classes)} classes")
         rows = []
-        for cls in classes:
+        for cls in necklace_enumerate(n):
             J = cls.representative.J
             f, f_J = gwa.factors(J, n)
             tags = ["full GWA"] if f_J.is_one() else []
             if not J:
                 tags.append("Veronese of A" if n > 1 else "A itself")
-            if as_json:
-                rows.append({"J": J.to_json(), "f": f.to_json(), "fJ": f_J.to_json(), "tags": tags})
-            else:
+            rows.append((J, f, f_J, tags))
+        ranks.append((n, rows))
+
+    def human() -> Iterator[str]:
+        for n, rows in ranks:
+            yield f"rank {n}: {len(rows)} classes"
+            for J, f, f_J, tags in rows:
                 suffix = f"   [{', '.join(tags)}]" if tags else ""
-                lines.append(f"  S({J}, {n}):  f = {f},  idealizer factor = {f_J}{suffix}")
-        lines.append("")
-        ranks.append({"n": n, "classes": rows})
-    if as_json:
-        _emit(args, "", {"ranks": ranks})
-    else:
-        _emit(args, "\n".join(lines), None)
+                yield f"  S({J}, {n}):  f = {f},  idealizer factor = {f_J}{suffix}"
+            yield ""
+
+    _emit(args, lambda: "\n".join(human()), lambda: {"ranks": [
+        {"n": n, "classes": [
+            {"J": J.to_json(), "f": f.to_json(), "fJ": f_J.to_json(), "tags": tags}
+            for J, f, f_J, tags in rows
+        ]}
+        for n, rows in ranks
+    ]})
     return 0
 
 
@@ -304,13 +303,11 @@ def _cmd_necklace(args) -> int:
                 f"have at most {skew.MAX_PRINTED_DIGITS} digits; got n = {args.n}"
             )
         c = necklace_count(args.n)
-        _emit(args, str(c), {"n": args.n, "count": c})
+        _emit(args, lambda: str(c), lambda: {"n": args.n, "count": c})
     else:
         classes = necklace_enumerate(args.n)
-        if getattr(args, "json", False):
-            _emit(args, "", {"n": args.n, "classes": [c.to_json() for c in classes]})
-        else:
-            _emit(args, "\n".join(str(c.representative) for c in classes), None)
+        _emit(args, lambda: "\n".join(str(c.representative) for c in classes),
+              lambda: {"n": args.n, "classes": [c.to_json() for c in classes]})
     return 0
 
 
@@ -318,44 +315,43 @@ def _cmd_ring(args) -> int:
     J = parse_int_set(args.J)
     if args.cmd == "present":
         p = gwa.present(J, args.n)
-        human = (
-            f"W relation data for S({J}, {args.n}):\n"
-            f"  f = {p.f}\n  idealizer factor = {p.idealizer_factor}\n"
-            + "\n".join(f"  {r}" for r in p.relations)
-        )
-        _emit(args, human, p.to_json())
+        _emit(args, lambda: "\n".join([
+            f"W relation data for S({J}, {args.n}):",
+            f"  f = {p.f}\n  idealizer factor = {p.idealizer_factor}",
+            *(f"  {r}" for r in p.relations),
+        ]), p.to_json)
     elif args.cmd in ("pieces", "oracle"):
         pieces = gwa.ring_pieces(J, args.n, args.min, args.max, oracle=args.cmd == "oracle")
-        _emit(args, _pieces_human(pieces), pieces.to_json())
+        _emit(args, lambda: _pieces_human(pieces), pieces.to_json)
     elif args.cmd == "compare":
         closed, oracle = (
             gwa.ring_pieces(J, args.n, args.min, args.max, oracle=by_oracle)
             for by_oracle in (False, True)
         )
         bad = [j for j, piece in closed.pieces.items() if piece != oracle.pieces[j]]
-        lines = [
-            f"graded pieces of S({J}, {args.n}), degrees {args.min}..{args.max}",
-            f"{'j':>4}  {'closed form':<34} {'lattice oracle':<34}",
-        ]
-        for j, piece in closed.pieces.items():
-            mark = "   <-- MISMATCH" if j in bad else ""
-            lines.append(
-                f"{j:>4}  {_piece_human(*piece):<34} {_piece_human(*oracle.pieces[j]):<34}{mark}"
-            )
-        _emit(args, "\n".join(lines),
-              {"closed_form": closed.to_json(), "oracle": oracle.to_json(), "mismatches": bad})
+
+        def human() -> Iterator[str]:
+            yield f"graded pieces of S({J}, {args.n}), degrees {args.min}..{args.max}"
+            yield f"{'j':>4}  {'closed form':<34} {'lattice oracle':<34}"
+            for j, piece in closed.pieces.items():
+                mark = "   <-- MISMATCH" if j in bad else ""
+                yield f"{j:>4}  {_piece_human(*piece):<34} {_piece_human(*oracle.pieces[j]):<34}{mark}"
+
+        _emit(args, lambda: "\n".join(human()), lambda: {
+            "closed_form": closed.to_json(), "oracle": oracle.to_json(), "mismatches": bad
+        })
         if bad:
             raise ValueError(f"the closed form and the oracle disagree at j = {bad}")
     else:  # verify
         closure = gwa.verify_ring_closure(J, args.n, args.window)
         embed = gwa.verify_gwa_embedding(J, args.n)
-        ok = closure and embed
         _emit(
             args,
-            f"closure: {'ok' if closure else 'FAILED'}\nembedding: {'ok' if embed else 'FAILED'}",
-            {"closure": closure, "embedding": embed},
+            lambda: f"closure: {'ok' if closure else 'FAILED'}\n"
+            f"embedding: {'ok' if embed else 'FAILED'}",
+            lambda: {"closure": closure, "embedding": embed},
         )
-        return 0 if ok else 1
+        return 0 if closure and embed else 1
     return 0
 
 
@@ -363,65 +359,65 @@ def _cmd_mod(args) -> int:
     _bounded_shift(args.shift, f"--shift {args.shift} is")
     if args.cmd == "dset":
         E = to_dset(parse_int_set(args.J), args.shift)
-        _emit(args, str(E), E.to_json())
+        _emit(args, lambda: str(E), E.to_json)
     elif args.cmd == "lattice":
         L = iota_lattice(parse_int_set(args.J), args.shift)
-        human = "\n".join(f"deg {m}: ({g}) x^{m} k[z]" for m, g in L.generators.items())
-        _emit(args, human, L.to_json())
+        _emit(args, lambda: "\n".join(f"deg {m}: ({g}) x^{m} k[z]" for m, g in L.generators.items()),
+              L.to_json)
     else:
         _bounded_shift(args.shift2, f"--shift2 {args.shift2} is")
         P = iota_lattice(parse_int_set(args.J), args.shift)
         Q = iota_lattice(parse_int_set(args.J2), args.shift2)
         if args.cmd == "hom":
             h = hom_generator(P, Q)
-            _emit(args, str(h), {"generator": h.to_json()})
+            _emit(args, lambda: str(h), lambda: {"generator": h.to_json()})
         else:  # coker
             support = cokernel_support(P, Q)
-            human = ", ".join(f"point {pt} x{c}" for pt, c in support) or "(empty)"
-            _emit(args, human, {"support": [{"point": pt, "count": c} for pt, c in support]})
+            _emit(args, lambda: ", ".join(f"point {pt} x{c}" for pt, c in support) or "(empty)",
+                  lambda: {"support": [{"point": pt, "count": c} for pt, c in support]})
     return 0
 
 
 def _cmd_k0(args) -> int:
     if args.cmd == "normalize":
         S = normalize_sum(_parse_sum(args.sum))
-        _emit(args, str(S), S.to_json())
+        _emit(args, lambda: str(S), S.to_json)
     elif args.cmd == "iso":
         same = iso_test(_parse_sum(args.left), _parse_sum(args.right))
-        _emit(args, "isomorphic" if same else "not isomorphic", {"isomorphic": same})
+        _emit(args, lambda: "isomorphic" if same else "not isomorphic",
+              lambda: {"isomorphic": same})
     elif args.cmd == "witness":
         adds, result = stably_free_witness(parse_int_set(args.J))
-        human = (
-            "adds:   " + ", ".join(f"A<{l}>" for l in adds) + "\n"
-            "result: " + ", ".join(f"A<{m}>" for m in result)
-        )
-        _emit(args, human, {"adds": adds, "result": result})
+        _emit(args, lambda: "adds:   " + ", ".join(f"A<{l}>" for l in adds)
+              + "\nresult: " + ", ".join(f"A<{m}>" for m in result),
+              lambda: {"adds": adds, "result": result})
     else:  # theta
         F = theta_map(_parse_combo(args.combo))
-        _emit(args, str(F), F.to_json())
+        _emit(args, lambda: str(F), F.to_json)
     return 0
 
 
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     passed, failed, results = run_suites(names, seed=args.seed)
-    lines = []
-    for r in results:
-        cases = f"  [{r.cases}]" if r.cases else ""
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status}  {r.name}{cases}  {r.count} cases, {r.seconds:.2f} s")
-        if r.raised is not None:
-            lines.append(f"      raised {r.raised}")
-        elif r.failure is not None:
-            lines.append(f"      first failing input: {json.dumps(r.failure, sort_keys=True)}")
-    lines.append(f"{passed} passed, {failed} failed")
-    payload = {
+
+    def human() -> Iterator[str]:
+        for r in results:
+            cases = f"  [{r.cases}]" if r.cases else ""
+            status = "PASS" if r.passed else "FAIL"
+            yield f"{status}  {r.name}{cases}  {r.count} cases, {r.seconds:.2f} s"
+            if r.raised is not None:
+                yield f"      raised {r.raised}"
+            elif r.failure is not None:
+                yield f"      first failing input: {json.dumps(r.failure, sort_keys=True)}"
+        yield f"{passed} passed, {failed} failed"
+
+    _emit(args, lambda: "\n".join(human()), lambda: {
         "seed": args.seed,
         "passed": passed,
         "failed": failed,
         "results": [{**r._asdict(), "passed": r.passed} for r in results],
-    }
-    _emit(args, "\n".join(lines), payload)
+    })
     return 0 if failed == 0 else 1
 
 

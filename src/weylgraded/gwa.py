@@ -45,14 +45,16 @@ monomials with no gcd; the tests keep their products in D as the reference.
 simplicity_root_test reads its roots back off fbar as _fbar builds it, and
 builds no f_J.
 
-Every product this module returns is multiplied out by RationalPoly.from_roots,
+Every entry point checks its pair once, by zfin._admissible (J any iterable of
+integers; TypeError for a non-int n, ValueError for n < 1 or J outside [0, n)),
+and every product it returns is multiplied out by RationalPoly.from_roots,
 which refuses one too long to print (skew.MAX_PRINTED_DIGITS).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .zfin import AdmissiblePair, FinSet
+from .zfin import FinSet, _admissible
 from .skew import RationalPoly
 from .lattices import _integer_roots, iota_lattice
 
@@ -89,13 +91,6 @@ class RingPieces:
         }
 
 
-def _validated(J, n: int) -> FinSet:
-    if not isinstance(J, FinSet):
-        J = FinSet(J)
-    AdmissiblePair(J, n)
-    return J
-
-
 def complement(J: FinSet, n: int) -> FinSet:
     return FinSet._of(frozenset(range(n)).difference(J._elements))
 
@@ -110,7 +105,7 @@ def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
 
     Raises ValueError when either could not be printed (skew.MAX_PRINTED_DIGITS).
     """
-    J = _validated(J, n)
+    J = _admissible(J, n)
     return _fbar(J, n), RationalPoly.from_roots(dict.fromkeys(J, 1))
 
 
@@ -119,7 +114,7 @@ def present(J, n: int) -> GWAPresentation:
 
     Raises ValueError when a product could not be printed (skew.MAX_PRINTED_DIGITS).
     """
-    J = _validated(J, n)
+    J = _admissible(J, n)
     rest = complement(J, n)
     fbar = RationalPoly.from_roots(dict.fromkeys(rest, 1))
     f_J = RationalPoly.from_roots(dict.fromkeys(J, 1))
@@ -143,7 +138,7 @@ def _closed_form_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
 
 def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j of S(J, n) as (h, p) with the piece equal to h(z) y^p k[z]."""
-    exps, p = _closed_form_roots(_validated(J, n), n, j)
+    exps, p = _closed_form_roots(_admissible(J, n), n, j)
     return (RationalPoly.from_roots(exps), p)
 
 
@@ -167,7 +162,7 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
     sit at distinct roots, so they commute.  The piece is the monic generator
     g of the degree-nj component, as the monomial g x^{nj}.
     """
-    exps, p = _oracle_roots(_validated(J, n), n, j)
+    exps, p = _oracle_roots(_admissible(J, n), n, j)
     return (RationalPoly.from_roots(exps), p)
 
 
@@ -178,7 +173,7 @@ def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> Ring
     factors of every lower piece and one with j <= 0 at most J's; so a table that
     could not be printed raises ValueError (skew.MAX_PRINTED_DIGITS) before any is.
     """
-    J = _validated(J, n)
+    J = _admissible(J, n)
     find = _oracle_roots if oracle else _closed_form_roots
     found = ((j, find(J, n, j)) for j in range(j_max, j_min - 1, -1))
     pieces = {j: (RationalPoly.from_roots(exps), p) for j, (exps, p) in found}
@@ -254,7 +249,7 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     Raises ValueError, before any product is checked, when
     (2 window + 1)^2 (n window)^2 passes RING_CLOSURE_MAX_WORK.
     """
-    J = _validated(J, n)
+    J = _admissible(J, n)
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
     work = (2 * window + 1) ** 2 * (n * window) ** 2
@@ -282,7 +277,7 @@ def verify_gwa_embedding(J, n: int) -> bool:
     about 2 log2 n products, so the last two checks prove both of _x_power's
     branches, which the oracle relies on.
     """
-    fbar = dict.fromkeys(complement(_validated(J, n), n), 1)
+    fbar = dict.fromkeys(complement(_admissible(J, n), n), 1)
     z = ({0: 1}, 0)
     X = (fbar, -n)
     Y = ({}, n)
@@ -302,6 +297,6 @@ def simplicity_root_test(J, n: int) -> bool:
 
     The roots are read back off the fbar that _fbar builds.
     """
-    fbar = _fbar(_validated(J, n), n)
+    fbar = _fbar(_admissible(J, n), n)
     roots = _integer_roots(fbar.num, fbar)
     return set(roots.values()) <= {1} and len({t % n for t in roots}) == len(roots)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .zfin import FinSet, absorb_shift
+from .zfin import FinSet, _as_finset, absorb_shift
 from .picard import PicElement, identity
 from .lattices import _dset_min
 
@@ -131,8 +131,7 @@ def stably_free_witness(J: FinSet | Iterable[int]) -> tuple[list[int], list[int]
     J trades iota_J A + A<m> for iota_{J minus max} A + A<m+1>, so the adds
     are J in descending order and the result is their successors plus A.
     """
-    if not isinstance(J, FinSet):
-        J = FinSet(J)
+    J = _as_finset(J)
     if J and min(J._elements) < 1:
         raise ValueError(
             f"J = {J} must lie in Z>=1; normalize the class by shifting first"
@@ -152,7 +151,7 @@ def theta_map(combo: Mapping[FinSet, int] | Iterable[tuple[FinSet, int]]) -> Pic
     out = FinSet()
     for J, c in items:
         if c % 2:
-            out = out ^ FinSet(J)
+            out = out ^ _as_finset(J)
     return PicElement(1, 0, out) if out else identity()
 
 

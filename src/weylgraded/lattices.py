@@ -36,7 +36,7 @@ from math import inf, isqrt
 from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .zfin import FinSet, absorb_shift
+from .zfin import FinSet, _as_finset, absorb_shift
 from .skew import RationalPoly
 
 
@@ -434,7 +434,7 @@ class GradedLattice:
 
 def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
     """The lattice of iota_J(A) shifted by the given degree."""
-    L = GradedLattice.free().involute(J if isinstance(J, FinSet) else FinSet(J))
+    L = GradedLattice.free().involute(_as_finset(J))
     return L.shifted(shift) if shift else L
 
 
@@ -461,7 +461,7 @@ def simple_factor(L: GradedLattice, j: int) -> SimpleLabel:
 
 def to_dset(J: FinSet | Iterable[int], shift: int = 0) -> DSet:
     """DSet of iota_J(A)<shift> by pure set arithmetic: (ray xor J) + shift."""
-    return DSet(absorb_shift(FinSet(J), shift))
+    return DSet(absorb_shift(_as_finset(J), shift))
 
 
 def lattice_dset(L: GradedLattice) -> DSet:

@@ -22,11 +22,11 @@ from fractions import Fraction
 from itertools import chain
 from operator import invert
 
-from .zfin import AdmissiblePair, FinSet, _boundary_runs, absorb_shift, affine_image
+from .zfin import FinSet, _admissible, _as_finset, _boundary_runs, absorb_shift, affine_image
 from .lattices import DSet, SimpleLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PicElement:
     """Normal form (sign a, shift exponent b, involution set J)."""
 
@@ -34,15 +34,14 @@ class PicElement:
     b: int
     J: FinSet
 
-    def __post_init__(self) -> None:
-        if self.a not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.a}")
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise TypeError(
-                f"sign and shift exponent must be integers, got {self.a!r} and {self.b!r}"
-            )
-        if not isinstance(self.J, FinSet):
-            object.__setattr__(self, "J", FinSet(self.J))
+    def __init__(self, a: int, b: int, J: FinSet | list[int]) -> None:
+        if a not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {a}")
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise TypeError(f"sign and shift exponent must be integers, got {a!r} and {b!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "J", _as_finset(J))
 
     @classmethod
     def _of(cls, a: int, b: int, J: FinSet) -> "PicElement":
@@ -208,16 +207,14 @@ def act_on_dset(F: PicElement, E: DSet) -> DSet:
     return DSet(absorb_shift(FinSet._of(exc ^ F.J._elements), F.b))
 
 
-def coverage_witness(
-    J: FinSet | list[int], n: int, window: int
-) -> dict[int, FinSet]:
+def coverage_witness(J: FinSet | list[int], n: int, window: int) -> dict[int, FinSet]:
     """The sets J_j with F^j A = iota_{J_j} A for F = S^n iota_J, 0 < |j| <= window.
 
     Their union must cover [-n(window-1), n(window-1)], which is the finite
-    certificate that F generates the category.
+    certificate that F generates the category.  zfin._admissible checks the
+    pair: J any iterable of integers, n an int >= 1 and J inside [0, n).
     """
-    J = FinSet(J)
-    AdmissiblePair(J, n)  # validates admissibility
+    J = _admissible(J, n)
     if window < 1:
         raise ValueError("window must be positive")
     F, A = PicElement(1, n, J), DSet(FinSet())

@@ -329,17 +329,6 @@ class RationalPoly:
         o = self._wrap(other)
         return NotImplemented if o is NotImplemented else o / self
 
-    def __pow__(self, k: int) -> "RationalPoly":
-        if k < 0:
-            return (RationalPoly.one() / self) ** (-k)
-        out, base = RationalPoly.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, m: int) -> "RationalPoly":
         """The conjugate f(z + m) = x^m f x^{-m}; num and den stay coprime, den monic."""
         if not m:

@@ -11,6 +11,12 @@ serialization and the algorithms that need an order sort.  A necklace class
 is canonicalized by Booth's least rotation (Inform. Process. Lett. 10, 1980)
 of the cyclic sequence of gaps between consecutive elements, in time
 O(|J| log |J|) whatever n is.
+
+Each input rule has one home here, which every layer calls.  ``_as_finset``
+takes a set J as any iterable of integers and passes a FinSet through;
+``FinSet(...)`` refuses a non-integer with TypeError.  ``_check_modulus`` wants
+a modulus n that is an int (else TypeError) of at least 1 (else ValueError).
+``_admissible`` checks both and that J lies inside [0, n), and returns J.
 """
 from __future__ import annotations
 
@@ -91,28 +97,50 @@ class FinSet:
         return cls(data)
 
 
-@dataclass(frozen=True)
+def _as_finset(J: FinSet | Iterable[int]) -> FinSet:
+    """J itself when it is a FinSet, else FinSet(J), which checks each element."""
+    return J if isinstance(J, FinSet) else FinSet(J)
+
+
+def _check_modulus(n: int) -> None:
+    """Refuse a modulus n that is not an int (TypeError) or is less than 1 (ValueError)."""
+    if not isinstance(n, int):
+        raise TypeError(f"n must be a positive integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
+def _admissible(J: FinSet | Iterable[int], n: int) -> FinSet:
+    """J as a FinSet, once (J, n) is checked admissible: n an int >= 1 and J inside [0, n)."""
+    J = _as_finset(J)
+    _check_modulus(n)
+    elems = J._elements
+    if elems and (min(elems) < 0 or max(elems) >= n):
+        raise ValueError(f"J = {J} is not a subset of [0, {n})")
+    return J
+
+
+# Sets a field of a frozen dataclass; the constructors below are on hot paths.
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class AdmissiblePair:
     """A set J of residues inside {0, ..., n-1} together with the modulus n."""
 
     J: FinSet
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not isinstance(self.J, FinSet):
-            object.__setattr__(self, "J", FinSet(self.J))
-        J = self.J._elements
-        if J and (min(J) < 0 or max(J) >= self.n):
-            raise ValueError(f"J = {self.J} is not a subset of [0, {self.n})")
+    def __init__(self, J: FinSet | Iterable[int], n: int) -> None:
+        _setattr(self, "J", _admissible(J, n))
+        _setattr(self, "n", n)
 
     @classmethod
     def _of(cls, J: FinSet, n: int) -> "AdmissiblePair":
         """The pair (J, n), which must already be admissible: no check."""
         p = object.__new__(cls)
-        object.__setattr__(p, "J", J)
-        object.__setattr__(p, "n", n)
+        _setattr(p, "J", J)
+        _setattr(p, "n", n)
         return p
 
     def __str__(self) -> str:
@@ -155,8 +183,7 @@ def _image(J: FinSet, scale: int, offset: int) -> Iterator[int]:
 
 def slice(J: FinSet, n: int, i: int) -> FinSet:
     """The i-th residue slice {j : n*j + i in J}."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_modulus(n)
     if not 0 <= i < n:
         raise ValueError(f"residue i must lie in [0, {n}), got {i}")
     return FinSet._of(frozenset((t - i) // n for t in J._elements if (t - i) % n == 0))
@@ -164,8 +191,7 @@ def slice(J: FinSet, n: int, i: int) -> FinSet:
 
 def boundary(J: FinSet, n: int) -> FinSet:
     """The boundary J ^ (J - n)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_modulus(n)
     return J ^ affine_image(J, 1, -n)
 
 
@@ -175,8 +201,7 @@ def inverse_boundary(J: FinSet, n: int) -> FinSet:
     Exists exactly when every residue slice of J has even size.  Built
     constructively from the runs of ``_boundary_runs``.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_modulus(n)
     return FinSet._of(frozenset(chain.from_iterable(_boundary_runs(J, n))))
 
 
@@ -282,8 +307,7 @@ def _totient(d: int) -> int:
 
 def necklace_count(n: int) -> int:
     """Number of 2-colored necklaces of length n: (1/n) sum_{d|n} phi(d) 2^(n/d)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_modulus(n)
     total = sum(_totient(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
     return total // n
 
@@ -308,8 +332,7 @@ def necklace_enumerate(n: int) -> list[NecklaceClass]:
     and 1).  Cost: O(n) per class for the representatives, then the sort by
     (size, residues).  Raises ValueError past NECKLACE_ENUM_MAX_CLASSES.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_modulus(n)
     if n > NECKLACE_ENUM_MAX_N:
         raise ValueError(
             f"necklace enumeration is limited to NECKLACE_ENUM_MAX_CLASSES = "

@@ -10,6 +10,8 @@ import pytest
 from weylgraded.zfin import FinSet, necklace_count
 from weylgraded.picard import PicElement, compose, identity, iota, omega, shift
 from weylgraded import gwa
+from weylgraded.lattices import iota_lattice
+from weylgraded.skew import RationalPoly
 from weylgraded.cli import ExpressionError, build_parser, parse_expression, run_command
 
 
@@ -352,6 +354,35 @@ class TestRunCommand:
         assert run_command(["mod", "lattice", "--J", "0", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["lo"] == 1 and data["hi"] == 1
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_mod_lattice_multiplies_each_generator_once(self, capsys, monkeypatch, fmt):
+        # only the printed side is built, so no generator is multiplied out twice
+        generators = iota_lattice(FinSet([-20])).generators
+        assert len(generators) == 21
+        calls = []
+        from_roots = RationalPoly.from_roots
+
+        def counted(roots):
+            calls.append(roots)
+            return from_roots(roots)
+
+        monkeypatch.setattr(RationalPoly, "from_roots", staticmethod(counted))
+        assert run_command(["mod", "lattice", "--J", "-20", *fmt]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == len(generators)
+        if fmt:
+            assert len(json.loads(out)["gens"]) == len(generators)
+        else:
+            assert len(out.splitlines()) == len(generators)
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("cmd", ["count", "enum"])
+    def test_necklace_nonpositive_n(self, capsys, cmd, fmt):
+        assert run_command(["necklace", cmd, "0", *fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: n must be a positive integer, got 0\n"
 
     def test_mod_hom(self, capsys):
         assert run_command(

@@ -52,11 +52,11 @@ class TestRationalPoly:
     def test_arithmetic(self):
         assert Z + 1 == poly(1, 1)
         assert (Z + 1) * (Z - 1) == poly(-1, 0, 1)
-        assert (Z ** 2 - 1) / (Z - 1) == Z + 1
+        assert (Z * Z - 1) / (Z - 1) == Z + 1
 
     def test_shift(self):
         assert Z.shift(1) == Z + 1
-        assert (Z ** 2).shift(-2) == (Z - 2) ** 2
+        assert (Z * Z).shift(-2) == (Z - 2) * (Z - 2)
         f = poly(3, -1, 2)
         assert f.shift(0) == f
 

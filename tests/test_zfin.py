@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,9 +19,9 @@ from weylgraded.zfin import (
     necklace_enumerate,
     slice,
 )
-from weylgraded import zfin
-from weylgraded.ktheory import K0Class, ProjectiveSum, k0_class, stably_free_witness
-from weylgraded.lattices import DSet
+from weylgraded import gwa, picard, zfin
+from weylgraded.ktheory import K0Class, ProjectiveSum, k0_class, stably_free_witness, theta_map
+from weylgraded.lattices import DSet, iota_lattice, to_dset
 
 finsets = st.frozensets(st.integers(-10, 10), max_size=5).map(FinSet)
 moduli = st.integers(1, 6)
@@ -312,6 +314,94 @@ class TestAdmissiblePair:
             AdmissiblePair(fs(2), 2)
         with pytest.raises(ValueError):
             AdmissiblePair(FinSet(), 0)
+
+
+# Functions that take a modulus n, called with n; each checks n by zfin._check_modulus.
+MODULUS_TAKERS = {
+    "AdmissiblePair": lambda n: AdmissiblePair(fs(0, 1), n),
+    "slice": lambda n: slice(fs(0, 2), n, 0),
+    "boundary": lambda n: boundary(fs(0, 2), n),
+    "inverse_boundary": lambda n: inverse_boundary(fs(0, 2), n),
+    "necklace_count": necklace_count,
+    "necklace_enumerate": necklace_enumerate,
+    "graded_piece_closed_form": lambda n: gwa.graded_piece_closed_form([0], n, -1),
+    "twisted_endo_piece_oracle": lambda n: gwa.twisted_endo_piece_oracle([0], n, 1),
+    "coverage_witness": lambda n: picard.coverage_witness([0], n, 1),
+}
+
+# Functions that take a set J: (J, the call).  Each reads J through zfin._as_finset,
+# so a list, a tuple and a FinSet give one answer, and a non-integer element raises TypeError.
+SET_TAKERS = {
+    "AdmissiblePair": ([0, 2], lambda J: AdmissiblePair(J, 4)),
+    "factors": ([0, 2], lambda J: gwa.factors(J, 4)),
+    "present": ([0, 2], lambda J: gwa.present(J, 4)),
+    "graded_piece_closed_form": ([0, 2], lambda J: gwa.graded_piece_closed_form(J, 4, 2)),
+    "twisted_endo_piece_oracle": ([0, 2], lambda J: gwa.twisted_endo_piece_oracle(J, 4, -2)),
+    "ring_pieces": ([0, 2], lambda J: gwa.ring_pieces(J, 4, -2, 2, oracle=True)),
+    "verify_ring_closure": ([0, 2], lambda J: gwa.verify_ring_closure(J, 4, 2)),
+    "verify_gwa_embedding": ([0, 2], lambda J: gwa.verify_gwa_embedding(J, 4)),
+    "simplicity_root_test": ([0, 2], lambda J: gwa.simplicity_root_test(J, 4)),
+    "coverage_witness": ([0, 2], lambda J: picard.coverage_witness(J, 4, 2)),
+    "PicElement": ([-1, 3], lambda J: picard.PicElement(1, 2, J)),
+    "iota_lattice": ([-1, 3], lambda J: iota_lattice(J, 1)),
+    "to_dset": ([-1, 3], lambda J: to_dset(J, 1)),
+    "stably_free_witness": ([1, 3], stably_free_witness),
+    "theta_map": ([-1, 3], lambda J: theta_map([(J, 1), (fs(3), 3)])),
+}
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", Fraction(2)], ids=repr)
+    @pytest.mark.parametrize("name", MODULUS_TAKERS)
+    def test_modulus_must_be_an_int(self, name, n):
+        with pytest.raises(TypeError, match=f"^n must be a positive integer, got {re.escape(repr(n))}$"):
+            MODULUS_TAKERS[name](n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("name", MODULUS_TAKERS)
+    def test_modulus_must_be_positive(self, name, n):
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+            MODULUS_TAKERS[name](n)
+
+    def test_no_float_reaches_a_finset(self):
+        # each of these once answered with floats: ({0.0,1.0}, 2.5), {0.0} and (z, 2.0)
+        with pytest.raises(TypeError):
+            necklace_canonical(AdmissiblePair(fs(0, 1), 2.5))
+        with pytest.raises(TypeError):
+            slice(fs(0, 2), 2.0, 0)
+        with pytest.raises(TypeError):
+            gwa.graded_piece_closed_form([0], 2.0, -1)
+
+    @pytest.mark.parametrize("name", SET_TAKERS)
+    def test_any_iterable_of_integers_gives_one_answer(self, name):
+        J, call = SET_TAKERS[name]
+        expected = call(FinSet(J))
+        assert call(list(J)) == expected
+        assert call(tuple(J)) == expected
+        assert call(iter(J)) == expected
+        with pytest.raises(TypeError, match="FinSet elements must be integers"):
+            call([*J[:-1], J[-1] + 0.5])
+
+    def test_a_finset_passes_through(self):
+        J = fs(0, 2)
+        assert zfin._as_finset(J) is J
+        assert zfin._admissible(J, 4) is J
+        assert AdmissiblePair(J, 4).J is J
+
+    def test_pieces_build_no_admissible_pair(self, monkeypatch):
+        built = []
+        init = AdmissiblePair.__init__
+
+        def counted(self, J, n):
+            built.append((J, n))
+            init(self, J, n)
+
+        monkeypatch.setattr(AdmissiblePair, "__init__", counted)
+        gwa.graded_piece_closed_form([0, 2], 4, 2)
+        gwa.twisted_endo_piece_oracle([0, 2], 4, 2)
+        assert built == []
+        AdmissiblePair(fs(0), 1)
+        assert len(built) == 1  # the count does see a constructed pair
 
 
 class TestJson:
