@@ -79,9 +79,24 @@ from .ktheory import (
     stably_free_witness,
     theta_map,
 )
-from .cli import parse_expression, run_command
 
 __version__ = "0.1.0"
+
+# The command line (and through it argparse and the verification registry) is
+# imported on first use of one of these names, not by ``import weylgraded``.
+_CLI_NAMES = ("parse_expression", "run_command")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_CLI_NAMES])
 
 __all__ = [
     "AdmissiblePair",

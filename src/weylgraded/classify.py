@@ -21,7 +21,7 @@ from .zfin import (
     necklace_canonical,
     necklace_count,
 )
-from .picard import PicElement, compose, iota, is_generative, omega
+from .picard import PicElement, compose, is_generative, omega
 
 
 def _admissible_pair(F: PicElement) -> AdmissiblePair:
@@ -52,9 +52,9 @@ def canonical_admissible(F: PicElement) -> tuple[AdmissiblePair, PicElement]:
     """
     pair = _admissible_pair(F)
     if F.b > 0:
-        return pair, iota(inverse_boundary(pair.J ^ F.J, pair.n))
+        return pair, PicElement._of(1, 0, inverse_boundary(pair.J ^ F.J, pair.n))
     K = FinSet._of(frozenset(map(invert, F.J._elements)))
-    return pair, compose(iota(inverse_boundary(pair.J ^ K, pair.n)), omega())
+    return pair, compose(PicElement._of(1, 0, inverse_boundary(pair.J ^ K, pair.n)), omega())
 
 
 def same_morita_class(F: PicElement, G: PicElement) -> bool:

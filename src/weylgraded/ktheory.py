@@ -11,16 +11,18 @@ sums are isomorphic exactly when their chains agree, which is also equality in
 K_0; in particular summand cancellation holds in the graded category.  The
 chain of m summands is fixed by m and by how many shift-absorbed summand sets
 hold each integer (its top count(t) links hold t), so two sums are isomorphic
-exactly when they have equal rank and equal membership counts.
+exactly when they have equal rank and equal membership counts.  ``iso_test``
+compares those counts as the sorted multisets of the members of the absorbed
+sets, one list equality; only ``normalize_sum`` counts them, in a Counter.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .zfin import FinSet, _as_finset, absorb_shift
+from .zfin import FinSet, _absorbed, _as_finset, _json_int, absorb_shift  # noqa: F401 (imported from here)
 from .picard import PicElement, identity
 from .lattices import _dset_min
 
@@ -53,9 +55,7 @@ class ProjectiveSum:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "ProjectiveSum":
-        return cls(
-            tuple((FinSet.from_json(d["J"]), int(d.get("shift", 0))) for d in data)
-        )
+        return cls.of(*((FinSet.from_json(d["J"]), _json_int(d.get("shift", 0))) for d in data))
 
     def __str__(self) -> str:
         if not self.summands:
@@ -99,7 +99,7 @@ def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:
     up in exactly the top count(t) links of the chain.
     """
     m = len(S.summands)
-    counts = _membership_counts(S)
+    counts = Counter(_absorbed_members(S))
     by_count: list[list[int]] = [[] for _ in range(m + 1)]
     for t, c in counts.items():
         by_count[c].append(t)
@@ -110,18 +110,27 @@ def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:
     return ProjectiveSum(tuple(links))
 
 
-def _membership_counts(S: ProjectiveSum) -> Counter:
-    """How many of the shift-absorbed summand sets of S hold each integer."""
-    return Counter(chain.from_iterable(absorb_shift(J, s)._elements for J, s in S.summands))
+def _absorbed_members(S: ProjectiveSum) -> Iterator[int]:
+    """The members of the shift-absorbed summand sets of S, once per set holding each."""
+    return chain.from_iterable(_absorbed(J._elements, s) for J, s in S.summands)
 
 
 def iso_test(S1: ProjectiveSum, S2: ProjectiveSum) -> bool:
     """Graded isomorphism of the two direct sums.
 
     Equal summand count and equal membership counts, which is equality of the
-    chain normal forms without building them.
+    chain normal forms without building them.  The counts are compared as the
+    sorted multisets of the members, one list equality; multisets of unequal
+    size are told apart before either is sorted.
     """
-    return len(S1) == len(S2) and _membership_counts(S1) == _membership_counts(S2)
+    if len(S1) != len(S2):
+        return False
+    members1, members2 = list(_absorbed_members(S1)), list(_absorbed_members(S2))
+    if len(members1) != len(members2):
+        return False
+    members1.sort()
+    members2.sort()
+    return members1 == members2
 
 
 def stably_free_witness(J: FinSet | Iterable[int]) -> tuple[list[int], list[int]]:
@@ -169,7 +178,7 @@ def k0_class(S: ProjectiveSum) -> K0Class:
         m = _dset_min(J._elements)
         n = m + s
         coeffs[n] = coeffs.get(n, 0) + 1
-        for k in absorb_shift(J, -m)._elements:
+        for k in _absorbed(J._elements, -m):
             coeffs[k + n + 1] = coeffs.get(k + n + 1, 0) + 1
             coeffs[k + n] = coeffs.get(k + n, 0) - 1
     return K0Class(coeffs)

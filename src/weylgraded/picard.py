@@ -22,7 +22,15 @@ from fractions import Fraction
 from itertools import chain
 from operator import invert
 
-from .zfin import FinSet, _admissible, _as_finset, _boundary_runs, absorb_shift, affine_image
+from .zfin import (
+    FinSet,
+    _admissible,
+    _as_finset,
+    _boundary_runs,
+    _json_int,
+    absorb_shift,
+    affine_image,
+)
 from .lattices import DSet, SimpleLabel
 
 
@@ -39,17 +47,14 @@ class PicElement:
             raise ValueError(f"sign must be +1 or -1, got {a}")
         if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError(f"sign and shift exponent must be integers, got {a!r} and {b!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "J", _as_finset(J))
+        # a frozen dataclass refuses setattr; its fields are set in __dict__
+        self.__dict__.update(a=a, b=b, J=_as_finset(J))
 
     @classmethod
     def _of(cls, a: int, b: int, J: FinSet) -> "PicElement":
         """The normal form (a, b, J), which must already be valid: no check."""
         F = object.__new__(cls)
-        object.__setattr__(F, "a", a)
-        object.__setattr__(F, "b", b)
-        object.__setattr__(F, "J", J)
+        F.__dict__.update(a=a, b=b, J=J)
         return F
 
     def __mul__(self, other: "PicElement") -> "PicElement":
@@ -75,11 +80,16 @@ class PicElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "PicElement":
-        return cls(int(data["a"]), int(data["b"]), FinSet.from_json(data["J"]))
+        return cls(_json_int(data["a"]), _json_int(data["b"]), FinSet.from_json(data["J"]))
+
+
+_IDENTITY = PicElement._of(1, 0, FinSet._of(frozenset()))
+_OMEGA = PicElement._of(-1, 0, _IDENTITY.J)
 
 
 def identity() -> PicElement:
-    return PicElement(1, 0, FinSet())
+    """The identity functor e; one shared constant, since a PicElement is immutable."""
+    return _IDENTITY
 
 
 def shift(b: int) -> PicElement:
@@ -93,8 +103,11 @@ def iota(J: FinSet | list[int] | set[int]) -> PicElement:
 
 
 def omega() -> PicElement:
-    """The order-reversing automorphism x -> y, y -> -x; odd of rank -1."""
-    return PicElement(-1, 0, FinSet())
+    """The order-reversing automorphism x -> y, y -> -x; odd of rank -1.
+
+    One shared constant, like ``identity()``.
+    """
+    return _OMEGA
 
 
 def compose(F: PicElement, G: PicElement) -> PicElement:
@@ -155,7 +168,7 @@ def power(F: PicElement, k: int) -> PicElement:
     runs = _boundary_runs(ends, abs(b))
     # each run is range(a + n, c + n, n) with n dividing c - a; len() overflows past sys.maxsize
     _refuse_past_limit(sum((r.stop - r.start) // r.step for r in runs))
-    return PicElement(1, k * b, FinSet._of(frozenset(chain.from_iterable(runs))))
+    return PicElement._of(1, k * b, FinSet._of(frozenset(chain.from_iterable(runs))))
 
 
 def _refuse_past_limit(size: int) -> None:

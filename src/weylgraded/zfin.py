@@ -17,6 +17,8 @@ takes a set J as any iterable of integers and passes a FinSet through;
 ``FinSet(...)`` refuses a non-integer with TypeError.  ``_check_modulus`` wants
 a modulus n that is an int (else TypeError) of at least 1 (else ValueError).
 ``_admissible`` checks both and that J lies inside [0, n), and returns J.
+``slice`` also wants its residue i to be an int in [0, n).  ``_json_int``
+refuses a JSON true or false on the ``from_json`` paths.
 """
 from __future__ import annotations
 
@@ -94,12 +96,22 @@ class FinSet:
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "FinSet":
-        return cls(data)
+        return cls(map(_json_int, data))
 
 
 def _as_finset(J: FinSet | Iterable[int]) -> FinSet:
     """J itself when it is a FinSet, else FinSet(J), which checks each element."""
     return J if isinstance(J, FinSet) else FinSet(J)
+
+
+def _json_int(x: int) -> int:
+    """x, unless it is a JSON true or false, which a bool's int subclassing would let in.
+
+    The checked constructor that x goes on to refuses every other non-integer.
+    """
+    if isinstance(x, bool):
+        raise TypeError(f"JSON value must be an integer, got {x!r}")
+    return x
 
 
 def _check_modulus(n: int) -> None:
@@ -120,10 +132,6 @@ def _admissible(J: FinSet | Iterable[int], n: int) -> FinSet:
     return J
 
 
-# Sets a field of a frozen dataclass; the constructors below are on hot paths.
-_setattr = object.__setattr__
-
-
 @dataclass(frozen=True, init=False)
 class AdmissiblePair:
     """A set J of residues inside {0, ..., n-1} together with the modulus n."""
@@ -132,15 +140,14 @@ class AdmissiblePair:
     n: int
 
     def __init__(self, J: FinSet | Iterable[int], n: int) -> None:
-        _setattr(self, "J", _admissible(J, n))
-        _setattr(self, "n", n)
+        # a frozen dataclass refuses setattr; its fields are set in __dict__
+        self.__dict__.update(J=_admissible(J, n), n=n)
 
     @classmethod
     def _of(cls, J: FinSet, n: int) -> "AdmissiblePair":
         """The pair (J, n), which must already be admissible: no check."""
         p = object.__new__(cls)
-        _setattr(p, "J", J)
-        _setattr(p, "n", n)
+        p.__dict__.update(J=J, n=n)
         return p
 
     def __str__(self) -> str:
@@ -151,7 +158,7 @@ class AdmissiblePair:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdmissiblePair":
-        return cls(FinSet.from_json(data["J"]), int(data["n"]))
+        return cls(FinSet.from_json(data["J"]), _json_int(data["n"]))
 
 
 @dataclass(frozen=True)
@@ -181,26 +188,31 @@ def _image(J: FinSet, scale: int, offset: int) -> Iterator[int]:
     return map(offset.__add__, elems)
 
 
-def slice(J: FinSet, n: int, i: int) -> FinSet:
-    """The i-th residue slice {j : n*j + i in J}."""
+def slice(J: FinSet | Iterable[int], n: int, i: int) -> FinSet:
+    """The i-th residue slice {j : n*j + i in J}; i must be an int in [0, n)."""
+    J = _as_finset(J)
     _check_modulus(n)
+    if not isinstance(i, int):
+        raise TypeError(f"residue i must be an integer, got {i!r}")
     if not 0 <= i < n:
         raise ValueError(f"residue i must lie in [0, {n}), got {i}")
     return FinSet._of(frozenset((t - i) // n for t in J._elements if (t - i) % n == 0))
 
 
-def boundary(J: FinSet, n: int) -> FinSet:
+def boundary(J: FinSet | Iterable[int], n: int) -> FinSet:
     """The boundary J ^ (J - n)."""
+    J = _as_finset(J)
     _check_modulus(n)
     return J ^ affine_image(J, 1, -n)
 
 
-def inverse_boundary(J: FinSet, n: int) -> FinSet:
+def inverse_boundary(J: FinSet | Iterable[int], n: int) -> FinSet:
     """The unique K with boundary(K, n) == J.
 
     Exists exactly when every residue slice of J has even size.  Built
     constructively from the runs of ``_boundary_runs``.
     """
+    J = _as_finset(J)
     _check_modulus(n)
     return FinSet._of(frozenset(chain.from_iterable(_boundary_runs(J, n))))
 
@@ -239,10 +251,14 @@ def shift_delta(s: int) -> FinSet:
 
 def absorb_shift(J: FinSet, s: int) -> FinSet:
     """The K with iota_K A isomorphic to iota_J(A)<s>: (J + s) xor shift_delta(s)."""
+    return FinSet._of(_absorbed(J._elements, s)) if s else J
+
+
+def _absorbed(elems: frozenset, s: int) -> frozenset:
+    """The elements of absorb_shift(FinSet._of(elems), s), with no FinSet built."""
     if not s:
-        return J
-    shifted = frozenset(map(s.__add__, J._elements))
-    return FinSet._of(shifted.symmetric_difference(_delta_range(s)))
+        return elems
+    return frozenset(map(s.__add__, elems)).symmetric_difference(_delta_range(s))
 
 
 def _least_rotation(s: list[int]) -> int:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,17 @@ class TestProjectiveSumOf:
     def test_bare_integers_are_rejected(self, part):
         with pytest.raises(TypeError):
             ProjectiveSum.of(part)
+
+    def test_json_roundtrip(self):
+        S = ProjectiveSum.of(fs(0, 2), (fs(1), -3))
+        assert ProjectiveSum.from_json(S.to_json()) == S
+
+    def test_json_shift_is_not_truncated(self):
+        # int() once read the shift 1.5 as 1
+        with pytest.raises(TypeError, match="summand must be"):
+            ProjectiveSum.from_json([{"J": [0], "shift": 1.5}])
+        with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+            ProjectiveSum.from_json([{"J": [0], "shift": True}])
 
 
 class TestNormalize:
@@ -100,6 +112,45 @@ class TestIsoTest:
             want = normalize_sum(S1) == normalize_sum(S2)
             assert iso_test(S1, S2) == want, (str(S1), str(S2))
             answers.add(want)
+        assert answers == {True, False}
+
+
+class TestAgainstCounterReference:
+    """iso_test and normalize_sum against membership Counters built here."""
+
+    @staticmethod
+    def counts(S):
+        return Counter(t for J, s in S.summands for t in absorb_shift(J, s))
+
+    def test_2000_seeded_sums(self):
+        rng = random.Random(30)
+
+        def random_sum(m):
+            return ProjectiveSum(tuple(
+                (FinSet(rng.sample(range(-6, 7), rng.randint(0, 5))), rng.randint(-4, 4))
+                for _ in range(m)
+            ))
+
+        answers = set()
+        for i in range(2000):
+            S1 = random_sum(rng.randint(0, 4))
+            if i % 3 == 0:  # the same summands, turned and re-shifted: isomorphic
+                parts = [absorb_shift(J, s) for J, s in S1.summands]
+                rng.shuffle(parts)
+                S2 = ProjectiveSum(tuple((absorb_shift(J, -t), t) for J, t in
+                                         ((J, rng.randint(-4, 4)) for J in parts)))
+            elif i % 3 == 1:  # one more free summand: equal counts, larger rank
+                S2 = ProjectiveSum(S1.summands + ((FinSet(), 0),))
+            else:
+                S2 = random_sum(rng.randint(0, 4))
+            want = len(S1) == len(S2) and dict(self.counts(S1)) == dict(self.counts(S2))
+            assert iso_test(S1, S2) == want, (str(S1), str(S2))
+            answers.add(want)
+            m, counts = len(S1), self.counts(S1)
+            chain = tuple(
+                (FinSet(t for t, c in counts.items() if c >= m - k), 0) for k in range(m)
+            )
+            assert normalize_sum(S1).summands == chain, str(S1)
         assert answers == {True, False}
 
 

@@ -259,3 +259,24 @@ class TestRoundTrip:
     def test_json(self):
         F = PicElement(-1, 2, fs(0, 2))
         assert PicElement.from_json(F.to_json()) == F
+
+    def test_json_shift_exponent_is_not_truncated(self):
+        # int() once read b = 2.5 as 2
+        with pytest.raises(TypeError, match="shift exponent"):
+            PicElement.from_json({"a": 1, "b": 2.5, "J": []})
+        for a, b in [(True, 1), (1, True)]:
+            with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+                PicElement.from_json({"a": a, "b": b, "J": []})
+
+
+class TestSharedConstants:
+    @pytest.mark.parametrize("fn, a", [(identity, 1), (omega, -1)])
+    def test_equal_to_the_checked_element(self, fn, a):
+        checked = PicElement(a, 0, [])
+        assert fn() == checked
+        assert hash(fn()) == hash(checked)
+        assert fn() is fn()
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            identity().b = 1

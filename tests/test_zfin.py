@@ -347,6 +347,9 @@ SET_TAKERS = {
     "to_dset": ([-1, 3], lambda J: to_dset(J, 1)),
     "stably_free_witness": ([1, 3], stably_free_witness),
     "theta_map": ([-1, 3], lambda J: theta_map([(J, 1), (fs(3), 3)])),
+    "slice": ([0, 2], lambda J: slice(J, 2, 0)),
+    "boundary": ([0, 2], lambda J: boundary(J, 2)),
+    "inverse_boundary": ([0, 2], lambda J: inverse_boundary(J, 2)),
 }
 
 
@@ -371,6 +374,9 @@ class TestInputRules:
             slice(fs(0, 2), 2.0, 0)
         with pytest.raises(TypeError):
             gwa.graded_piece_closed_form([0], 2.0, -1)
+        # the residue too: this answered {0.0,1.0}
+        with pytest.raises(TypeError, match=r"^residue i must be an integer, got 0\.0$"):
+            slice(fs(0, 2), 2, 0.0)
 
     @pytest.mark.parametrize("name", SET_TAKERS)
     def test_any_iterable_of_integers_gives_one_answer(self, name):
@@ -413,3 +419,15 @@ class TestJson:
     def test_pair_roundtrip(self):
         p = AdmissiblePair(fs(0, 2), 4)
         assert AdmissiblePair.from_json(p.to_json()) == p
+
+    def test_pair_modulus_is_not_truncated(self):
+        # int() once read n = 2.5 as 2
+        with pytest.raises(TypeError, match="^n must be a positive integer, got 2.5$"):
+            AdmissiblePair.from_json({"J": [0], "n": 2.5})
+
+    def test_json_true_is_no_integer(self):
+        # bool is an int to Python, so only from_json tells JSON true from 1
+        with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+            AdmissiblePair.from_json({"J": [0], "n": True})
+        with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+            FinSet.from_json([0, True])
