@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .zfin import FinSet, _admissible
+from .zfin import FinSet, _admissible, _check_int
 from .skew import RationalPoly
 from .lattices import _integer_roots, iota_lattice
 
@@ -250,6 +250,7 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     (2 window + 1)^2 (n window)^2 passes RING_CLOSURE_MAX_WORK.
     """
     J = _admissible(J, n)
+    _check_int(window, "window must be a positive integer")
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
     work = (2 * window + 1) ** 2 * (n * window) ** 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .zfin import FinSet, _absorbed, _as_finset, _json_int, absorb_shift  # noqa: F401 (imported from here)
+from .zfin import FinSet, _absorbed, _as_finset, _check_int, absorb_shift  # noqa: F401 (imported from here)
 from .picard import PicElement, identity
 from .lattices import _dset_min
 
@@ -33,19 +33,16 @@ class ProjectiveSum:
 
     summands: tuple[tuple[FinSet, int], ...]
 
+    def __post_init__(self) -> None:
+        for p in self.summands:
+            if not (isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], FinSet)):
+                raise TypeError(f"summand must be a (FinSet, shift) pair, got {p!r}")
+            _check_int(p[1], "summand must be shifted by an integer")
+
     @classmethod
     def of(cls, *parts) -> "ProjectiveSum":
         """Build from parts, each a FinSet (shift 0) or a (FinSet, shift) pair."""
-        out = []
-        for p in parts:
-            pair = (p, 0) if isinstance(p, FinSet) else p
-            if not (
-                isinstance(pair, tuple) and len(pair) == 2
-                and isinstance(pair[0], FinSet) and isinstance(pair[1], int)
-            ):
-                raise TypeError(f"summand must be a FinSet or a (FinSet, shift) pair, got {p!r}")
-            out.append(pair)
-        return cls(tuple(out))
+        return cls(tuple((p, 0) if isinstance(p, FinSet) else p for p in parts))
 
     def __len__(self) -> int:
         return len(self.summands)
@@ -55,7 +52,7 @@ class ProjectiveSum:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "ProjectiveSum":
-        return cls.of(*((FinSet.from_json(d["J"]), _json_int(d.get("shift", 0))) for d in data))
+        return cls(tuple((FinSet.from_json(d["J"]), d.get("shift", 0)) for d in data))
 
     def __str__(self) -> str:
         if not self.summands:

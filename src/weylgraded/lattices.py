@@ -36,7 +36,7 @@ from math import inf, isqrt
 from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .zfin import FinSet, _as_finset, absorb_shift
+from .zfin import FinSet, _as_finset, _check_int, absorb_shift
 from .skew import RationalPoly
 
 
@@ -50,10 +50,10 @@ class SimpleLabel:
 
     def __post_init__(self) -> None:
         if self.kind in ("X", "Y"):
+            rule = f"{self.kind}-labels carry an integer index"
             if self.n is None or self.param is not None:
-                raise ValueError(f"{self.kind}-labels carry an integer index")
-            if not isinstance(self.n, int):
-                raise TypeError(f"{self.kind}-labels carry an integer index, got {self.n!r}")
+                raise ValueError(rule)
+            _check_int(self.n, rule)
         elif self.kind == "M":
             if self.param is None or self.n is not None:
                 raise ValueError("M-labels carry a rational parameter")
@@ -454,8 +454,7 @@ def is_A_module(L: GradedLattice) -> bool:
 
 def simple_factor(L: GradedLattice, j: int) -> SimpleLabel:
     """F_j(L): X(j) when the root line z=-j does not drop at j, else Y(j)."""
-    if not isinstance(j, int):
-        raise TypeError(f"simple factors are indexed by integers, got {j!r}")
+    _check_int(j, "simple factors are indexed by integers")
     return SimpleLabel._of("Y" if L._drops_at(j) else "X", j)
 
 

@@ -27,7 +27,7 @@ from .zfin import (
     _admissible,
     _as_finset,
     _boundary_runs,
-    _json_int,
+    _check_int,
     absorb_shift,
     affine_image,
 )
@@ -43,10 +43,10 @@ class PicElement:
     J: FinSet
 
     def __init__(self, a: int, b: int, J: FinSet | list[int]) -> None:
+        _check_int(a, "sign must be +1 or -1")
+        _check_int(b, "shift exponent must be an integer")
         if a not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {a}")
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise TypeError(f"sign and shift exponent must be integers, got {a!r} and {b!r}")
         # a frozen dataclass refuses setattr; its fields are set in __dict__
         self.__dict__.update(a=a, b=b, J=_as_finset(J))
 
@@ -80,7 +80,7 @@ class PicElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "PicElement":
-        return cls(_json_int(data["a"]), _json_int(data["b"]), FinSet.from_json(data["J"]))
+        return cls(data["a"], data["b"], FinSet.from_json(data["J"]))
 
 
 _IDENTITY = PicElement._of(1, 0, FinSet._of(frozenset()))
@@ -152,6 +152,7 @@ def power(F: PicElement, k: int) -> PicElement:
     Raises ValueError when the set of F^k has more than POWER_MAX_SET_SIZE
     elements; an even F with b != 0 builds nothing before that check.
     """
+    _check_int(k, "power's exponent k must be an integer")
     if F.a == -1 or F.b == 0:
         out = identity()
         for _ in range(k % (4 if F.a == -1 else 2)):
@@ -228,8 +229,9 @@ def coverage_witness(J: FinSet | list[int], n: int, window: int) -> dict[int, Fi
     pair: J any iterable of integers, n an int >= 1 and J inside [0, n).
     """
     J = _admissible(J, n)
+    _check_int(window, "window must be a positive integer")
     if window < 1:
-        raise ValueError("window must be positive")
+        raise ValueError(f"window must be a positive integer, got {window}")
     F, A = PicElement(1, n, J), DSet(FinSet())
     steps = [*range(1, window + 1), *range(-1, -window - 1, -1)]
     return {j: act_on_dset(power(F, j), A).exceptions for j in steps}

@@ -12,13 +12,14 @@ is canonicalized by Booth's least rotation (Inform. Process. Lett. 10, 1980)
 of the cyclic sequence of gaps between consecutive elements, in time
 O(|J| log |J|) whatever n is.
 
-Each input rule has one home here, which every layer calls.  ``_as_finset``
-takes a set J as any iterable of integers and passes a FinSet through;
-``FinSet(...)`` refuses a non-integer with TypeError.  ``_check_modulus`` wants
-a modulus n that is an int (else TypeError) of at least 1 (else ValueError).
+Each input rule has one home here, which every layer calls.  An integer is
+a value of type exactly ``int``: ``_check_int`` refuses anything else with
+TypeError, a bool (and so a JSON true or false) included, and ``FinSet(...)``
+applies the same test to each element.  ``_as_finset`` takes a set J as any
+iterable of integers and passes a FinSet through.  ``_check_modulus`` wants a
+modulus n that is an integer of at least 1 (else ValueError).
 ``_admissible`` checks both and that J lies inside [0, n), and returns J.
-``slice`` also wants its residue i to be an int in [0, n).  ``_json_int``
-refuses a JSON true or false on the ``from_json`` paths.
+``slice`` also wants its residue i to be an integer in [0, n).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ class FinSet:
     def __init__(self, elements: Iterable[int] = ()) -> None:
         elems = frozenset(elements)
         for e in elems:
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise TypeError(f"FinSet elements must be integers, got {e!r}")
         self._elements = elems
 
@@ -96,7 +97,7 @@ class FinSet:
 
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "FinSet":
-        return cls(map(_json_int, data))
+        return cls(data)
 
 
 def _as_finset(J: FinSet | Iterable[int]) -> FinSet:
@@ -104,20 +105,15 @@ def _as_finset(J: FinSet | Iterable[int]) -> FinSet:
     return J if isinstance(J, FinSet) else FinSet(J)
 
 
-def _json_int(x: int) -> int:
-    """x, unless it is a JSON true or false, which a bool's int subclassing would let in.
-
-    The checked constructor that x goes on to refuses every other non-integer.
-    """
-    if isinstance(x, bool):
-        raise TypeError(f"JSON value must be an integer, got {x!r}")
-    return x
+def _check_int(x: object, rule: str) -> None:
+    """Refuse x with TypeError, as ``f"{rule}, got {x!r}"``, unless its type is exactly int."""
+    if type(x) is not int:
+        raise TypeError(f"{rule}, got {x!r}")
 
 
 def _check_modulus(n: int) -> None:
-    """Refuse a modulus n that is not an int (TypeError) or is less than 1 (ValueError)."""
-    if not isinstance(n, int):
-        raise TypeError(f"n must be a positive integer, got {n!r}")
+    """Refuse a modulus n that is not an integer (TypeError) or is less than 1 (ValueError)."""
+    _check_int(n, "n must be a positive integer")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
@@ -158,7 +154,7 @@ class AdmissiblePair:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdmissiblePair":
-        return cls(FinSet.from_json(data["J"]), _json_int(data["n"]))
+        return cls(FinSet.from_json(data["J"]), data["n"])
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,8 @@ class NecklaceClass:
 
 def affine_image(J: FinSet, scale: int, offset: int) -> FinSet:
     """Image of J under j -> scale*j + offset; scale must be a nonzero integer."""
-    if not (isinstance(scale, int) and isinstance(offset, int)):
-        raise TypeError(f"scale and offset must be integers, got {scale!r} and {offset!r}")
+    _check_int(scale, "scale must be an integer")
+    _check_int(offset, "offset must be an integer")
     if scale == 0:
         raise ValueError("scale must be nonzero (the map would not be injective)")
     return FinSet._of(frozenset(_image(J, scale, offset)))
@@ -192,8 +188,7 @@ def slice(J: FinSet | Iterable[int], n: int, i: int) -> FinSet:
     """The i-th residue slice {j : n*j + i in J}; i must be an int in [0, n)."""
     J = _as_finset(J)
     _check_modulus(n)
-    if not isinstance(i, int):
-        raise TypeError(f"residue i must be an integer, got {i!r}")
+    _check_int(i, "residue i must be an integer")
     if not 0 <= i < n:
         raise ValueError(f"residue i must lie in [0, {n}), got {i}")
     return FinSet._of(frozenset((t - i) // n for t in J._elements if (t - i) % n == 0))

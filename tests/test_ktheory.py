@@ -50,7 +50,7 @@ class TestProjectiveSumOf:
         # int() once read the shift 1.5 as 1
         with pytest.raises(TypeError, match="summand must be"):
             ProjectiveSum.from_json([{"J": [0], "shift": 1.5}])
-        with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+        with pytest.raises(TypeError, match="^summand must be shifted by an integer, got True$"):
             ProjectiveSum.from_json([{"J": [0], "shift": True}])
 
 

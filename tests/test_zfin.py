@@ -21,7 +21,7 @@ from weylgraded.zfin import (
 )
 from weylgraded import gwa, picard, zfin
 from weylgraded.ktheory import K0Class, ProjectiveSum, k0_class, stably_free_witness, theta_map
-from weylgraded.lattices import DSet, iota_lattice, to_dset
+from weylgraded.lattices import DSet, GradedLattice, SimpleLabel, iota_lattice, simple_factor, to_dset
 
 finsets = st.frozensets(st.integers(-10, 10), max_size=5).map(FinSet)
 moduli = st.integers(1, 6)
@@ -352,9 +352,26 @@ SET_TAKERS = {
     "inverse_boundary": ([0, 2], lambda J: inverse_boundary(J, 2)),
 }
 
+# Functions that take an integer argument: (the rule its TypeError states, the call).
+# Each checks the argument by zfin._check_int, which refuses a bool as well as a float.
+INT_TAKERS = {
+    "power k": ("power's exponent k must be an integer", lambda k: picard.power(picard.PicElement(1, 2, [0]), k)),
+    "slice residue": ("residue i must be an integer", lambda i: slice([0, 1], 2, i)),
+    "affine_image scale": ("scale must be an integer", lambda s: affine_image(fs(0), s, 0)),
+    "affine_image offset": ("offset must be an integer", lambda t: affine_image(fs(0), 1, t)),
+    "PicElement a": ("sign must be +1 or -1", lambda a: picard.PicElement(a, 1, [])),
+    "PicElement b": ("shift exponent must be an integer", lambda b: picard.PicElement(1, b, [])),
+    "SimpleLabel.X": ("X-labels carry an integer index", SimpleLabel.X),
+    "simple_factor": ("simple factors are indexed by integers", lambda j: simple_factor(GradedLattice.free(), j)),
+    "ProjectiveSum": ("summand must be shifted by an integer", lambda s: ProjectiveSum(((fs(1), s),))),
+    "ProjectiveSum.of": ("summand must be shifted by an integer", lambda s: ProjectiveSum.of((fs(1), s))),
+    "verify_ring_closure window": ("window must be a positive integer", lambda w: gwa.verify_ring_closure([0], 1, w)),
+    "coverage_witness window": ("window must be a positive integer", lambda w: picard.coverage_witness([0], 1, w)),
+}
+
 
 class TestInputRules:
-    @pytest.mark.parametrize("n", [2.5, 2.0, "2", Fraction(2)], ids=repr)
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", Fraction(2), True], ids=repr)
     @pytest.mark.parametrize("name", MODULUS_TAKERS)
     def test_modulus_must_be_an_int(self, name, n):
         with pytest.raises(TypeError, match=f"^n must be a positive integer, got {re.escape(repr(n))}$"):
@@ -387,6 +404,17 @@ class TestInputRules:
         assert call(iter(J)) == expected
         with pytest.raises(TypeError, match="FinSet elements must be integers"):
             call([*J[:-1], J[-1] + 0.5])
+        # a bool equal to no element of J, so that the frozenset keeps it
+        flag = next(b for b in (True, False) if b not in J)
+        with pytest.raises(TypeError, match=f"^FinSet elements must be integers, got {flag}$"):
+            call([*J, flag])
+
+    @pytest.mark.parametrize("x", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("name", INT_TAKERS)
+    def test_integer_arguments_must_be_ints(self, name, x):
+        rule, call = INT_TAKERS[name]
+        with pytest.raises(TypeError, match=f"^{re.escape(rule)}, got {re.escape(repr(x))}$"):
+            call(x)
 
     def test_a_finset_passes_through(self):
         J = fs(0, 2)
@@ -426,8 +454,8 @@ class TestJson:
             AdmissiblePair.from_json({"J": [0], "n": 2.5})
 
     def test_json_true_is_no_integer(self):
-        # bool is an int to Python, so only from_json tells JSON true from 1
-        with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+        # bool is an int to Python, but no integer check takes one
+        with pytest.raises(TypeError, match="^n must be a positive integer, got True$"):
             AdmissiblePair.from_json({"J": [0], "n": True})
-        with pytest.raises(TypeError, match="JSON value must be an integer, got True"):
+        with pytest.raises(TypeError, match="^FinSet elements must be integers, got True$"):
             FinSet.from_json([0, True])
