@@ -166,7 +166,7 @@ def _parse_sum(text: str) -> ProjectiveSum:
     sc.end()
     for J, s in summands:
         _bounded_shift(s, f"summand {J}@{s} has a shift")
-    return ProjectiveSum(tuple(summands))
+    return ProjectiveSum._of(tuple(summands))
 
 
 def _bounded_shift(s: int, what: str) -> None:

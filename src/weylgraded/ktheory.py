@@ -40,6 +40,13 @@ class ProjectiveSum:
             _check_int(p[1], "summand must be shifted by an integer")
 
     @classmethod
+    def _of(cls, summands: tuple[tuple[FinSet, int], ...]) -> "ProjectiveSum":
+        """The sum of ``summands``, which must already be (FinSet, int) pairs: no check."""
+        S = object.__new__(cls)
+        S.__dict__["summands"] = summands
+        return S
+
+    @classmethod
     def of(cls, *parts) -> "ProjectiveSum":
         """Build from parts, each a FinSet (shift 0) or a (FinSet, shift) pair."""
         return cls(tuple((p, 0) if isinstance(p, FinSet) else p for p in parts))
@@ -104,7 +111,7 @@ def normalize_sum(S: ProjectiveSum) -> ProjectiveSum:
     for c in range(m, 0, -1):
         link = link.union(by_count[c])
         links.append((FinSet._of(link), 0))
-    return ProjectiveSum(tuple(links))
+    return ProjectiveSum._of(tuple(links))
 
 
 def _absorbed_members(S: ProjectiveSum) -> Iterator[int]:

@@ -50,10 +50,9 @@ class SimpleLabel:
 
     def __post_init__(self) -> None:
         if self.kind in ("X", "Y"):
-            rule = f"{self.kind}-labels carry an integer index"
             if self.n is None or self.param is not None:
-                raise ValueError(rule)
-            _check_int(self.n, rule)
+                raise ValueError(f"{self.kind}-labels carry an integer index")
+            _check_int(self.n, f"{self.kind}-labels carry an integer index")
         elif self.kind == "M":
             if self.param is None or self.n is not None:
                 raise ValueError("M-labels carry a rational parameter")

@@ -12,14 +12,14 @@ is canonicalized by Booth's least rotation (Inform. Process. Lett. 10, 1980)
 of the cyclic sequence of gaps between consecutive elements, in time
 O(|J| log |J|) whatever n is.
 
-Each input rule has one home here, which every layer calls.  An integer is
-a value of type exactly ``int``: ``_check_int`` refuses anything else with
-TypeError, a bool (and so a JSON true or false) included, and ``FinSet(...)``
-applies the same test to each element.  ``_as_finset`` takes a set J as any
-iterable of integers and passes a FinSet through.  ``_check_modulus`` wants a
-modulus n that is an integer of at least 1 (else ValueError).
-``_admissible`` checks both and that J lies inside [0, n), and returns J.
-``slice`` also wants its residue i to be an integer in [0, n).
+Each input rule has one home here, which every layer calls.  An integer is a
+value of type exactly ``int``: ``_check_int`` refuses anything else, a bool (so
+a JSON true or false) included, with TypeError, and ``FinSet(...)`` tests each
+given element the same way.  ``_as_finset`` takes a set J as any iterable of
+integers and passes a FinSet through.  ``_check_modulus`` wants a modulus n
+that is an integer of at least 1 (else ValueError).  ``_admissible`` checks
+both and that J lies inside [0, n), and returns J.  ``slice`` also wants its
+residue i to be an integer in [0, n).
 """
 from __future__ import annotations
 
@@ -38,11 +38,11 @@ class FinSet:
     __slots__ = ("_elements",)
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
-        elems = frozenset(elements)
-        for e in elems:
+        elements = tuple(elements)  # checked before a frozenset merges True into 1
+        for e in elements:
             if type(e) is not int:
                 raise TypeError(f"FinSet elements must be integers, got {e!r}")
-        self._elements = elems
+        self._elements = frozenset(elements)
 
     @classmethod
     def _of(cls, elems: frozenset) -> "FinSet":

@@ -52,6 +52,8 @@ class TestProjectiveSumOf:
             ProjectiveSum.from_json([{"J": [0], "shift": 1.5}])
         with pytest.raises(TypeError, match="^summand must be shifted by an integer, got True$"):
             ProjectiveSum.from_json([{"J": [0], "shift": True}])
+        with pytest.raises(TypeError, match="^FinSet elements must be integers, got False$"):
+            ProjectiveSum.from_json([{"J": [0, False], "shift": 0}])
 
 
 class TestNormalize:

@@ -267,6 +267,9 @@ class TestRoundTrip:
         for a, b in [(True, 1), (1, True)]:
             with pytest.raises(TypeError, match=r"^(sign must be \+1 or -1|shift exponent must be an integer), got True$"):
                 PicElement.from_json({"a": a, "b": b, "J": []})
+        # a JSON true after an equal element of J
+        with pytest.raises(TypeError, match="^FinSet elements must be integers, got True$"):
+            PicElement.from_json({"a": 1, "b": 0, "J": [1, True]})
 
 
 class TestSharedConstants:

@@ -404,10 +404,12 @@ class TestInputRules:
         assert call(iter(J)) == expected
         with pytest.raises(TypeError, match="FinSet elements must be integers"):
             call([*J[:-1], J[-1] + 0.5])
-        # a bool equal to no element of J, so that the frozenset keeps it
-        flag = next(b for b in (True, False) if b not in J)
-        with pytest.raises(TypeError, match=f"^FinSet elements must be integers, got {flag}$"):
-            call([*J, flag])
+        # a bool after an equal integer, which a frozenset would merge away, and one alone
+        for flag in (True, False):
+            with pytest.raises(TypeError, match=f"^FinSet elements must be integers, got {flag}$"):
+                call([*J, int(flag), flag])
+            with pytest.raises(TypeError, match=f"^FinSet elements must be integers, got {flag}$"):
+                call([*J, flag])
 
     @pytest.mark.parametrize("x", [True, 2.0], ids=repr)
     @pytest.mark.parametrize("name", INT_TAKERS)
@@ -457,5 +459,10 @@ class TestJson:
         # bool is an int to Python, but no integer check takes one
         with pytest.raises(TypeError, match="^n must be a positive integer, got True$"):
             AdmissiblePair.from_json({"J": [0], "n": True})
-        with pytest.raises(TypeError, match="^FinSet elements must be integers, got True$"):
-            FinSet.from_json([0, True])
+        # in any order, and also after an equal integer
+        for data in ([0, True], [True, 1], [1, True], [0, False], [False, 0]):
+            with pytest.raises(TypeError, match="^FinSet elements must be integers, got (True|False)$"):
+                FinSet.from_json(data)
+        # a float equal to an element is refused the same way
+        with pytest.raises(TypeError, match=r"^FinSet elements must be integers, got 1\.0$"):
+            FinSet([1, 1.0])
