@@ -36,7 +36,7 @@ from .zfin import (
 )
 from .picard import PicElement, compose, inverse, power
 from .classify import canonical_admissible, same_morita_class
-from . import gwa, picard, skew
+from . import gwa, skew
 from .lattices import (
     cokernel_support,
     hom_generator,
@@ -45,6 +45,7 @@ from .lattices import (
 )
 from .ktheory import (
     ProjectiveSum,
+    _bounded_shift,
     iso_test,
     normalize_sum,
     stably_free_witness,
@@ -166,20 +167,7 @@ def _parse_sum(text: str) -> ProjectiveSum:
     sc.end()
     for J, s in summands:
         _bounded_shift(s, f"summand {J}@{s} has a shift")
-    return ProjectiveSum._of(tuple(summands))
-
-
-def _bounded_shift(s: int, what: str) -> None:
-    """ValueError when |s| passes picard.POWER_MAX_SET_SIZE.
-
-    iota_J A<s> is iota_K A with |K| <= |J| + |s|, so a shift builds work
-    linear in |s|; the bound on an involution set bounds it too.
-    """
-    if abs(s) > picard.POWER_MAX_SET_SIZE:
-        raise ValueError(
-            f"{what} over the limit POWER_MAX_SET_SIZE = {picard.POWER_MAX_SET_SIZE} "
-            "in absolute value"
-        )
+    return ProjectiveSum(tuple(summands))
 
 
 def _parse_combo(text: str) -> list[tuple[FinSet, int]]:

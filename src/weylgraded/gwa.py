@@ -47,8 +47,9 @@ builds no f_J.
 
 Every entry point checks its pair once, by zfin._admissible (J any iterable of
 integers; TypeError for a non-int n, ValueError for n < 1 or J outside [0, n)),
-and every product it returns is multiplied out by RationalPoly.from_roots,
-which refuses one too long to print (skew.MAX_PRINTED_DIGITS).
+and each piece degree j by zfin._check_int.  Every product it returns is
+multiplied out by RationalPoly.from_roots, which refuses one too long to print
+(skew.MAX_PRINTED_DIGITS).
 """
 from __future__ import annotations
 
@@ -138,6 +139,7 @@ def _closed_form_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
 
 def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j of S(J, n) as (h, p) with the piece equal to h(z) y^p k[z]."""
+    _check_int(j, "piece degree j must be an integer")
     exps, p = _closed_form_roots(_admissible(J, n), n, j)
     return (RationalPoly.from_roots(exps), p)
 
@@ -162,6 +164,7 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
     sit at distinct roots, so they commute.  The piece is the monic generator
     g of the degree-nj component, as the monomial g x^{nj}.
     """
+    _check_int(j, "piece degree j must be an integer")
     exps, p = _oracle_roots(_admissible(J, n), n, j)
     return (RationalPoly.from_roots(exps), p)
 
@@ -174,6 +177,8 @@ def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> Ring
     could not be printed raises ValueError (skew.MAX_PRINTED_DIGITS) before any is.
     """
     J = _admissible(J, n)
+    _check_int(j_min, "piece degree j_min must be an integer")
+    _check_int(j_max, "piece degree j_max must be an integer")
     find = _oracle_roots if oracle else _closed_form_roots
     found = ((j, find(J, n, j)) for j in range(j_max, j_min - 1, -1))
     pieces = {j: (RationalPoly.from_roots(exps), p) for j, (exps, p) in found}

@@ -433,6 +433,7 @@ class GradedLattice:
 
 def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
     """The lattice of iota_J(A) shifted by the given degree."""
+    _check_int(shift, "shift must be an integer")
     L = GradedLattice.free().involute(_as_finset(J))
     return L.shifted(shift) if shift else L
 

@@ -543,11 +543,15 @@ def _ring_structure(rng: random.Random) -> Cases:
 # --- k-theory ----------------------------------------------------------------
 
 
-def _random_sum(rng: random.Random) -> ProjectiveSum:
+def _random_pairs(rng: random.Random) -> list[tuple[FinSet, int]]:
     parts = []
     for _ in range(rng.randint(0, 4)):
         parts.append((_random_finset(rng, -4, 6, 3), rng.randint(-3, 3)))
-    return ProjectiveSum.of(*parts)
+    return parts
+
+
+def _random_sum(rng: random.Random) -> ProjectiveSum:
+    return ProjectiveSum.of(*_random_pairs(rng))
 
 
 @register("ktheory", "stably-free witness for {1,3}", "adds [3,1], result [4,2,0]")
@@ -570,7 +574,7 @@ def _no_single_complement(rng: random.Random) -> Cases:
 
 
 def _counts(summands: Iterable[tuple[FinSet, int]]) -> dict[int, int]:
-    """How often each point lies in the shift-absorbed sets of the summands."""
+    """How often each point lies in the shift-absorbed sets of the (J, s) summands."""
     counts: dict[int, int] = {}
     for J, s in summands:
         for t in zfin.absorb_shift(J, s):
@@ -581,13 +585,14 @@ def _counts(summands: Iterable[tuple[FinSet, int]]) -> dict[int, int]:
 @register("ktheory", "normalization: idempotent chain, counts preserved", "1000 random sums")
 def _normalization(rng: random.Random) -> Cases:
     for _ in range(1000):
-        S = _random_sum(rng)
+        pairs = _random_pairs(rng)  # S's summands are the constructor's output, so count these
+        S = ProjectiveSum.of(*pairs)
         N = normalize_sum(S)
         chain = [J for J, _ in N.summands]
         yield {"S": S}, (
             normalize_sum(N) == N
             and all(a.issubset(b) for a, b in zip(chain, chain[1:]))
-            and _counts(S.summands) == _counts(N.summands)
+            and _counts(pairs) == _counts(N.summands)
         )
 
 

@@ -246,14 +246,10 @@ def shift_delta(s: int) -> FinSet:
 
 def absorb_shift(J: FinSet, s: int) -> FinSet:
     """The K with iota_K A isomorphic to iota_J(A)<s>: (J + s) xor shift_delta(s)."""
-    return FinSet._of(_absorbed(J._elements, s)) if s else J
-
-
-def _absorbed(elems: frozenset, s: int) -> frozenset:
-    """The elements of absorb_shift(FinSet._of(elems), s), with no FinSet built."""
+    _check_int(s, "shift must be an integer")
     if not s:
-        return elems
-    return frozenset(map(s.__add__, elems)).symmetric_difference(_delta_range(s))
+        return J
+    return FinSet._of(frozenset(map(s.__add__, J._elements)).symmetric_difference(_delta_range(s)))
 
 
 def _least_rotation(s: list[int]) -> int:

@@ -256,21 +256,22 @@ def test_criterion_8_graded_k_theory():
 
     rng = random.Random(8)
 
-    def rand_sum(max_len=4):
+    def rand_pairs(max_len=4):
         parts = []
         for _ in range(rng.randint(0, max_len)):
             J = FinSet(rng.sample(range(-4, 7), rng.randint(0, 3)))
             parts.append((J, rng.randint(-3, 3)))
-        return ProjectiveSum.of(*parts)
+        return parts
 
     for _ in range(1000):
-        S = rand_sum()
+        pairs = rand_pairs()  # S's summands are the constructor's output, so count these
+        S = ProjectiveSum.of(*pairs)
         N = normalize_sum(S)
         ok = ok and normalize_sum(N) == N
         chain = [J for J, _ in N.summands]
         ok = ok and all(a.issubset(b) for a, b in zip(chain, chain[1:]))
         before: dict[int, int] = {}
-        for J, s in S.summands:
+        for J, s in pairs:
             for t in absorb_shift(J, s):
                 before[t] = before.get(t, 0) + 1
         after: dict[int, int] = {}
@@ -278,7 +279,7 @@ def test_criterion_8_graded_k_theory():
             for t in J:
                 after[t] = after.get(t, 0) + 1
         ok = ok and before == after
-        Q, Q2 = rand_sum(3), rand_sum(3)
+        Q, Q2 = ProjectiveSum.of(*rand_pairs(3)), ProjectiveSum.of(*rand_pairs(3))
         ok = ok and iso_test(
             ProjectiveSum(S.summands + Q.summands),
             ProjectiveSum(S.summands + Q2.summands),

@@ -367,6 +367,16 @@ INT_TAKERS = {
     "ProjectiveSum.of": ("summand must be shifted by an integer", lambda s: ProjectiveSum.of((fs(1), s))),
     "verify_ring_closure window": ("window must be a positive integer", lambda w: gwa.verify_ring_closure([0], 1, w)),
     "coverage_witness window": ("window must be a positive integer", lambda w: picard.coverage_witness([0], 1, w)),
+    "absorb_shift": ("shift must be an integer", lambda s: absorb_shift(fs(1), s)),
+    "to_dset shift": ("shift must be an integer", lambda s: to_dset([1], s)),
+    "iota_lattice shift": ("shift must be an integer", lambda s: iota_lattice([1], s)),
+    "theta_map coefficient": ("theta_map coefficient must be an integer", lambda c: theta_map([(fs(0), c)])),
+    "K0Class degree": ("K_0 basis degree must be an integer", lambda n: K0Class({n: 1})),
+    "K0Class coefficient": ("K_0 coefficient must be an integer", lambda c: K0Class({0: c})),
+    "graded_piece_closed_form j": ("piece degree j must be an integer", lambda j: gwa.graded_piece_closed_form([0], 1, j)),
+    "twisted_endo_piece_oracle j": ("piece degree j must be an integer", lambda j: gwa.twisted_endo_piece_oracle([0], 1, j)),
+    "ring_pieces j_min": ("piece degree j_min must be an integer", lambda j: gwa.ring_pieces([0], 1, j, 1)),
+    "ring_pieces j_max": ("piece degree j_max must be an integer", lambda j: gwa.ring_pieces([0], 1, -1, j)),
 }
 
 
