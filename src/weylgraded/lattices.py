@@ -15,7 +15,12 @@ unit drop between degrees t and t+1; whether it drops decides whether the
 simple factor at t is Y(t) or X(t), which makes isomorphism testing and the
 involution functors completely mechanical.  A set of involutions edits its own lines in one pass,
 a shift relabels them, intersections and hom generators take maxima line by
-line, and no polynomial gcd is ever taken.  Every query is one linear pass
+line, and no polynomial gcd is ever taken.  iota_lattice(J, s) writes the
+lines of iota_J(A)<s> in closed form, in one pass over J and the integers
+between 0 and -s: with u = t + s, a member t < 0 gives the constant line u,
+a member t >= 0 with u >= 0 a line that drops at u+1, a non-member t between
+0 and -s a line that drops at u+1 (s > 0) or the zero line (s < 0), and
+every other line is A's.  Every query is one linear pass
 per root line: two lines combine by a merge walk of their sorted jumps, the
 shortest window is one scan of the lines, and A's own lines, which are not
 stored, are read in closed form.
@@ -67,9 +72,7 @@ class SimpleLabel:
     def _of(cls, kind: str, n: int) -> "SimpleLabel":
         """The label kind(n) for kind "X" or "Y" and an int n: no check."""
         S = object.__new__(cls)
-        object.__setattr__(S, "kind", kind)
-        object.__setattr__(S, "n", n)
-        object.__setattr__(S, "param", None)
+        S.__dict__.update(kind=kind, n=n, param=None)
         return S
 
     @classmethod
@@ -432,10 +435,32 @@ class GradedLattice:
 
 
 def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
-    """The lattice of iota_J(A) shifted by the given degree."""
+    """The lattice of iota_J(A)<s>, s the shift, its lines written in one pass.
+
+    It equals GradedLattice.free().involute(J).shifted(s), in closed form.
+    Line t of iota_J(A) moves to line u = t + s, and only lines unlike A's
+    are stored:
+      t in J, t < 0:           line u is the constant (1, ());
+      t in J, t >= 0, u >= 0:  line u is (1, ((u+1, -1),));
+      t not in J, -s <= t < 0: line u is (1, ((u+1, -1),));
+      t not in J, 0 <= t < -s: line u is (0, ()).
+    A member t >= 0 with u < 0 lands on A's own line u, so it is not stored.
+    """
     _check_int(shift, "shift must be an integer")
-    L = GradedLattice.free().involute(_as_finset(J))
-    return L.shifted(shift) if shift else L
+    members = _as_finset(J)._elements
+    lines = {}
+    for t in members:
+        u = t + shift
+        if t < 0:
+            lines[u] = (1, ())
+        elif u >= 0:
+            lines[u] = (1, ((u + 1, -1),))
+    # a non-member t between 0 and -s keeps A's line t, unlike A's line u = t + s
+    if shift > 0:
+        lines.update((u, (1, ((u + 1, -1),))) for u in range(shift) if u - shift not in members)
+    else:
+        lines.update((u, (0, ())) for u in range(shift, 0) if u - shift not in members)
+    return GradedLattice._of(lines)
 
 
 def lattice_intersect(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:

@@ -224,17 +224,21 @@ class RationalPoly:
 
         A coefficient of prod (z+t) is at most prod (1+|t|), so past
         MAX_PRINTED_DIGITS digits it raises ValueError before it multiplies.
+        The bound sum |e| log10(1 + |t|) is summed root by root only when the
+        cheaper sum |e| log10(1 + max |t|) passes the limit.
         The roots are distinct, so num and den are coprime and no gcd is taken.
         """
-        num, den, digits = [], [], 0.0
+        num, den = [], []
         for t, e in exps.items():
             (num if e > 0 else den).extend([t] * abs(e))
-            digits += abs(e) * log10(1 + abs(t))
-        if digits > MAX_PRINTED_DIGITS:
-            raise ValueError(
-                f"a product of {len(num) + len(den)} linear factors could have coefficients of up "
-                f"to {digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
-            )
+        factors = len(num) + len(den)
+        if exps and factors * log10(1 + max(map(abs, exps))) > MAX_PRINTED_DIGITS:
+            digits = sum(abs(e) * log10(1 + abs(t)) for t, e in exps.items())
+            if digits > MAX_PRINTED_DIGITS:
+                raise ValueError(
+                    f"a product of {factors} linear factors could have coefficients of up to "
+                    f"{digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
+                )
         return _ratio(_linear_coeffs(num), _linear_coeffs(den) if den else _ONE)
 
     @classmethod

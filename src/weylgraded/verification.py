@@ -328,6 +328,19 @@ def _iota_squared(rng: random.Random) -> Cases:
         yield {"J": J}, L.involute(FinSet([0])).involute(FinSet([0])) == L.scaled({0: 1})
 
 
+@register(
+    "lattices",
+    "iota_J A<s> equals free().involute(J).shifted(s)",
+    "J in [-3,3], |J| <= 3, s in [-4,4]",
+)
+def _iota_closed_form(rng: random.Random) -> Cases:
+    for J in _subsets(range(-3, 4), 3):
+        involuted = GradedLattice.free().involute(J)
+        for s in range(-4, 5):
+            # equal line maps: shifted drops the lines equal to A's, so the closed form stores none
+            yield {"J": J, "s": s}, iota_lattice(J, s) == involuted.shifted(s)
+
+
 # --- picard ----------------------------------------------------------------
 
 

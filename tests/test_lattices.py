@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -22,7 +23,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _combine, _factor, _value
+from weylgraded.lattices import _combine, _factor, _free_line, _value
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -83,6 +84,25 @@ class TestIotaLattice:
     def test_shifted_free_module(self):
         # A<1> = xA as a sublattice of D
         assert iota_lattice(FinSet(), 1) == iota_lattice(fs(0))
+
+    def test_closed_form_equals_the_functor_composition(self):
+        rng, seen = random.Random(33), Counter()
+        for _ in range(3000):
+            J = FinSet(rng.sample(range(-8, 9), rng.randint(0, 5)))
+            s = rng.randint(-10, 10)
+            seen.update(
+                negative_member=min(J, default=0) < 0,
+                member_stored=any(t >= 0 and t + s >= 0 for t in J),
+                member_on_A=any(t >= 0 and t + s < 0 for t in J),
+                window_up=s > 0 and any(t not in J for t in range(-s, 0)),
+                window_down=s < 0 and any(t not in J for t in range(-s)),
+            )
+            got = iota_lattice(J, s)._lines
+            assert got == A.involute(J).shifted(s)._lines, (J, s)
+            # _of skips _canonical, so iota_lattice must store no line equal to A's
+            assert all(line != _free_line(t) for t, line in got.items()), (J, s)
+        assert all(seen[k] for k in ("negative_member", "member_stored", "member_on_A",
+                                     "window_up", "window_down")), seen
 
 
 class TestIntersect:
@@ -222,9 +242,9 @@ class TestSimpleFactor:
     def test_trusted_label_equals_checked(self):
         for kind in ("X", "Y"):
             for n in range(-5, 6):
-                fast, checked = SimpleLabel._of(kind, n), SimpleLabel(kind, n=n)
+                fast, checked = SimpleLabel._of(kind, n), getattr(SimpleLabel, kind)(n)
                 assert fast == checked and hash(fast) == hash(checked)
-                assert str(fast) == str(checked)
+                assert vars(fast) == vars(checked) and str(fast) == str(checked)
 
 
 class TestDSet:

@@ -290,6 +290,29 @@ class TestFromRoots:
         ):
             RationalPoly.from_roots({sign * t: sign for t in range(1, last + 2)})
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_large_root_is_weighed_root_by_root(self, sign, monkeypatch):
+        monkeypatch.setattr("weylgraded.skew.MAX_PRINTED_DIGITS", 300)
+        # (z + 10^100 - 1) weighs 100 digits and 1 <= t <= k weigh sum log10(1+t), so the
+        # cheap bound (k+1) * 100 passes 300 on both sides of the limit
+        big = 10**100 - 1
+        k = 1
+        while 100 + sum(log10(1 + t) for t in range(1, k + 2)) <= 300:
+            k += 1
+        roots = [big, *range(1, k + 1)]
+        under = {sign * t: sign for t in roots}
+        over = {**under, sign * (k + 1): sign}
+        product = _folded([sign * t for t in roots])
+        got = RationalPoly.from_roots(under)
+        assert (got.num, got.den) == ((product, (1,)) if sign == 1 else ((1,), product))
+        digits = sum(log10(1 + abs(t)) for t in over)
+        with pytest.raises(
+            ValueError,
+            match=f"a product of {k + 2} linear factors could have coefficients of up to "
+            f"{digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = 300",
+        ):
+            RationalPoly.from_roots(over)
+
     def test_refuses_before_it_multiplies(self):
         start = perf_counter()
         with pytest.raises(ValueError, match="a product of 1000000 linear factors"):
