@@ -42,14 +42,14 @@ be returned or printed.  The two paths share no code beyond raw arithmetic.
 verify_ring_closure checks closure on the closed form's root maps, and
 verify_gwa_embedding checks W's relations, x^n and x^{-n} x^n = 1, both on
 monomials with no gcd; the tests keep their products in D as the reference.
-simplicity_root_test reads its roots back off fbar as _fbar builds it, and
-builds no f_J.
+simplicity_root_test reads its roots back off fbar as _fbar builds it, by
+RationalPoly.root_map, and builds no f_J.
 
 Every entry point checks its pair once, by zfin._admissible (J any iterable of
 integers; TypeError for a non-int n, ValueError for n < 1 or J outside [0, n)),
 and each piece degree j by zfin._check_int.  Every product it returns is
-multiplied out by RationalPoly.from_roots, which refuses one too long to print
-(skew.MAX_PRINTED_DIGITS).
+multiplied out by RationalPoly._of_roots, which refuses one too long to print
+(skew.MAX_PRINTED_DIGITS) and skips from_roots' check of maps built from ints.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 from .zfin import FinSet, _admissible, _check_int
 from .skew import RationalPoly
-from .lattices import _integer_roots, iota_lattice
+from .lattices import iota_lattice
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def complement(J: FinSet, n: int) -> FinSet:
 
 def _fbar(J: FinSet, n: int) -> RationalPoly:
     """fbar of S(J, n) for a validated pair: the product of (z+t) over [0, n) minus J."""
-    return RationalPoly.from_roots(dict.fromkeys(complement(J, n), 1))
+    return RationalPoly._of_roots(dict.fromkeys(complement(J, n), 1))
 
 
 def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
@@ -107,7 +107,7 @@ def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
     Raises ValueError when either could not be printed (skew.MAX_PRINTED_DIGITS).
     """
     J = _admissible(J, n)
-    return _fbar(J, n), RationalPoly.from_roots(dict.fromkeys(J, 1))
+    return _fbar(J, n), RationalPoly._of_roots(dict.fromkeys(J, 1))
 
 
 def present(J, n: int) -> GWAPresentation:
@@ -117,13 +117,13 @@ def present(J, n: int) -> GWAPresentation:
     """
     J = _admissible(J, n)
     rest = complement(J, n)
-    fbar = RationalPoly.from_roots(dict.fromkeys(rest, 1))
-    f_J = RationalPoly.from_roots(dict.fromkeys(J, 1))
+    fbar = RationalPoly._of_roots(dict.fromkeys(rest, 1))
+    f_J = RationalPoly._of_roots(dict.fromkeys(J, 1))
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",
         f"X Y = {fbar}",
-        f"Y X = {RationalPoly.from_roots({t - n: 1 for t in rest})}",
+        f"Y X = {RationalPoly._of_roots({t - n: 1 for t in rest})}",
     )
     return GWAPresentation(n=n, f=fbar, idealizer_factor=f_J, relations=relations)
 
@@ -141,7 +141,7 @@ def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """Piece j of S(J, n) as (h, p) with the piece equal to h(z) y^p k[z]."""
     _check_int(j, "piece degree j must be an integer")
     exps, p = _closed_form_roots(_admissible(J, n), n, j)
-    return (RationalPoly.from_roots(exps), p)
+    return (RationalPoly._of_roots(exps), p)
 
 
 def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
@@ -150,7 +150,7 @@ def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     K = FinSet._of(frozenset(t + n * i for i in steps for t in J._elements))
     L = iota_lattice(K)
     if j > 0:
-        L = L.scaled(dict.fromkeys(K._elements, -1))
+        L = L._scaled(dict.fromkeys(K._elements, -1))
     d = n * j
     return _times((L.factored_generator_at(d), 0), _x_power(d))
 
@@ -166,7 +166,7 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
     """
     _check_int(j, "piece degree j must be an integer")
     exps, p = _oracle_roots(_admissible(J, n), n, j)
-    return (RationalPoly.from_roots(exps), p)
+    return (RationalPoly._of_roots(exps), p)
 
 
 def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> RingPieces:
@@ -181,7 +181,7 @@ def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> Ring
     _check_int(j_max, "piece degree j_max must be an integer")
     find = _oracle_roots if oracle else _closed_form_roots
     found = ((j, find(J, n, j)) for j in range(j_max, j_min - 1, -1))
-    pieces = {j: (RationalPoly.from_roots(exps), p) for j, (exps, p) in found}
+    pieces = {j: (RationalPoly._of_roots(exps), p) for j, (exps, p) in found}
     return RingPieces(n=n, pieces=dict(sorted(pieces.items())))
 
 
@@ -301,8 +301,8 @@ def verify_gwa_embedding(J, n: int) -> bool:
 def simplicity_root_test(J, n: int) -> bool:
     """The GWA parameter has no repeated roots and no two roots congruent mod n.
 
-    The roots are read back off the fbar that _fbar builds.
+    The roots are read back off the fbar that _fbar multiplies out, by
+    RationalPoly.root_map.
     """
-    fbar = _fbar(_admissible(J, n), n)
-    roots = _integer_roots(fbar.num, fbar)
+    roots = _fbar(_admissible(J, n), n).root_map()
     return set(roots.values()) <= {1} and len({t % n for t in roots}) == len(roots)

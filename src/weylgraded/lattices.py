@@ -25,23 +25,22 @@ per root line: two lines combine by a merge walk of their sorted jumps, the
 shortest window is one scan of the lines, and A's own lines, which are not
 stored, are read in closed form.
 
-A lattice also enters as the generators on a window [lo, hi], continued by
-g_m = g_hi for m > hi and g_m = g_{m+1} (z+m) for m < lo, and leaves on the
-shortest such window.  A RationalPoly that does not split over integer roots
-is rejected with ValueError.  A generator, or a scale factor, that is kept
-factored is a root map {t: e}, the product of the (z+t)^e, as everywhere else
-in the package; e < 0 is a denominator.
+A lattice enters as the root maps {t: e}, products of the (z+t)^e with e < 0
+a denominator, of its generators on a window [lo, hi], continued by g_m = g_hi
+for m > hi and g_m = g_{m+1} (z+m) for m < lo, and leaves as root maps on the
+shortest such window; only its JSON form multiplies them out, and from_json
+factors them back by RationalPoly.root_map.  A scale factor is a root map too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import inf, isqrt
+from math import inf
 from operator import sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .zfin import FinSet, _as_finset, _check_int, absorb_shift
+from .zfin import FinSet, _as_finset, _check_int, _check_root_map, absorb_shift
 from .skew import RationalPoly
 
 
@@ -187,77 +186,31 @@ def _canonical(lines: Mapping[int, _Line]) -> dict[int, _Line]:
     return {t: line for t, line in lines.items() if line != _free_line(t)}
 
 
-def _deflate(cs: list[int], j: int) -> list[int] | None:
-    """cs / (z+j) by synthetic division, or None when (z+j) does not divide cs."""
-    q = [0] * (len(cs) - 1)
-    acc = 0
-    for i in range(len(cs) - 1, 0, -1):
-        acc = cs[i] - j * acc
-        q[i - 1] = acc
-    return q if cs[0] == j * acc else None
-
-
-def _integer_roots(coeffs: tuple, g: RationalPoly) -> dict[int, int]:
-    """Exponent of each (z+j) in c * prod (z+j); ValueError if coeffs do not split so."""
-    lc = coeffs[-1]
-    monic = coeffs if lc == 1 else [Fraction(c, lc) for c in coeffs]
-    if any(c.denominator != 1 for c in monic):
-        raise ValueError(f"{g} does not split over integer roots")
-    cs = [c.numerator for c in monic]
-    d = len(cs) - 1
-    e1 = cs[d - 1] if d >= 1 else 0
-    e2 = cs[d - 2] if d >= 2 else 0
-    # the squares of the roots sum to e1^2 - 2 e2, which bounds each |j|
-    bound = isqrt(max(e1 * e1 - 2 * e2, 0))
-    roots: dict[int, int] = {}
-    for j in range(-bound, bound + 1):
-        if len(cs) <= 2:
-            break
-        while cs[0] % j == 0 if j else cs[0] == 0:
-            q = _deflate(cs, j)
-            if q is None:
-                break
-            cs = q
-            roots[j] = roots.get(j, 0) + 1
-    if len(cs) == 2:  # the last root is read off z + j
-        roots[cs[0]] = roots.get(cs[0], 0) + 1
-    elif len(cs) > 2:
-        raise ValueError(f"{g} does not split over integer roots")
-    return roots
-
-
-def _factor(g: RationalPoly) -> dict[int, int]:
-    """The root map {t: e} of a nonzero rational function, its leading constant dropped."""
-    if g.is_zero():
-        raise ValueError("lattice generators must be nonzero")
-    exps = _integer_roots(g.num, g)
-    if not g.is_polynomial():
-        # num and den are coprime, so their roots are distinct
-        exps.update((j, -e) for j, e in _integer_roots(g.den, g).items())
-    return exps
-
-
 class GradedLattice:
     """Graded submodule of D with one cyclic generator per degree.
 
     The generators are stored by root line: line t is the exponent of (z+t)
     as a step function of the degree, kept only where it differs from A's.
-    Generators enter as RationalPoly values, which must split over integer
-    roots (ValueError otherwise), and leave multiplied out as RationalPoly
-    values, or as root maps through factored_generator_at.
+    Generators enter and leave as root maps {t: e}, and leave multiplied out
+    as RationalPoly values through generator_at.
     """
 
     __slots__ = ("_lines",)
 
-    def __init__(self, lo: int, gens: Sequence[RationalPoly]) -> None:
-        """Lattice with generators gens[i] at degree lo + i.
+    def __init__(self, gens: Mapping[int, Mapping[int, int]]) -> None:
+        """Lattice with the root map gens[m] as its generator at each degree m.
 
-        Each generator is a nonzero RationalPoly, whose leading constant is
-        dropped.  Above the window g_m = g_hi; below it g_m = g_{m+1} (z+m).
+        The degrees form a contiguous, non-empty window [lo, hi]; above it
+        g_m = g_hi, below it g_m = g_{m+1} (z+m).  TypeError unless every
+        degree, root and exponent is an int.
         """
-        if not gens:
-            raise ValueError("a lattice needs at least one stored generator")
-        exps = [_factor(g) for g in gens]
+        for m, g in gens.items():
+            _check_int(m, "lattice degrees must be integers")
+            _check_root_map(g)
+        if not gens or len(gens) != max(gens) - min(gens) + 1:
+            raise ValueError("a lattice's generators must cover a contiguous, non-empty window")
+        lo = min(gens)
+        exps = [gens[m] for m in range(lo, lo + len(gens))]
         lines = {}
         # A's lines between 0 and lo change under the left-tail rule
         for t in set().union(*exps, range(min(lo, 0), max(lo, 0))):
@@ -279,13 +232,6 @@ class GradedLattice:
     def free(cls) -> "GradedLattice":
         """The lattice of A itself: g_m = 1 for m >= 0, left tail below."""
         return cls._of({})
-
-    @classmethod
-    def from_generators(cls, gens: Mapping[int, RationalPoly]) -> "GradedLattice":
-        degrees = sorted(gens)
-        if degrees != list(range(degrees[0], degrees[-1] + 1)):
-            raise ValueError("generator map must cover a contiguous window")
-        return cls(degrees[0], [gens[m] for m in degrees])
 
     def _line(self, t: int) -> _Line:
         return self._lines.get(t) or _free_line(t)
@@ -343,7 +289,7 @@ class GradedLattice:
         return {m: self.generator_at(m) for m in range(lo, hi + 1)}
 
     def generator_at(self, m: int) -> RationalPoly:
-        return RationalPoly.from_roots(self.factored_generator_at(m))
+        return RationalPoly._of_roots(self.factored_generator_at(m))
 
     def factored_generator_at(self, m: int) -> dict[int, int]:
         """The degree-m generator as a new root map {t: e}, zero exponents dropped."""
@@ -353,7 +299,7 @@ class GradedLattice:
 
     # functor actions ---------------------------------------------------------
 
-    def involute(self, K: FinSet) -> "GradedLattice":
+    def involute(self, K: FinSet | Iterable[int]) -> "GradedLattice":
         """Apply the involution at every index j of K: pass to the reject of each F_j.
 
         When F_j is X(j) the degrees <= j are multiplied by (z+j); when it is
@@ -361,10 +307,8 @@ class GradedLattice:
         A line that is not stored is A's, and is edited in closed form: to
         (1, ((j+1, -1),)) for j >= 0 (X(j)) and to the constant (1, ()) for j < 0 (Y(j)).
         """
-        if not isinstance(K, FinSet):
-            raise TypeError(f"involute takes a FinSet of indices, got {K!r}")
         lines = {}
-        for j in K._elements:
+        for j in _as_finset(K)._elements:
             line = self._lines.get(j)
             if line is None:
                 lines[j] = (1, ((j + 1, -1),)) if j >= 0 else (1, ())
@@ -400,7 +344,15 @@ class GradedLattice:
         return GradedLattice._of(_canonical(lines))
 
     def scaled(self, f: Mapping[int, int]) -> "GradedLattice":
-        """Left-multiply every degree piece by the product of the (z+t)^e over the root map f."""
+        """Left-multiply every degree piece by the product of the (z+t)^e over the root map f.
+
+        TypeError unless every root t and exponent e is an int.
+        """
+        _check_root_map(f)
+        return self._scaled(f)
+
+    def _scaled(self, f: Mapping[int, int]) -> "GradedLattice":
+        """scaled by a root map f that must already hold only ints: no check."""
         lines = {}
         for t, e in f.items():
             v, jumps = self._line(t)
@@ -421,17 +373,13 @@ class GradedLattice:
         return f"GradedLattice[{min(gens)}..{max(gens)}]({inner})"
 
     def to_json(self) -> dict:
-        gens = self.generators
-        return {
-            "lo": min(gens),
-            "hi": max(gens),
-            "gens": {str(m): g.to_json() for m, g in gens.items()},
-        }
+        lo, hi = self._bounds()
+        gens = {str(m): self.generator_at(m).to_json() for m in range(lo, hi + 1)}
+        return {"lo": lo, "hi": hi, "gens": gens}
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedLattice":
-        gens = {int(m): RationalPoly.from_json(g) for m, g in data["gens"].items()}
-        return cls.from_generators(gens)
+        return cls({int(m): RationalPoly.from_json(g).root_map() for m, g in data["gens"].items()})
 
 
 def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
@@ -508,7 +456,7 @@ def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
     the exponent of q is the largest that the ratio takes.
     """
     hom = {t: e for t, ratio in _ratios(P, Q).items() if (e := max(_values(ratio)))}
-    return RationalPoly.from_roots(hom)
+    return RationalPoly._of_roots(hom)
 
 
 def cokernel_support(P: GradedLattice, Q: GradedLattice) -> tuple[tuple[int, int], ...]:

@@ -24,7 +24,8 @@ list, with no intermediate RationalPoly.
 
 from_roots multiplies out a root map {t: e}, prod (z+t)^e, and is the one
 place that refuses output too long to print (MAX_PRINTED_DIGITS); the
-arithmetic itself, SkewElement included, is unbounded.
+arithmetic itself, SkewElement included, is unbounded.  Its inverse root_map
+is the one place a polynomial is factored.
 
 SkewElement arithmetic and == read an int, Fraction or RationalPoly operand as
 the degree-0 element of D, and a degree-0 element hashes as its coefficient.
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import log10
+from math import isqrt, log10
 from typing import Iterable, Mapping, Union
+
+from .zfin import _check_root_map
 
 Scalar = Union[int, Fraction, str]
 
@@ -222,12 +225,19 @@ class RationalPoly:
     def from_roots(cls, exps: Mapping[int, int]) -> "RationalPoly":
         """prod of (z + t)^e over the items (t, e) of exps; e < 0 puts (z + t) in the denominator.
 
-        A coefficient of prod (z+t) is at most prod (1+|t|), so past
-        MAX_PRINTED_DIGITS digits it raises ValueError before it multiplies.
-        The bound sum |e| log10(1 + |t|) is summed root by root only when the
-        cheaper sum |e| log10(1 + max |t|) passes the limit.
-        The roots are distinct, so num and den are coprime and no gcd is taken.
+        TypeError unless each t and e is an int.  A coefficient of prod (z+t)
+        is at most prod (1+|t|), so past MAX_PRINTED_DIGITS digits it raises
+        ValueError before it multiplies.  The bound sum |e| log10(1 + |t|) is
+        summed root by root only when the cheaper sum |e| log10(1 + max |t|)
+        passes the limit.  The roots are distinct, so num and den are coprime
+        and no gcd is taken.
         """
+        _check_root_map(exps)
+        return cls._of_roots(exps)
+
+    @classmethod
+    def _of_roots(cls, exps: Mapping[int, int]) -> "RationalPoly":
+        """from_roots of a root map that must already hold only ints: no check."""
         num, den = [], []
         for t, e in exps.items():
             (num if e > 0 else den).extend([t] * abs(e))
@@ -240,6 +250,40 @@ class RationalPoly:
                     f"{digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
                 )
         return _ratio(_linear_coeffs(num), _linear_coeffs(den) if den else _ONE)
+
+    def root_map(self) -> dict[int, int]:
+        """The root map {t: e} with self = c prod (z+t)^e, the inverse of from_roots.
+
+        The leading constant c is dropped.  ValueError for zero and for a value
+        that does not split over integer roots.  num and den are each factored
+        by trial division; they are coprime, so their roots are distinct.
+        """
+        if not self._num:
+            raise ValueError("zero has no root map")
+        roots: dict[int, int] = {}
+        parts = ((self._num, 1),) if self._den == _ONE else ((self._num, 1), (self._den, -1))
+        for coeffs, sign in parts:
+            cs = list(coeffs) if coeffs[-1] == 1 else [_div(c, coeffs[-1]) for c in coeffs]
+            if any(type(c) is not int for c in cs):
+                raise ValueError(f"{self} does not split over integer roots")
+            # the squares of the roots sum to e1^2 - 2 e2, which bounds each |j|
+            *_, e2, e1, _ = [0, 0, *cs]
+            bound = isqrt(max(e1 * e1 - 2 * e2, 0))
+            for j in range(-bound, bound + 1):
+                while len(cs) > 2 and (cs[0] % j == 0 if j else cs[0] == 0):
+                    # cs / (z+j) by synthetic division, from the top down
+                    q, acc = cs[1:], 0
+                    for i in range(len(q) - 1, -1, -1):
+                        acc = q[i] = q[i] - j * acc
+                    if cs[0] != j * acc:
+                        break
+                    cs = q
+                    roots[j] = roots.get(j, 0) + sign
+            if len(cs) == 2:  # the last root is read off z + j
+                roots[cs[0]] = roots.get(cs[0], 0) + sign
+            elif len(cs) > 2:
+                raise ValueError(f"{self} does not split over integer roots")
+        return roots
 
     @classmethod
     def rising(cls, d: int) -> "RationalPoly":

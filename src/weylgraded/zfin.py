@@ -16,16 +16,16 @@ Each input rule has one home here, which every layer calls.  An integer is a
 value of type exactly ``int``: ``_check_int`` refuses anything else, a bool (so
 a JSON true or false) included, with TypeError, and ``FinSet(...)`` tests each
 given element the same way.  ``_as_finset`` takes a set J as any iterable of
-integers and passes a FinSet through.  ``_check_modulus`` wants a modulus n
-that is an integer of at least 1 (else ValueError).  ``_admissible`` checks
-both and that J lies inside [0, n), and returns J.  ``slice`` also wants its
-residue i to be an integer in [0, n).
+integers and passes a FinSet through, and ``_check_root_map`` a root map as
+integers to integers.  ``_check_modulus`` wants a modulus n that is an integer
+of at least 1 (else ValueError).  ``_admissible`` checks both and that J lies
+inside [0, n), and returns J.  ``slice`` also wants its residue i in [0, n).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class NotInImageError(ValueError):
@@ -109,6 +109,13 @@ def _check_int(x: object, rule: str) -> None:
     """Refuse x with TypeError, as ``f"{rule}, got {x!r}"``, unless its type is exactly int."""
     if type(x) is not int:
         raise TypeError(f"{rule}, got {x!r}")
+
+
+def _check_root_map(exps: Mapping[int, int]) -> None:
+    """Refuse, by _check_int, a root map {t: e} whose roots or exponents are not all ints."""
+    for t, e in exps.items():
+        _check_int(t, "a root map's roots must be integers")
+        _check_int(e, "a root map's exponents must be integers")
 
 
 def _check_modulus(n: int) -> None:

@@ -236,7 +236,7 @@ def _reject(L, j, side):
         gens = [g * zj if lo + i <= j else g for i, g in enumerate(gens)]
     else:
         gens = [g * zj if lo + i >= j + 1 else g for i, g in enumerate(gens)]
-    return GradedLattice(lo, gens)
+    return GradedLattice({lo + i: g.root_map() for i, g in enumerate(gens)})
 
 
 def test_criterion_8_graded_k_theory():

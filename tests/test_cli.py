@@ -361,13 +361,14 @@ class TestRunCommand:
         generators = iota_lattice(FinSet([-20])).generators
         assert len(generators) == 21
         calls = []
-        from_roots = RationalPoly.from_roots
+        of_roots = RationalPoly._of_roots
 
         def counted(roots):
             calls.append(roots)
-            return from_roots(roots)
+            return of_roots(roots)
 
-        monkeypatch.setattr(RationalPoly, "from_roots", staticmethod(counted))
+        # _of_roots multiplies out every root map, from_roots' included
+        monkeypatch.setattr(RationalPoly, "_of_roots", staticmethod(counted))
         assert run_command(["mod", "lattice", "--J", "-20", *fmt]) == 0
         out = capsys.readouterr().out
         assert len(calls) == len(generators)

@@ -23,7 +23,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _combine, _factor, _free_line, _value
+from weylgraded.lattices import _combine, _free_line, _value
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -138,9 +138,8 @@ class TestScale:
         for L in rng.sample(lattices, 60):
             for _ in range(4):
                 f = dict(_random_factored(rng))
-                want = GradedLattice(
-                    L.lo, [g * RationalPoly.from_roots(f) for g in L.generators.values()]
-                )
+                h = RationalPoly.from_roots(f)
+                want = GradedLattice({m: (g * h).root_map() for m, g in L.generators.items()})
                 assert L.scaled(f) == want, (L, f)
 
 
@@ -191,24 +190,24 @@ class TestInvolute:
         rng = random.Random(14)
         for _ in range(3000):
             lo = rng.randint(-4, 4)
-            gens = [
-                _expand(_random_factored(rng, exps=(-2, -1, 1, 2))) for _ in range(rng.randint(1, 4))
-            ]
-            L = GradedLattice(lo, gens)
+            gens = {
+                lo + i: dict(_random_factored(rng, exps=(-2, -1, 1, 2))) for i in range(rng.randint(1, 4))
+            }
+            L = GradedLattice(gens)
             K = rng.sample(range(-7, 8), rng.randint(0, 6))
             want = L
             for j in K:
                 want = _ref_involute_at(want, j)
             assert L.involute(FinSet(K)) == want, (lo, gens, K)
 
-    def test_index_must_be_a_finset(self):
+    def test_index_set_must_be_iterable(self):
         with pytest.raises(TypeError):
             A.involute(0)
 
 
 class TestIsAModule:
     def test_x_closure_violation(self):
-        L = GradedLattice.from_generators({0: Z, 1: Z + 1, 2: ONE})
+        L = GradedLattice({0: {0: 1}, 1: {1: 1}, 2: {}})
         assert not is_A_module(L)
 
     def test_free_is_valid(self):
@@ -349,14 +348,21 @@ class TestExtTable:
             build()
 
 
+def _json_of(g):
+    """The lattice JSON of one multiplied-out generator g at degree 0."""
+    return {"lo": 0, "hi": 0, "gens": {"0": g.to_json()}}
+
+
 class TestFactoredBoundary:
+    """The JSON form is the one place a lattice takes multiplied-out generators."""
+
     @pytest.mark.parametrize("g", [Z * Z + 1, Z + Fraction(1, 2), (Z * Z + 1) / Z])
     def test_generator_must_split_over_integer_roots(self, g):
-        with pytest.raises(ValueError):
-            GradedLattice(0, [g])
+        with pytest.raises(ValueError, match="does not split over integer roots"):
+            GradedLattice.from_json(_json_of(g))
 
     def test_leading_constant_dropped(self):
-        assert GradedLattice(0, [2 * Z]) == GradedLattice(0, [Z])
+        assert GradedLattice.from_json(_json_of(2 * Z)) == GradedLattice({0: {0: 1}})
 
     @pytest.mark.parametrize(
         "g, factored",
@@ -367,21 +373,25 @@ class TestFactoredBoundary:
         ],
     )
     def test_non_monic_generator_factors_exactly(self, g, factored):
-        assert _factor(g) == factored
+        assert GradedLattice.from_json(_json_of(g)) == GradedLattice({0: factored})
 
     def test_generators_and_json_round_trip(self):
         for J in subsets(range(-3, 4), 3):
             for s in range(-2, 3):
                 L = iota_lattice(J, s)
-                gens = [L.generator_at(m) for m in range(L.lo, L.hi + 1)]
-                assert GradedLattice(L.lo, gens) == L
+                assert GradedLattice(_root_maps(L)) == L
                 assert GradedLattice.from_json(L.to_json()) == L
 
 
 class TestCanonicalWindow:
     def test_equality_insensitive_to_presentation(self):
-        wide = GradedLattice.from_generators({-2: RationalPoly.falling(2), -1: Z - 1, 0: ONE, 1: ONE, 2: ONE})
+        wide = GradedLattice({-2: {-1: 1, -2: 1}, -1: {-1: 1}, 0: {}, 1: {}, 2: {}})
         assert wide == A
+
+    @pytest.mark.parametrize("gens", [{}, {0: {}, 2: {}}])
+    def test_window_must_be_contiguous_and_non_empty(self, gens):
+        with pytest.raises(ValueError):
+            GradedLattice(gens)
 
     def test_json_roundtrip(self):
         L = iota_lattice(fs(0, 2), -1)
@@ -428,10 +438,11 @@ def _exponent(a, j):
 
 class _WindowedLattice:
     """One factored generator per degree of a canonical window [lo, hi]: the
-    representation GradedLattice had before it stored root lines."""
+    representation GradedLattice had before it stored root lines.  Each
+    generator enters as a root map, a dict or its (root, exponent) pairs."""
 
     def __init__(self, lo, gens):
-        norm = [g if isinstance(g, tuple) else _sorted_pairs(_factor(g)) for g in gens]
+        norm = [_sorted_pairs(g) for g in gens]
         hi = lo + len(norm) - 1
         while hi > lo and norm[-1] == norm[-2]:
             norm.pop()
@@ -466,7 +477,7 @@ class _WindowedLattice:
         return _WindowedLattice(self.lo + s, [tuple((j + s, e) for j, e in g) for g in self.gens])
 
     def scaled(self, f):
-        return _WindowedLattice(self.lo, [_mul(g, _factor(f).items()) for g in self.gens])
+        return _WindowedLattice(self.lo, [_mul(g, f.items()) for g in self.gens])
 
     def __eq__(self, other):
         return self.window() == other.window()
@@ -481,7 +492,13 @@ class _WindowedLattice:
 
 
 def _sorted_pairs(exps):
-    return tuple(sorted(exps.items()))
+    """A root map, a dict or its pairs, as its sorted pairs with zero exponents dropped."""
+    return tuple(sorted((t, e) for t, e in dict(exps).items() if e))
+
+
+def _root_maps(L):
+    """The root maps of L on its shortest window, the form GradedLattice takes."""
+    return {m: L.factored_generator_at(m) for m in range(L.lo, L.hi + 1)}
 
 
 def _window(L):
@@ -543,12 +560,12 @@ def _ref_cokernel_support(P, Q):
 
 
 def _reject(L, j, side):
-    """The candidate reject of X(j) (side 'x') or Y(j) (side 'y'), as criterion 7 builds it."""
+    """The candidate reject of X(j) (side 'x') or Y(j) (side 'y'), as criterion 7 builds
+    it, as root maps {lo + i: gens[i]}."""
     lo, hi = min(L.lo, j), max(L.hi, j + 1)
-    gens = [L.generator_at(m) for m in range(lo, hi + 1)]
-    zj = RationalPoly.linear(j)
     keep = (lambda m: m > j) if side == "x" else (lambda m: m <= j)
-    return [g if keep(lo + i) else g * zj for i, g in enumerate(gens)], lo
+    gens = [L.factored_generator_at(m) for m in range(lo, hi + 1)]
+    return [g if keep(lo + i) else {**g, j: g.get(j, 0) + 1} for i, g in enumerate(gens)], lo
 
 
 def _random_factored(rng, roots=range(-4, 5), exps=(-1, 1, 1, 2)):
@@ -566,14 +583,14 @@ def _lattice_family():
         for j in rng.sample(range(-5, 6), 3):
             for side in "xy":
                 gens, lo = _reject(L, j, side)
-                out.append((_WindowedLattice(lo, gens), GradedLattice(lo, gens)))
+                out.append((_WindowedLattice(lo, gens), GradedLattice(dict(enumerate(gens, lo)))))
     for ref, L in rng.sample(out[:320], 200):
-        f = _random_factored(rng)
-        out.append((ref.scaled(_expand(f)), L.scaled(dict(f))))
+        f = dict(_random_factored(rng))
+        out.append((ref.scaled(f), L.scaled(f)))
     for _ in range(400):
         lo = rng.randint(-4, 4)
-        gens = [_expand(_random_factored(rng)) for _ in range(rng.randint(1, 5))]
-        out.append((_WindowedLattice(lo, gens), GradedLattice(lo, gens)))
+        gens = [dict(_random_factored(rng)) for _ in range(rng.randint(1, 5))]
+        out.append((_WindowedLattice(lo, gens), GradedLattice(dict(enumerate(gens, lo)))))
     return out
 
 
@@ -608,6 +625,9 @@ class TestMatchesWindowedReference:
                     [ref.at(m) for m in range(-8, 9)],
                     [_sorted_pairs(L.factored_generator_at(m)) for m in range(-8, 9)],
                 ),
+                # a lattice enters as the root maps it leaves as, and as its JSON
+                (L, GradedLattice(_root_maps(L))),
+                (L, GradedLattice.from_json(L.to_json())),
             ]
             mismatches += [(ref, i) for i, (want, got) in enumerate(checks) if want != got]
         assert not all(is_A_module(L) for _, L in family)

@@ -329,6 +329,41 @@ class TestFromRoots:
         assert inverse.num == (1,) and inverse.den[1] == factorial(1599)
 
 
+class TestRootMap:
+    @pytest.mark.parametrize(
+        "f", [Z * Z + 1, Z + Fraction(1, 2), (Z * Z + 1) / Z, RationalPoly.zero()], ids=str
+    )
+    def test_refuses_what_does_not_split_over_integer_roots(self, f):
+        with pytest.raises(ValueError):
+            f.root_map()
+
+    def test_leading_constant_dropped(self):
+        assert (2 * Z).root_map() == {0: 1}
+        assert RationalPoly.constant(Fraction(-3, 2)).root_map() == {}
+
+    @pytest.mark.parametrize(
+        "f, roots",
+        [
+            (RationalPoly((4, 2)), {2: 1}),  # 2z + 4
+            (RationalPoly((4, 2), (3,)), {2: 1}),  # (2z + 4) / 3
+            (RationalPoly((4, 2), (0, 3)), {0: -1, 2: 1}),  # (2z + 4) / 3z
+        ],
+    )
+    def test_non_monic_value_factors_exactly(self, f, roots):
+        assert f.root_map() == roots
+
+    def test_inverts_from_roots(self):
+        rng, seen = random.Random(34), Counter()
+        exps = [e for e in range(-3, 4) if e]
+        for _ in range(2000):
+            f = {t: rng.choice(exps) for t in rng.sample(range(-50, 51), rng.randint(0, 6))}
+            seen.update(numerator=any(e > 0 for e in f.values()),
+                        denominator=any(e < 0 for e in f.values()),
+                        repeated=any(abs(e) > 1 for e in f.values()))
+            assert RationalPoly.from_roots(f).root_map() == f, f
+        assert seen["numerator"] and seen["denominator"] and seen["repeated"], seen
+
+
 class TestCancellation:
     @pytest.mark.parametrize("op", ["*", "+", "/", "shift"])
     @given(pair=operand_pairs(), m=st.integers(-3, 3))

@@ -22,6 +22,7 @@ from weylgraded.zfin import (
 from weylgraded import gwa, picard, zfin
 from weylgraded.ktheory import K0Class, ProjectiveSum, k0_class, stably_free_witness, theta_map
 from weylgraded.lattices import DSet, GradedLattice, SimpleLabel, iota_lattice, simple_factor, to_dset
+from weylgraded.skew import RationalPoly
 
 finsets = st.frozensets(st.integers(-10, 10), max_size=5).map(FinSet)
 moduli = st.integers(1, 6)
@@ -344,6 +345,7 @@ SET_TAKERS = {
     "coverage_witness": ([0, 2], lambda J: picard.coverage_witness(J, 4, 2)),
     "PicElement": ([-1, 3], lambda J: picard.PicElement(1, 2, J)),
     "iota_lattice": ([-1, 3], lambda J: iota_lattice(J, 1)),
+    "involute": ([-1, 3], lambda J: GradedLattice.free().involute(J)),
     "to_dset": ([-1, 3], lambda J: to_dset(J, 1)),
     "stably_free_witness": ([1, 3], stably_free_witness),
     "theta_map": ([-1, 3], lambda J: theta_map([(J, 1), (fs(3), 3)])),
@@ -370,6 +372,13 @@ INT_TAKERS = {
     "absorb_shift": ("shift must be an integer", lambda s: absorb_shift(fs(1), s)),
     "to_dset shift": ("shift must be an integer", lambda s: to_dset([1], s)),
     "iota_lattice shift": ("shift must be an integer", lambda s: iota_lattice([1], s)),
+    "from_roots root": ("a root map's roots must be integers", lambda t: RationalPoly.from_roots({t: 1})),
+    "from_roots exponent": ("a root map's exponents must be integers", lambda e: RationalPoly.from_roots({0: e})),
+    "scaled root": ("a root map's roots must be integers", lambda t: GradedLattice.free().scaled({t: 1})),
+    "scaled exponent": ("a root map's exponents must be integers", lambda e: GradedLattice.free().scaled({0: e})),
+    "GradedLattice degree": ("lattice degrees must be integers", lambda m: GradedLattice({m: {}})),
+    "GradedLattice root": ("a root map's roots must be integers", lambda t: GradedLattice({0: {t: 1}})),
+    "GradedLattice exponent": ("a root map's exponents must be integers", lambda e: GradedLattice({0: {0: e}})),
     "theta_map coefficient": ("theta_map coefficient must be an integer", lambda c: theta_map([(fs(0), c)])),
     "K0Class degree": ("K_0 basis degree must be an integer", lambda n: K0Class({n: 1})),
     "K0Class coefficient": ("K_0 coefficient must be an integer", lambda c: K0Class({0: c})),
