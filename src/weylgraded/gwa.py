@@ -36,8 +36,10 @@ When j > 0 it is scaled by f_K^{-1}, the product of the (z+k)^{-1} over K.
 The piece is its degree-nj generator g x^{nj}; the lattice layer hands g
 over as a root map, and the oracle multiplies it by x^{nj} as monomials.
 The sweep compares the two paths' root maps ({root: exponent}, p), zero
-exponents dropped; a piece is multiplied out, once and with no gcd, only to
-be returned or printed.  The two paths share no code beyond raw arithmetic.
+exponents dropped.  A returned piece keeps its root map, so two of them
+compare by their maps, and it is multiplied out, once and with no gcd, only
+when its coefficients are read, as when it is printed.  The two paths share
+no code beyond raw arithmetic.
 
 verify_ring_closure checks closure on the closed form's root maps, and
 verify_gwa_embedding checks W's relations, x^n and x^{-n} x^n = 1, both on
@@ -48,8 +50,10 @@ RationalPoly.root_map, and builds no f_J.
 Every entry point checks its pair once, by zfin._admissible (J any iterable of
 integers; TypeError for a non-int n, ValueError for n < 1 or J outside [0, n)),
 and each piece degree j by zfin._check_int.  Every product it returns is
-multiplied out by RationalPoly._of_roots, which refuses one too long to print
-(skew.MAX_PRINTED_DIGITS) and skips from_roots' check of maps built from ints.
+built from its root map by RationalPoly._of_roots, which refuses one too long
+to print (skew.MAX_PRINTED_DIGITS) when it builds, multiplies nothing out
+until the coefficients are read, and skips from_roots' check of maps built
+from ints.
 """
 from __future__ import annotations
 
@@ -172,9 +176,10 @@ def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:
 def ring_pieces(J, n: int, j_min: int, j_max: int, oracle: bool = False) -> RingPieces:
     """Table of pieces over a degree range, by closed form or by the oracle.
 
-    Pieces are multiplied from the top degree down, since piece j >= 1 holds the
-    factors of every lower piece and one with j <= 0 at most J's; so a table that
-    could not be printed raises ValueError (skew.MAX_PRINTED_DIGITS) before any is.
+    Pieces are built, each checked against skew.MAX_PRINTED_DIGITS, from the top
+    degree down, since piece j >= 1 holds the factors of every lower piece and one
+    with j <= 0 at most J's; so a table that could not be printed raises
+    ValueError before any piece is built.
     """
     J = _admissible(J, n)
     _check_int(j_min, "piece degree j_min must be an integer")

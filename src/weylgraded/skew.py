@@ -22,10 +22,14 @@ and rising and falling through linear_product, take every product of linear
 factors in _linear_coeffs, one factor at a time into a single coefficient
 list, with no intermediate RationalPoly.
 
-from_roots multiplies out a root map {t: e}, prod (z+t)^e, and is the one
-place that refuses output too long to print (MAX_PRINTED_DIGITS); the
-arithmetic itself, SkewElement included, is unbounded.  Its inverse root_map
-is the one place a polynomial is factored.
+from_roots builds prod (z+t)^e from a root map {t: e} and is the one place
+that refuses output too long to print (MAX_PRINTED_DIGITS), when it builds;
+the arithmetic itself, SkewElement included, is unbounded.  Such a value keeps
+its map and no coefficients: the first read of num, den, arithmetic, shift,
+str, to_json or hash multiplies them out once, through _parts, and keeps them,
+while == of two such values compares their maps and multiplies nothing.  Its
+inverse root_map is the one place a polynomial is factored, and it factors the
+coefficients, never the kept map.
 
 SkewElement arithmetic and == read an int, Fraction or RationalPoly operand as
 the degree-0 element of D, and a degree-0 element hashes as its coefficient.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import isqrt, log10
+from math import log10
 from typing import Iterable, Mapping, Union
 
 from .zfin import _check_root_map
@@ -162,15 +166,25 @@ def _pshift(a: _Coeffs, m: int) -> _Coeffs:
     return tuple(c)
 
 
+def _root_squares(cs: list[int]) -> int:
+    """e1^2 - 2 e2 of monic cs: the sum of the squares of its roots."""
+    *_, e2, e1, _ = [0, 0, *cs]
+    return e1 * e1 - 2 * e2
+
+
 class RationalPoly:
     """A rational function num/den over Q, reduced, with monic denominator.
 
     Most values in practice are plain polynomials (den == 1); genuinely
     fractional values arise from inverse involutions, which scale by
     1/prod(z+j).
+
+    A value built by from_roots holds its root map in _roots, zero exponents
+    dropped, and None in _num and _den until _parts multiplies them out; every
+    other value holds None in _roots.  _parts is the one reader of _num and _den.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_roots")
 
     def __init__(
         self,
@@ -180,6 +194,7 @@ class RationalPoly:
         n, d = _coeffs(num), _coeffs(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
+        self._roots = None
         if not n or d == _ONE:
             self._num, self._den = n, _ONE
             return
@@ -227,10 +242,11 @@ class RationalPoly:
 
         TypeError unless each t and e is an int.  A coefficient of prod (z+t)
         is at most prod (1+|t|), so past MAX_PRINTED_DIGITS digits it raises
-        ValueError before it multiplies.  The bound sum |e| log10(1 + |t|) is
-        summed root by root only when the cheaper sum |e| log10(1 + max |t|)
-        passes the limit.  The roots are distinct, so num and den are coprime
-        and no gcd is taken.
+        ValueError here, when the value is built.  The bound sum |e| log10(1 + |t|)
+        is summed root by root only when the cheaper sum |e| log10(1 + max |t|)
+        passes the limit.  The value keeps the map, zero exponents dropped, and
+        multiplies it out on the first read of its coefficients.  The roots are
+        distinct, so num and den are coprime and no gcd is taken.
         """
         _check_root_map(exps)
         return cls._of_roots(exps)
@@ -238,10 +254,7 @@ class RationalPoly:
     @classmethod
     def _of_roots(cls, exps: Mapping[int, int]) -> "RationalPoly":
         """from_roots of a root map that must already hold only ints: no check."""
-        num, den = [], []
-        for t, e in exps.items():
-            (num if e > 0 else den).extend([t] * abs(e))
-        factors = len(num) + len(den)
+        factors = sum(map(abs, exps.values()))
         if exps and factors * log10(1 + max(map(abs, exps))) > MAX_PRINTED_DIGITS:
             digits = sum(abs(e) * log10(1 + abs(t)) for t, e in exps.items())
             if digits > MAX_PRINTED_DIGITS:
@@ -249,36 +262,54 @@ class RationalPoly:
                     f"a product of {factors} linear factors could have coefficients of up to "
                     f"{digits:.0f} digits, over the limit MAX_PRINTED_DIGITS = {MAX_PRINTED_DIGITS}"
                 )
-        return _ratio(_linear_coeffs(num), _linear_coeffs(den) if den else _ONE)
+        out = cls.__new__(cls)
+        out._num = out._den = None
+        out._roots = {t: e for t, e in exps.items() if e} if 0 in exps.values() else dict(exps)
+        return out
+
+    def _parts(self) -> tuple[_Coeffs, _Coeffs]:
+        """(num, den), multiplied out of the root map on the first read and kept."""
+        if self._num is None:
+            num, den = [], []
+            for t, e in self._roots.items():
+                (num if e > 0 else den).extend([t] * abs(e))
+            self._num = _linear_coeffs(num) if num else _ONE
+            self._den = _linear_coeffs(den) if den else _ONE
+        return self._num, self._den
 
     def root_map(self) -> dict[int, int]:
         """The root map {t: e} with self = c prod (z+t)^e, the inverse of from_roots.
 
         The leading constant c is dropped.  ValueError for zero and for a value
         that does not split over integer roots.  num and den are each factored
-        by trial division; they are coprime, so their roots are distinct.
+        by trial division; they are coprime, so their roots are distinct.  The
+        candidates t run outward from 0 (0, 1, -1, 2, ...) while t^2 is at most
+        e1^2 - 2 e2, the sum of the squares of the roots left, recomputed after
+        each root is divided out, and the last root is read off the linear
+        remainder.  So a value that splits costs time linear in its
+        second-largest |t|; one that does not costs up to sqrt(e1^2 - 2 e2).
         """
-        if not self._num:
+        num, den = self._parts()
+        if not num:
             raise ValueError("zero has no root map")
         roots: dict[int, int] = {}
-        parts = ((self._num, 1),) if self._den == _ONE else ((self._num, 1), (self._den, -1))
+        parts = ((num, 1),) if den == _ONE else ((num, 1), (den, -1))
         for coeffs, sign in parts:
             cs = list(coeffs) if coeffs[-1] == 1 else [_div(c, coeffs[-1]) for c in coeffs]
             if any(type(c) is not int for c in cs):
                 raise ValueError(f"{self} does not split over integer roots")
-            # the squares of the roots sum to e1^2 - 2 e2, which bounds each |j|
-            *_, e2, e1, _ = [0, 0, *cs]
-            bound = isqrt(max(e1 * e1 - 2 * e2, 0))
-            for j in range(-bound, bound + 1):
-                while len(cs) > 2 and (cs[0] % j == 0 if j else cs[0] == 0):
+            j, squares = 0, _root_squares(cs)
+            while len(cs) > 2 and j * j <= squares:
+                if cs[0] % j == 0 if j else cs[0] == 0:
                     # cs / (z+j) by synthetic division, from the top down
                     q, acc = cs[1:], 0
                     for i in range(len(q) - 1, -1, -1):
                         acc = q[i] = q[i] - j * acc
-                    if cs[0] != j * acc:
-                        break
-                    cs = q
-                    roots[j] = roots.get(j, 0) + sign
+                    if cs[0] == j * acc:
+                        cs, squares = q, _root_squares(q)
+                        roots[j] = roots.get(j, 0) + sign
+                        continue
+                j = -j if j > 0 else 1 - j
             if len(cs) == 2:  # the last root is read off z + j
                 roots[cs[0]] = roots.get(cs[0], 0) + sign
             elif len(cs) > 2:
@@ -299,34 +330,27 @@ class RationalPoly:
 
     @property
     def num(self) -> _Coeffs:
-        return self._num
+        return self._parts()[0]
 
     @property
     def den(self) -> _Coeffs:
-        return self._den
+        return self._parts()[1]
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._parts()[0]
 
     def is_polynomial(self) -> bool:
-        return self._den == _ONE
+        return self._parts()[1] == _ONE
 
     def is_one(self) -> bool:
-        return self._num == _ONE and self._den == _ONE
-
-    def degree(self) -> int:
-        """Degree of a polynomial value; zero has degree -1 by convention."""
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return len(self._num) - 1
+        return self._parts() == (_ONE, _ONE)
 
     def monic(self) -> "RationalPoly":
-        if self.is_zero():
+        num, den = self._parts()
+        if not num or num[-1] == 1:
             return self
-        lc = self._num[-1]
-        if lc == 1:
-            return self
-        return _ratio(tuple(_div(c, lc) for c in self._num), self._den)
+        lc = num[-1]
+        return _ratio(tuple(_div(c, lc) for c in num), den)
 
     # arithmetic ------------------------------------------------------------
 
@@ -341,14 +365,14 @@ class RationalPoly:
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalPoly(
-            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)), _pmul(self._den, o._den)
-        )
+        (a, b), (c, d) = self._parts(), o._parts()
+        return RationalPoly(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPoly":
-        return _ratio(_pneg(self._num), self._den)
+        num, den = self._parts()
+        return _ratio(_pneg(num), den)
 
     def __sub__(self, other):
         o = self._wrap(other)
@@ -363,7 +387,8 @@ class RationalPoly:
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalPoly(_pmul(self._num, o._num), _pmul(self._den, o._den))
+        (a, b), (c, d) = self._parts(), o._parts()
+        return RationalPoly(_pmul(a, c), _pmul(b, d))
 
     __rmul__ = __mul__
 
@@ -371,7 +396,8 @@ class RationalPoly:
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalPoly(_pmul(self._num, o._den), _pmul(self._den, o._num))
+        (a, b), (c, d) = self._parts(), o._parts()
+        return RationalPoly(_pmul(a, d), _pmul(b, c))
 
     def __rtruediv__(self, other):
         o = self._wrap(other)
@@ -381,36 +407,46 @@ class RationalPoly:
         """The conjugate f(z + m) = x^m f x^{-m}; num and den stay coprime, den monic."""
         if not m:
             return self
-        den = self._den if self._den == _ONE else _coeffs(_pshift(self._den, m))
-        return _ratio(_coeffs(_pshift(self._num, m)), den)
+        num, den = self._parts()
+        return _ratio(_coeffs(_pshift(num, m)), den if den == _ONE else _coeffs(_pshift(den, m)))
 
     # comparison / presentation ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        """Equal reduced forms.  Two values built by from_roots compare their root maps.
+
+        That gives the same answer: such a value is prod (z+t)^e over distinct
+        integers t, so its num and den are monic, split over Z and share no
+        root, and its reduced form is theirs.  Q[z] factors uniquely, so two
+        such values have the same num and den exactly when every t carries the
+        same exponent, zero exponents being dropped from both maps.
+        """
         o = self._wrap(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._num == o._num and self._den == o._den
+        if self._roots is not None and o._roots is not None:
+            return self._roots == o._roots
+        return self._parts() == o._parts()
 
     def __hash__(self) -> int:
         # a constant hashes as its value, since it compares equal to it
-        if self._den == _ONE and len(self._num) <= 1:
-            return hash(self._num[0] if self._num else 0)
-        return hash((self._num, self._den))
+        num, den = self._parts()
+        if den == _ONE and len(num) <= 1:
+            return hash(num[0] if num else 0)
+        return hash((num, den))
 
     def __repr__(self) -> str:
         return f"RationalPoly({self})"
 
     def __str__(self) -> str:
-        if self.is_polynomial():
-            return _poly_str(self._num)
-        return f"({_poly_str(self._num)})/({_poly_str(self._den)})"
+        num, den = self._parts()
+        if den == _ONE:
+            return _poly_str(num)
+        return f"({_poly_str(num)})/({_poly_str(den)})"
 
     def to_json(self) -> dict:
-        return {
-            "num": [str(c) for c in self._num],
-            "den": [str(c) for c in self._den],
-        }
+        num, den = self._parts()
+        return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalPoly":
@@ -420,7 +456,7 @@ class RationalPoly:
 def _ratio(num: _Coeffs, den: _Coeffs) -> RationalPoly:
     """num/den as given: it must already be reduced, with den monic and both tidy."""
     out = RationalPoly.__new__(RationalPoly)
-    out._num, out._den = num, den
+    out._num, out._den, out._roots = num, den, None
     return out
 
 
@@ -509,7 +545,7 @@ class SkewElement:
         """
         if r >= 0:
             return cls({-r: RationalPoly.falling(r)})
-        return cls({-r: _ratio(_ONE, RationalPoly.rising(-r)._num)})
+        return cls({-r: _ratio(_ONE, _linear_coeffs(range(-r)))})
 
     # structure -------------------------------------------------------------
 

@@ -247,10 +247,7 @@ def _folded(roots):
 
 class TestFromRoots:
     @pytest.mark.parametrize("signs", ["positive", "negative", "mixed"])
-    def test_equals_a_fold_of_pmul(self, signs, monkeypatch):
-        built = []
-        ratio = skew._ratio
-        monkeypatch.setattr(skew, "_ratio", lambda num, den: built.append(1) or ratio(num, den))
+    def test_equals_a_fold_of_pmul(self, signs):
         rng, seen = random.Random(signs), Counter()
         sign = {"positive": [1], "negative": [-1], "mixed": [1, -1]}[signs]
         for _ in range(300):
@@ -261,15 +258,71 @@ class TestFromRoots:
             exps = {t: rng.choice(sign) * e for t, e in counts.items()}
             num = [t for t, e in exps.items() for _ in range(e)]
             den = [t for t, e in exps.items() for _ in range(-e)]
-            built.clear()
             got = RationalPoly.from_roots(exps)
-            # the one RationalPoly it builds is its answer
-            assert len(built) == 1
+            # its multiplied-out value is the fold, with nothing left to reduce
             assert (got.num, got.den) == (_folded(num), _folded(den)), exps
+            assert RationalPoly(got.num, got.den) == RationalPoly(_folded(num), _folded(den))
             assert RationalPoly.linear_product(roots).num == _folded(roots)
         assert seen["zero"] and seen["negative"] and seen["repeated"], seen
-        built.clear()
-        assert RationalPoly.from_roots({}) == ONE and len(built) == 1
+        assert RationalPoly.from_roots({}) == ONE
+
+    def test_equality_and_hash_agree_with_the_coefficients(self):
+        rng, seen = random.Random(35), Counter()
+        exps = range(-3, 4)
+
+        def draw():
+            return {t: rng.choice(exps) for t in rng.sample(range(-12, 13), rng.randint(0, 6))}
+
+        for _ in range(2000):
+            f = draw()
+            kind = rng.choice(["same value", "one exponent moved", "independent"])
+            if kind == "same value":
+                # the same product, its items reordered and zero exponents dropped or added
+                g = {t: e for t, e in reversed(f.items()) if e or rng.random() < 0.5}
+                g[rng.choice([t for t in range(-12, 13) if t not in f])] = 0
+            elif kind == "one exponent moved" and f:
+                t = rng.choice(list(f))
+                g = {**f, t: f[t] + rng.choice([-1, 1])}
+            else:
+                g = draw()
+            a, b = RationalPoly.from_roots(f), RationalPoly.from_roots(g)
+            # == of two root-built values reads their maps, before any coefficient is read
+            same = a == b
+            assert same == ((a.num, a.den) == (b.num, b.den)), (f, g)
+            coefficients = RationalPoly(b.num, b.den)
+            fresh = RationalPoly.from_roots(f)
+            assert (fresh == coefficients) == same and (coefficients == fresh) == same
+            if same:
+                assert hash(a) == hash(b) == hash(coefficients)
+            seen.update(equal=same, unequal=not same, zero_exponent=0 in f.values(),
+                        fraction=any(e < 0 for e in f.values()))
+        assert all(seen[k] > 100 for k in ("equal", "unequal", "zero_exponent", "fraction")), seen
+        assert RationalPoly.from_roots({}) == RationalPoly.one() == 1
+        assert RationalPoly.from_roots({3: 0}) == 1 and hash(RationalPoly.from_roots({})) == hash(1)
+
+    def test_multiplies_out_on_the_first_read_of_coefficients(self, monkeypatch):
+        calls = []
+        linear = skew._linear_coeffs
+        monkeypatch.setattr(skew, "_linear_coeffs", lambda js: calls.append(1) or linear(js))
+        exps = {-2: 2, 0: -1, 5: 0, 7: 1}
+        a, b = RationalPoly.from_roots(exps), RationalPoly.from_roots({7: 1, 0: -1, -2: 2})
+        assert calls == []
+        assert a == b and not a == RationalPoly.from_roots({7: 1, 0: -1}) and a != ONE / Z
+        # only the last comparison reads coefficients, a's two parts, since 1/z holds no map
+        assert len(calls) == 2
+        calls.clear()
+        assert a.num == _folded([-2, -2, 7]) and b.den == (0, 1)
+        assert len(calls) == 2  # b's num and den; a's were read above
+        calls.clear()
+        assert (a.num, a.den, str(a), hash(a)) == (b.num, b.den, str(b), hash(b))
+        assert calls == []
+        # a polynomial has one part to multiply out, and root_map reads the coefficients
+        assert RationalPoly.from_roots({1: 1, 2: 1}).root_map() == {1: 1, 2: 1}
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(ValueError, match="MAX_PRINTED_DIGITS"):
+            RationalPoly.from_roots({10**10: 500})
+        assert calls == []
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_refuses_maps_past_the_printed_digits(self, sign, monkeypatch):
@@ -362,6 +415,16 @@ class TestRootMap:
                         repeated=any(abs(e) > 1 for e in f.values()))
             assert RationalPoly.from_roots(f).root_map() == f, f
         assert seen["numerator"] and seen["denominator"] and seen["repeated"], seen
+
+    def test_time_follows_the_second_largest_root(self):
+        # the scan stops at 2, and the root 10^9 is read off the linear remainder
+        for far in (10**9, -(10**18)):
+            m = {1: 1, 2: 1, far: 1}
+            f = RationalPoly.from_roots(m)
+            f.num
+            start = perf_counter()
+            assert f.root_map() == m and (1 / f).root_map() == {t: -1 for t in m}
+            assert perf_counter() - start < 0.05
 
 
 class TestCancellation:
