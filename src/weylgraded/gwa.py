@@ -14,7 +14,8 @@ pieces have closed forms (degree j of S means D-degree n*j):
              = f_J(z) fbar(z) fbar(z+n) ... fbar(z+n(j-1)) y^{-nj} k[z]
 
 so the closed form builds each coefficient from its roots: J, and for j > 0
-every 0 <= t < nj with t mod n not in J.
+every 0 <= t < nj with t mod n not in J, read off range(nj) through the
+residue mask of [0, n) cycled along it.
 
 Each piece, and each side of W's relations in D, is a monomial h(z) y^p of
 D, held as (root map, p) with the root map {t: e} of h = prod (z+t)^e.  One
@@ -41,7 +42,8 @@ compare by their maps, and it is multiplied out, once and with no gcd, only
 when its coefficients are read, as when it is printed.  The two paths share
 no code beyond raw arithmetic.
 
-verify_ring_closure checks closure on the closed form's root maps, and
+verify_ring_closure checks closure on the closed form's root maps, walking
+only the pairs (i, j) with |i|, |j|, |i + j| <= window, each once, and
 verify_gwa_embedding checks W's relations, x^n and x^{-n} x^n = 1, both on
 monomials with no gcd; the tests keep their products in D as the reference.
 simplicity_root_test reads its roots back off fbar as _fbar builds it, by
@@ -58,6 +60,7 @@ from ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, cycle
 
 from .zfin import FinSet, _admissible, _check_int
 from .skew import RationalPoly
@@ -138,7 +141,9 @@ def _closed_form_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
         return {}, 0
     if j < 0:
         return dict.fromkeys(J, 1), -n * j
-    return dict.fromkeys([*J, *(t for t in range(n * j) if t % n not in J)], 1), -n * j
+    # the t < nj whose residue is not in J, as a cycled mask over range(n * j)
+    rest = compress(range(n * j), cycle([t not in J for t in range(n)]))
+    return dict.fromkeys(chain(J, rest), 1), -n * j
 
 
 def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
@@ -270,13 +275,14 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
             f"{work} units of work, over the limit RING_CLOSURE_MAX_WORK = "
             f"{RING_CLOSURE_MAX_WORK}"
         )
-    pieces = {j: _closed_form_roots(J, n, j) for j in range(-window, window + 1)}
-    return all(
-        _product_lands(pieces[i], pieces[j], pieces[i + j])
-        for i in pieces
-        for j in pieces
-        if abs(i + j) <= window
-    )
+    # pieces[i] is piece i - w; k's range keeps the target index i + k - w in [0, 2w]
+    w = window
+    pieces = [_closed_form_roots(J, n, j) for j in range(-w, w + 1)]
+    for i, a in enumerate(pieces):
+        for k in range(max(0, w - i), min(2 * w, 3 * w - i) + 1):
+            if not _product_lands(a, pieces[k], pieces[i + k - w]):
+                return False
+    return True
 
 
 def verify_gwa_embedding(J, n: int) -> bool:

@@ -23,7 +23,9 @@ a member t >= 0 with u >= 0 a line that drops at u+1, a non-member t between
 every other line is A's.  Every query is one linear pass
 per root line: two lines combine by a merge walk of their sorted jumps, the
 shortest window is one scan of the lines, and A's own lines, which are not
-stored, are read in closed form.
+stored, are read in closed form.  The generator at degree m is read in one
+loop over the stored lines, each summed over its jumps up to m and left at
+the first jump past m, on top of A's (z+t) for m <= t < 0.
 
 A lattice enters as the root maps {t: e}, products of the (z+t)^e with e < 0
 a denominator, of its generators on a window [lo, hi], continued by g_m = g_hi
@@ -139,11 +141,6 @@ _Line = tuple
 def _free_line(t: int) -> _Line:
     """Line t of A: exponent 1 for m <= t < 0, else 0."""
     return (1, ((t + 1, -1),)) if t < 0 else (0, ())
-
-
-def _value(line: _Line, m: int) -> int:
-    v, jumps = line
-    return v + sum(d for p, d in jumps if p <= m)
 
 
 def _values(line: _Line) -> Iterable[int]:
@@ -292,10 +289,23 @@ class GradedLattice:
         return RationalPoly._of_roots(self.factored_generator_at(m))
 
     def factored_generator_at(self, m: int) -> dict[int, int]:
-        """The degree-m generator as a new root map {t: e}, zero exponents dropped."""
+        """The degree-m generator as a new root map {t: e}, zero exponents dropped.
+
+        A's lines give (z+t) for m <= t < 0; each stored line t then sets or
+        drops its entry, its value summed over the jumps at degrees <= m, which
+        come first since the jumps are sorted.
+        """
         exps = dict.fromkeys(range(m, 0), 1)
-        exps.update((t, _value(line, m)) for t, line in self._lines.items())
-        return {t: e for t, e in exps.items() if e}
+        for t, (v, jumps) in self._lines.items():
+            for p, d in jumps:
+                if p > m:
+                    break
+                v += d
+            if v:
+                exps[t] = v
+            else:
+                exps.pop(t, None)
+        return exps
 
     # functor actions ---------------------------------------------------------
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import log10
+from math import isqrt, log10
 from typing import Iterable, Mapping, Union
 
 from .zfin import _check_root_map
@@ -283,11 +283,14 @@ class RationalPoly:
         The leading constant c is dropped.  ValueError for zero and for a value
         that does not split over integer roots.  num and den are each factored
         by trial division; they are coprime, so their roots are distinct.  The
-        candidates t run outward from 0 (0, 1, -1, 2, ...) while t^2 is at most
-        e1^2 - 2 e2, the sum of the squares of the roots left, recomputed after
-        each root is divided out, and the last root is read off the linear
-        remainder.  So a value that splits costs time linear in its
-        second-largest |t|; one that does not costs up to sqrt(e1^2 - 2 e2).
+        candidates t run outward from 0 (0, 1, -1, 2, ...) while the remainder
+        has degree k >= 3, t^2 is at most e1^2 - 2 e2, the sum of the squares of
+        the roots left, and |t|^k is at most |e_k|, the product of their sizes,
+        each recomputed after a root is divided out.  The last two roots are
+        read off a quadratic remainder z^2 + bz + c by its discriminant
+        b^2 - 4c, and the last one off a linear remainder.  So a value that
+        splits costs time linear in its third-largest |t|, and one that does
+        not costs at most the cube root of its constant term.
         """
         num, den = self._parts()
         if not num:
@@ -299,7 +302,7 @@ class RationalPoly:
             if any(type(c) is not int for c in cs):
                 raise ValueError(f"{self} does not split over integer roots")
             j, squares = 0, _root_squares(cs)
-            while len(cs) > 2 and j * j <= squares:
+            while len(cs) > 3 and j * j <= squares and abs(j) ** (len(cs) - 1) <= abs(cs[0]):
                 if cs[0] % j == 0 if j else cs[0] == 0:
                     # cs / (z+j) by synthetic division, from the top down
                     q, acc = cs[1:], 0
@@ -310,6 +313,16 @@ class RationalPoly:
                         roots[j] = roots.get(j, 0) + sign
                         continue
                 j = -j if j > 0 else 1 - j
+            if len(cs) == 3:  # (z+t)(z+u) = z^2 + bz + c with t, u = (b -+ sqrt(b^2 - 4c)) / 2
+                c, b, _ = cs
+                disc = b * b - 4 * c
+                s = isqrt(disc) if disc >= 0 else -1
+                if s * s != disc:
+                    raise ValueError(f"{self} does not split over integer roots")
+                # the root the outward scan would reach first goes first, then the linear rest
+                t, u = sorted(((b - s) // 2, (b + s) // 2), key=lambda t: (abs(t), t < 0))
+                roots[t] = roots.get(t, 0) + sign
+                cs = [u, 1]
             if len(cs) == 2:  # the last root is read off z + j
                 roots[cs[0]] = roots.get(cs[0], 0) + sign
             elif len(cs) > 2:

@@ -296,6 +296,35 @@ def _dense_closure(J, n, window):
     return True
 
 
+class TestClosedFormRoots:
+    def test_equals_the_residue_filter_in_order(self):
+        # reference: J, then every t < nj whose residue is not in J, filtered one t at a time
+        for J, n in admissible_pairs(7):
+            for j in range(-8, 9):
+                want = [*J, *(t for t in range(n * j) if t % n not in J)] if j else []
+                roots, p = gwa._closed_form_roots(J, n, j)
+                assert list(roots.items()) == [(t, 1) for t in want], (J, n, j)
+                assert p == -n * j
+
+
+class TestClosurePairs:
+    @pytest.mark.parametrize("window", range(1, 7))
+    def test_checks_each_pair_once_against_its_sum(self, window, monkeypatch):
+        n = 2
+        checked = []
+
+        def record(a, b, target):
+            checked.append((-a[1] // n, -b[1] // n, -target[1] // n))
+            return True
+
+        monkeypatch.setattr(gwa, "_product_lands", record)
+        assert verify_ring_closure(fs(0), n, window)
+        w = range(-window, window + 1)
+        want = [(i, j, i + j) for i in w for j in w if abs(i + j) <= window]
+        assert len(want) == (2 * window + 1) ** 2 - window * (window + 1)
+        assert sorted(checked) == want
+
+
 class TestClosureOnRoots:
     def test_each_product_agrees_with_D(self):
         for J, n in admissible_pairs(4):

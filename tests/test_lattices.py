@@ -6,6 +6,7 @@ from itertools import combinations
 from operator import add, sub
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylgraded.zfin import FinSet
 from weylgraded.skew import RationalPoly
@@ -23,7 +24,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _combine, _free_line, _value
+from weylgraded.lattices import _combine, _free_line
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -141,6 +142,50 @@ class TestScale:
                 h = RationalPoly.from_roots(f)
                 want = GradedLattice({m: (g * h).root_map() for m, g in L.generators.items()})
                 assert L.scaled(f) == want, (L, f)
+
+
+def _value(line, m):
+    """The line's value at degree m, summed over every jump at or below m."""
+    v, jumps = line
+    return v + sum(d for p, d in jumps if p <= m)
+
+
+root_maps = st.dictionaries(st.integers(-6, 6), st.sampled_from((-2, -1, 1, 2)), max_size=4)
+
+
+@st.composite
+def lattices(draw):
+    """GradedLattice(gens) on a short window, then involuted, shifted and scaled."""
+    lo = draw(st.integers(-4, 4))
+    gens = draw(st.lists(root_maps, min_size=1, max_size=4))
+    L = GradedLattice({lo + i: g for i, g in enumerate(gens)})
+    L = L.involute(draw(st.lists(st.integers(-6, 6), max_size=4)))
+    return L.shifted(draw(st.integers(-3, 3))).scaled(draw(root_maps))
+
+
+def _generator_by_values(L, m):
+    """The degree-m root map from every line's value at m, zero exponents dropped."""
+    exps = dict.fromkeys(range(m, 0), 1)
+    exps.update((t, _value(line, m)) for t, line in L._lines.items())
+    return {t: e for t, e in exps.items() if e}
+
+
+def _assert_generators_by_values(L):
+    lo, hi = L._bounds()
+    for m in range(lo - 2, hi + 3):
+        got, want = L.factored_generator_at(m), _generator_by_values(L, m)
+        assert got == want and list(got) == list(want), (L._lines, m)
+
+
+class TestFactoredGeneratorAt:
+    @given(lattices())
+    def test_equals_the_line_values_in_order(self, L):
+        _assert_generators_by_values(L)
+
+    def test_oracle_lattices(self):
+        # the oracle's M(j) for j > 0: iota_K A scaled by the (z+k)^-1 over K
+        for K in subsets(range(-5, 9), 3):
+            _assert_generators_by_values(iota_lattice(K).scaled(dict.fromkeys(K, -1)))
 
 
 def _random_line(rng, points=range(-4, 5)):

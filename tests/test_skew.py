@@ -417,7 +417,7 @@ class TestRootMap:
         assert seen["numerator"] and seen["denominator"] and seen["repeated"], seen
 
     def test_time_follows_the_second_largest_root(self):
-        # the scan stops at 2, and the root 10^9 is read off the linear remainder
+        # the scan stops at 1, and 2 and the far root are read off the quadratic remainder
         for far in (10**9, -(10**18)):
             m = {1: 1, 2: 1, far: 1}
             f = RationalPoly.from_roots(m)
@@ -425,6 +425,33 @@ class TestRootMap:
             start = perf_counter()
             assert f.root_map() == m and (1 / f).root_map() == {t: -1 for t in m}
             assert perf_counter() - start < 0.05
+
+    def test_roots_come_in_the_order_of_the_outward_scan(self):
+        # 0, 1, -1, 2, -2, ...: the last two roots, read off the discriminant, keep that order
+        rng = random.Random(35)
+        for _ in range(500):
+            m = {t: rng.randint(1, 3) for t in rng.sample(range(-20, 21), rng.randint(1, 5))}
+            got = RationalPoly.from_roots(m).root_map()
+            assert got == m and list(got) == sorted(m, key=lambda t: (abs(t), t < 0)), m
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            RationalPoly((-2 * 10**18, 0, 1)),  # z^2 - 2 10^18: discriminant 8 10^18, not a square
+            RationalPoly((10**18, 0, 1)),  # z^2 + 10^18: discriminant below 0
+            RationalPoly.from_roots({3: 1}) * RationalPoly((-2 * 10**18, 0, 1)),
+            1 / RationalPoly((-2 * 10**18, 0, 1)),
+            # z^3 - 10^12 z + 1: |t|^3 passes the constant 1 at t = 2, long before t^2 passes 2 10^12
+            RationalPoly((1, -(10**12), 0, 1)),
+        ],
+        ids=str,
+    )
+    def test_refuses_at_once_what_does_not_split(self, f):
+        f.num
+        start = perf_counter()
+        with pytest.raises(ValueError, match="does not split over integer roots"):
+            f.root_map()
+        assert perf_counter() - start < 0.05
 
 
 class TestCancellation:
