@@ -34,7 +34,7 @@ from .zfin import (
     necklace_count,
     necklace_enumerate,
 )
-from .picard import PicElement, compose, inverse, power
+from .picard import PicElement, _bounded_shift, compose, inverse, power
 from .classify import canonical_admissible, same_morita_class
 from . import gwa, skew
 from .lattices import (
@@ -45,7 +45,6 @@ from .lattices import (
 )
 from .ktheory import (
     ProjectiveSum,
-    _bounded_shift,
     iso_test,
     normalize_sum,
     stably_free_witness,

@@ -51,18 +51,18 @@ RationalPoly.root_map, and builds no f_J.
 
 Every entry point checks its pair once, by zfin._admissible (J any iterable of
 integers; TypeError for a non-int n, ValueError for n < 1 or J outside [0, n)),
-and each piece degree j by zfin._check_int.  Every product it returns is
-built from its root map by RationalPoly._of_roots, which refuses one too long
-to print (skew.MAX_PRINTED_DIGITS) when it builds, multiplies nothing out
-until the coefficients are read, and skips from_roots' check of maps built
-from ints.
+each piece degree j by zfin._check_int, and a window by zfin._check_positive.
+Every product it returns is built from its root map by RationalPoly._of_roots,
+which refuses one too long to print (skew.MAX_PRINTED_DIGITS) when it builds,
+multiplies nothing out until the coefficients are read, and skips from_roots'
+check of maps built from ints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle
 
-from .zfin import FinSet, _admissible, _check_int
+from .zfin import FinSet, _admissible, _check_int, _check_positive
 from .skew import RationalPoly
 from .lattices import iota_lattice
 
@@ -103,9 +103,9 @@ def complement(J: FinSet, n: int) -> FinSet:
     return FinSet._of(frozenset(range(n)).difference(J._elements))
 
 
-def _fbar(J: FinSet, n: int) -> RationalPoly:
-    """fbar of S(J, n) for a validated pair: the product of (z+t) over [0, n) minus J."""
-    return RationalPoly._of_roots(dict.fromkeys(complement(J, n), 1))
+def _fbar(J: FinSet, n: int, s: int = 0) -> RationalPoly:
+    """fbar(z + s) of S(J, n) for a validated pair: the product of (z+t+s) over [0, n) minus J."""
+    return RationalPoly._of_roots({t + s: 1 for t in complement(J, n)})
 
 
 def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
@@ -123,14 +123,12 @@ def present(J, n: int) -> GWAPresentation:
     Raises ValueError when a product could not be printed (skew.MAX_PRINTED_DIGITS).
     """
     J = _admissible(J, n)
-    rest = complement(J, n)
-    fbar = RationalPoly._of_roots(dict.fromkeys(rest, 1))
-    f_J = RationalPoly._of_roots(dict.fromkeys(J, 1))
+    fbar, f_J = factors(J, n)
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",
         f"X Y = {fbar}",
-        f"Y X = {RationalPoly._of_roots({t - n: 1 for t in rest})}",
+        f"Y X = {_fbar(J, n, -n)}",
     )
     return GWAPresentation(n=n, f=fbar, idealizer_factor=f_J, relations=relations)
 
@@ -265,9 +263,7 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     (2 window + 1)^2 (n window)^2 passes RING_CLOSURE_MAX_WORK.
     """
     J = _admissible(J, n)
-    _check_int(window, "window must be a positive integer")
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
+    _check_positive(window, "window must be a positive integer")
     work = (2 * window + 1) ** 2 * (n * window) ** 2
     if work > RING_CLOSURE_MAX_WORK:
         raise ValueError(

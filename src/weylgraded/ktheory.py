@@ -25,21 +25,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .zfin import FinSet, _as_finset, _check_int, absorb_shift
-from . import picard
-from .picard import PicElement, identity
-
-
-def _bounded_shift(s: int, what: str) -> None:
-    """ValueError when |s| passes picard.POWER_MAX_SET_SIZE.
-
-    iota_J A<s> is iota_K A with |K| <= |J| + |s|, so a shift builds work
-    linear in |s|; the bound on an involution set bounds it too.
-    """
-    if abs(s) > picard.POWER_MAX_SET_SIZE:
-        raise ValueError(
-            f"{what} over the limit POWER_MAX_SET_SIZE = {picard.POWER_MAX_SET_SIZE} "
-            "in absolute value"
-        )
+from .picard import PicElement, _bounded_shift, identity
 
 
 @dataclass(frozen=True)
@@ -52,8 +38,8 @@ class ProjectiveSum:
     ``ProjectiveSum.of((FinSet(), 2)) == ProjectiveSum.of(FinSet([0, 1]))``.
     Absorbing builds a set of up to |J| + |s| members when the sum is built,
     whatever is later asked of it; ``from_json``, which reads outside input,
-    refuses |s| over picard.POWER_MAX_SET_SIZE (``_bounded_shift``), as the
-    CLI's parser does.
+    refuses |s| over picard.POWER_MAX_SET_SIZE by ``picard._bounded_shift``,
+    as the CLI's parser does.
     """
 
     summands: tuple[tuple[FinSet, int], ...]
@@ -118,9 +104,6 @@ class K0Class:
         k = object.__new__(cls)
         k.coefficients = {n: c for n, c in coefficients.items() if c}
         return k
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, K0Class) and self.coefficients == other.coefficients
 
     def reduced(self) -> "K0Class":
         """Class modulo the free module: the degree-0 coefficient is dropped."""

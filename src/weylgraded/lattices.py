@@ -108,7 +108,15 @@ class DSet:
         return (j >= 0) != (j in self.exceptions)
 
     def min_element(self) -> int:
-        return _dset_min(self.exceptions._elements)
+        """Least element of Z>=0 xor exceptions."""
+        E = self.exceptions._elements
+        low = min(E, default=0)
+        if low < 0:
+            return low
+        t = 0
+        while t in E:
+            t += 1
+        return t
 
     def __str__(self) -> str:
         return f"Z>=0 xor {self.exceptions}"
@@ -119,17 +127,6 @@ class DSet:
     @classmethod
     def from_json(cls, data: dict) -> "DSet":
         return cls(FinSet.from_json(data["exceptions"]))
-
-
-def _dset_min(E: frozenset) -> int:
-    """Least element of Z>=0 xor E."""
-    low = min(E, default=0)
-    if low < 0:
-        return low
-    t = 0
-    while t in E:
-        t += 1
-    return t
 
 
 # A root line (v, jumps): the exponent of (z+t) as a function of the degree m.
@@ -295,6 +292,7 @@ class GradedLattice:
         drops its entry, its value summed over the jumps at degrees <= m, which
         come first since the jumps are sorted.
         """
+        _check_int(m, "lattice degrees must be integers")
         exps = dict.fromkeys(range(m, 0), 1)
         for t, (v, jumps) in self._lines.items():
             for p, d in jumps:
@@ -347,6 +345,7 @@ class GradedLattice:
 
         A's own line t moves onto A's line t+s except for t between 0 and -s.
         """
+        _check_int(s, "shift must be an integer")
         lines = {}
         for t in self._lines.keys() | set(range(min(0, -s), max(0, -s))):
             v, jumps = self._line(t)

@@ -28,6 +28,7 @@ from .zfin import (
     _as_finset,
     _boundary_runs,
     _check_int,
+    _check_positive,
     absorb_shift,
     affine_image,
 )
@@ -132,9 +133,9 @@ def inverse(F: PicElement) -> PicElement:
     return PicElement._of(-1, b, FinSet._of(frozenset(map((-1 - b).__sub__, F.J._elements))))
 
 
-# ``power`` refuses to build an involution set of more than this many elements.
-# The set of F^k for even F = S^b iota_J can hold up to |k| |J| elements, so a
-# large enough k would exhaust memory instead of answering.
+# ``power`` refuses an involution set of more than this many elements, and
+# ``_bounded_shift`` a shift past it.  The set of F^k for even F = S^b iota_J can
+# hold up to |k| |J| elements, so a large k would exhaust memory instead of answering.
 POWER_MAX_SET_SIZE = 10**6
 
 
@@ -177,6 +178,18 @@ def _refuse_past_limit(size: int) -> None:
         raise ValueError(
             f"power would build an involution set of {size} elements, over the "
             f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
+        )
+
+
+def _bounded_shift(s: int, what: str) -> None:
+    """ValueError when |s| passes POWER_MAX_SET_SIZE.
+
+    iota_J A<s> is iota_K A with |K| <= |J| + |s|, so a shift builds work
+    linear in |s|; the bound on an involution set bounds it too.
+    """
+    if abs(s) > POWER_MAX_SET_SIZE:
+        raise ValueError(
+            f"{what} over the limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE} in absolute value"
         )
 
 
@@ -229,9 +242,7 @@ def coverage_witness(J: FinSet | list[int], n: int, window: int) -> dict[int, Fi
     pair: J any iterable of integers, n an int >= 1 and J inside [0, n).
     """
     J = _admissible(J, n)
-    _check_int(window, "window must be a positive integer")
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
+    _check_positive(window, "window must be a positive integer")
     F, A = PicElement(1, n, J), DSet(FinSet())
     steps = [*range(1, window + 1), *range(-1, -window - 1, -1)]
     return {j: act_on_dset(power(F, j), A).exceptions for j in steps}

@@ -18,9 +18,9 @@ reducer: RationalPoly(num, den) divides out the gcd of num and den and makes
 den monic, and +, -, * and / build their plain results through it.  Taylor
 shifts and products of distinct linear factors are reduced by construction,
 so shift, from_roots and linear_product build theirs as given.  The last two,
-and rising and falling through linear_product, take every product of linear
-factors in _linear_coeffs, one factor at a time into a single coefficient
-list, with no intermediate RationalPoly.
+and rising and falling, take every product of linear factors in
+_linear_coeffs, one factor at a time into a single coefficient list, with no
+intermediate RationalPoly.
 
 from_roots builds prod (z+t)^e from a root map {t: e} and is the one place
 that refuses output too long to print (MAX_PRINTED_DIGITS), when it builds;
@@ -33,6 +33,9 @@ coefficients, never the kept map.
 
 SkewElement arithmetic and == read an int, Fraction or RationalPoly operand as
 the degree-0 element of D, and a degree-0 element hashes as its coefficient.
+
+Every integer argument (degree, shift, exponent, root) goes through _check_int,
+which refuses a bool or a float; the JSON readers parse their string keys.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from functools import wraps
 from math import isqrt, log10
 from typing import Iterable, Mapping, Union
 
-from .zfin import _check_root_map
+from .zfin import _check_int, _check_root_map
 
 Scalar = Union[int, Fraction, str]
 
@@ -234,6 +237,9 @@ class RationalPoly:
     @classmethod
     def linear_product(cls, js: Iterable[int]) -> "RationalPoly":
         """prod over js of (z + j); empty product is 1.  Integer arithmetic throughout."""
+        js = tuple(js)
+        for j in js:
+            _check_int(j, "linear_product's roots must be integers")
         return _ratio(_linear_coeffs(js), _ONE)
 
     @classmethod
@@ -332,12 +338,14 @@ class RationalPoly:
     @classmethod
     def rising(cls, d: int) -> "RationalPoly":
         """z (z+1) ... (z+d-1)."""
-        return cls.linear_product(range(d))
+        _check_int(d, "rising's degree must be an integer")
+        return _ratio(_linear_coeffs(range(d)), _ONE)
 
     @classmethod
     def falling(cls, r: int) -> "RationalPoly":
         """(z-1) (z-2) ... (z-r)."""
-        return cls.linear_product(-t for t in range(1, r + 1))
+        _check_int(r, "falling's degree must be an integer")
+        return _ratio(_linear_coeffs(range(-1, -r - 1, -1)), _ONE)
 
     # structure -------------------------------------------------------------
 
@@ -418,6 +426,7 @@ class RationalPoly:
 
     def shift(self, m: int) -> "RationalPoly":
         """The conjugate f(z + m) = x^m f x^{-m}; num and den stay coprime, den monic."""
+        _check_int(m, "shift must be an integer")
         if not m:
             return self
         num, den = self._parts()
@@ -521,10 +530,11 @@ class SkewElement:
         clean: dict[int, RationalPoly] = {}
         if terms:
             for m, c in terms.items():
+                _check_int(m, "SkewElement degrees must be integers")
                 if not isinstance(c, RationalPoly):
                     c = RationalPoly.constant(c)
                 if not c.is_zero():
-                    clean[int(m)] = c
+                    clean[m] = c
         object.__setattr__(self, "_terms", clean)
 
     # constructors ----------------------------------------------------------
@@ -556,6 +566,7 @@ class SkewElement:
         y^r = (z-1)...(z-r) x^{-r} for r >= 0, and
         y^{-n} = (z (z+1) ... (z+n-1))^{-1} x^n for n > 0.
         """
+        _check_int(r, "y_power's exponent must be an integer")
         if r >= 0:
             return cls({-r: RationalPoly.falling(r)})
         return cls({-r: _ratio(_ONE, _linear_coeffs(range(-r)))})
@@ -609,6 +620,7 @@ class SkewElement:
         return other * self
 
     def __pow__(self, k: int) -> "SkewElement":
+        _check_int(k, "a power's exponent must be an integer")
         if k < 0:
             raise ValueError("negative powers of general skew elements are not defined")
         out = SkewElement.one()

@@ -17,9 +17,10 @@ value of type exactly ``int``: ``_check_int`` refuses anything else, a bool (so
 a JSON true or false) included, with TypeError, and ``FinSet(...)`` tests each
 given element the same way.  ``_as_finset`` takes a set J as any iterable of
 integers and passes a FinSet through, and ``_check_root_map`` a root map as
-integers to integers.  ``_check_modulus`` wants a modulus n that is an integer
-of at least 1 (else ValueError).  ``_admissible`` checks both and that J lies
-inside [0, n), and returns J.  ``slice`` also wants its residue i in [0, n).
+integers to integers.  ``_check_positive`` wants a modulus n, or a window, that
+is an integer of at least 1 (else ValueError).  ``_admissible`` checks J and n,
+that J lies inside [0, n), and returns J.  ``slice`` also wants its residue i
+in [0, n).
 """
 from __future__ import annotations
 
@@ -118,17 +119,17 @@ def _check_root_map(exps: Mapping[int, int]) -> None:
         _check_int(e, "a root map's exponents must be integers")
 
 
-def _check_modulus(n: int) -> None:
-    """Refuse a modulus n that is not an integer (TypeError) or is less than 1 (ValueError)."""
-    _check_int(n, "n must be a positive integer")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+def _check_positive(x: object, rule: str = "n must be a positive integer") -> None:
+    """TypeError unless x is an int, then ValueError if x < 1, each as ``f"{rule}, got {x!r}"``."""
+    _check_int(x, rule)
+    if x < 1:
+        raise ValueError(f"{rule}, got {x}")
 
 
 def _admissible(J: FinSet | Iterable[int], n: int) -> FinSet:
     """J as a FinSet, once (J, n) is checked admissible: n an int >= 1 and J inside [0, n)."""
     J = _as_finset(J)
-    _check_modulus(n)
+    _check_positive(n)
     elems = J._elements
     if elems and (min(elems) < 0 or max(elems) >= n):
         raise ValueError(f"J = {J} is not a subset of [0, {n})")
@@ -183,18 +184,14 @@ def affine_image(J: FinSet, scale: int, offset: int) -> FinSet:
     _check_int(offset, "offset must be an integer")
     if scale == 0:
         raise ValueError("scale must be nonzero (the map would not be injective)")
-    return FinSet._of(frozenset(_image(J, scale, offset)))
-
-
-def _image(J: FinSet, scale: int, offset: int) -> Iterator[int]:
     elems = J._elements if scale == 1 else map(scale.__mul__, J._elements)
-    return map(offset.__add__, elems)
+    return FinSet._of(frozenset(map(offset.__add__, elems)))
 
 
 def slice(J: FinSet | Iterable[int], n: int, i: int) -> FinSet:
     """The i-th residue slice {j : n*j + i in J}; i must be an int in [0, n)."""
     J = _as_finset(J)
-    _check_modulus(n)
+    _check_positive(n)
     _check_int(i, "residue i must be an integer")
     if not 0 <= i < n:
         raise ValueError(f"residue i must lie in [0, {n}), got {i}")
@@ -204,7 +201,7 @@ def slice(J: FinSet | Iterable[int], n: int, i: int) -> FinSet:
 def boundary(J: FinSet | Iterable[int], n: int) -> FinSet:
     """The boundary J ^ (J - n)."""
     J = _as_finset(J)
-    _check_modulus(n)
+    _check_positive(n)
     return J ^ affine_image(J, 1, -n)
 
 
@@ -215,7 +212,7 @@ def inverse_boundary(J: FinSet | Iterable[int], n: int) -> FinSet:
     constructively from the runs of ``_boundary_runs``.
     """
     J = _as_finset(J)
-    _check_modulus(n)
+    _check_positive(n)
     return FinSet._of(frozenset(chain.from_iterable(_boundary_runs(J, n))))
 
 
@@ -321,7 +318,7 @@ def _totient(d: int) -> int:
 
 def necklace_count(n: int) -> int:
     """Number of 2-colored necklaces of length n: (1/n) sum_{d|n} phi(d) 2^(n/d)."""
-    _check_modulus(n)
+    _check_positive(n)
     total = sum(_totient(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
     return total // n
 
@@ -346,7 +343,7 @@ def necklace_enumerate(n: int) -> list[NecklaceClass]:
     and 1).  Cost: O(n) per class for the representatives, then the sort by
     (size, residues).  Raises ValueError past NECKLACE_ENUM_MAX_CLASSES.
     """
-    _check_modulus(n)
+    _check_positive(n)
     if n > NECKLACE_ENUM_MAX_N:
         raise ValueError(
             f"necklace enumeration is limited to NECKLACE_ENUM_MAX_CLASSES = "

@@ -5,7 +5,7 @@ import pytest
 
 from weylgraded import ktheory, zfin
 from weylgraded.zfin import FinSet, absorb_shift
-from weylgraded.lattices import _dset_min
+from weylgraded.lattices import DSet
 from weylgraded.picard import PicElement, identity
 from weylgraded.ktheory import (
     K0Class,
@@ -257,7 +257,7 @@ def _k0_class_by_dset_min(pairs):
     """
     coeffs = {}
     for J, s in pairs:
-        m = _dset_min(J._elements)
+        m = DSet(J).min_element()
         n = m + s
         coeffs[n] = coeffs.get(n, 0) + 1
         for k in absorb_shift(J, -m):

@@ -22,7 +22,7 @@ from weylgraded.zfin import (
 from weylgraded import gwa, picard, zfin
 from weylgraded.ktheory import K0Class, ProjectiveSum, k0_class, stably_free_witness, theta_map
 from weylgraded.lattices import DSet, GradedLattice, SimpleLabel, iota_lattice, simple_factor, to_dset
-from weylgraded.skew import RationalPoly
+from weylgraded.skew import RationalPoly, SkewElement
 
 finsets = st.frozensets(st.integers(-10, 10), max_size=5).map(FinSet)
 moduli = st.integers(1, 6)
@@ -317,7 +317,7 @@ class TestAdmissiblePair:
             AdmissiblePair(FinSet(), 0)
 
 
-# Functions that take a modulus n, called with n; each checks n by zfin._check_modulus.
+# Functions that take a modulus n, called with n; each checks n by zfin._check_positive.
 MODULUS_TAKERS = {
     "AdmissiblePair": lambda n: AdmissiblePair(fs(0, 1), n),
     "slice": lambda n: slice(fs(0, 2), n, 0),
@@ -386,6 +386,24 @@ INT_TAKERS = {
     "twisted_endo_piece_oracle j": ("piece degree j must be an integer", lambda j: gwa.twisted_endo_piece_oracle([0], 1, j)),
     "ring_pieces j_min": ("piece degree j_min must be an integer", lambda j: gwa.ring_pieces([0], 1, j, 1)),
     "ring_pieces j_max": ("piece degree j_max must be an integer", lambda j: gwa.ring_pieces([0], 1, -1, j)),
+    "SkewElement degree": ("SkewElement degrees must be integers", lambda m: SkewElement({m: RationalPoly.one()})),
+    "SkewElement.x_power": ("SkewElement degrees must be integers", SkewElement.x_power),
+    "SkewElement.monomial": ("SkewElement degrees must be integers", lambda m: SkewElement.monomial(RationalPoly.z(), m)),
+    "SkewElement.y_power": ("y_power's exponent must be an integer", SkewElement.y_power),
+    "SkewElement power": ("a power's exponent must be an integer", lambda k: SkewElement.x_power(1) ** k),
+    "RationalPoly.shift": ("shift must be an integer", lambda m: RationalPoly.z().shift(m)),
+    "GradedLattice.shifted": ("shift must be an integer", lambda s: GradedLattice.free().shifted(s)),
+    "RationalPoly.rising": ("rising's degree must be an integer", RationalPoly.rising),
+    "RationalPoly.falling": ("falling's degree must be an integer", RationalPoly.falling),
+    "linear_product root": ("linear_product's roots must be integers", lambda j: RationalPoly.linear_product([0, j])),
+    "factored_generator_at": ("lattice degrees must be integers", lambda m: GradedLattice.free().factored_generator_at(m)),
+    "generator_at": ("lattice degrees must be integers", lambda m: GradedLattice.free().generator_at(m)),
+}
+
+# Functions that take a window, called with it; each checks it by zfin._check_positive.
+WINDOW_TAKERS = {
+    "verify_ring_closure": lambda w: gwa.verify_ring_closure([0], 1, w),
+    "coverage_witness": lambda w: picard.coverage_witness([0], 1, w),
 }
 
 
@@ -436,6 +454,17 @@ class TestInputRules:
         rule, call = INT_TAKERS[name]
         with pytest.raises(TypeError, match=f"^{re.escape(rule)}, got {re.escape(repr(x))}$"):
             call(x)
+
+    @pytest.mark.parametrize("w", [0, -3])
+    @pytest.mark.parametrize("name", WINDOW_TAKERS)
+    def test_window_must_be_positive(self, name, w):
+        with pytest.raises(ValueError, match=f"^window must be a positive integer, got {w}$"):
+            WINDOW_TAKERS[name](w)
+
+    def test_skew_degrees_are_not_truncated(self):
+        # int() once read the degree 1.5 as 1, so this was x
+        with pytest.raises(TypeError, match=r"^SkewElement degrees must be integers, got 1\.5$"):
+            SkewElement({1.5: RationalPoly.one()})
 
     def test_a_finset_passes_through(self):
         J = fs(0, 2)
