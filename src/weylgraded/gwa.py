@@ -103,9 +103,9 @@ def complement(J: FinSet, n: int) -> FinSet:
     return FinSet._of(frozenset(range(n)).difference(J._elements))
 
 
-def _fbar(J: FinSet, n: int, s: int = 0) -> RationalPoly:
-    """fbar(z + s) of S(J, n) for a validated pair: the product of (z+t+s) over [0, n) minus J."""
-    return RationalPoly._of_roots({t + s: 1 for t in complement(J, n)})
+def _fbar(J: FinSet, n: int) -> RationalPoly:
+    """fbar of S(J, n) for a validated pair: the product of (z+t) over [0, n) minus J."""
+    return RationalPoly._of_roots(dict.fromkeys(complement(J, n), 1))
 
 
 def factors(J, n: int) -> tuple[RationalPoly, RationalPoly]:
@@ -122,13 +122,12 @@ def present(J, n: int) -> GWAPresentation:
 
     Raises ValueError when a product could not be printed (skew.MAX_PRINTED_DIGITS).
     """
-    J = _admissible(J, n)
     fbar, f_J = factors(J, n)
     relations = (
         f"X z - z X = {n} X",
         f"Y z - z Y = -{n} Y",
         f"X Y = {fbar}",
-        f"Y X = {_fbar(J, n, -n)}",
+        f"Y X = {RationalPoly._of_roots({t - n: 1 for t in fbar._roots})}",
     )
     return GWAPresentation(n=n, f=fbar, idealizer_factor=f_J, relations=relations)
 
@@ -159,7 +158,7 @@ def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     if j > 0:
         L = L._scaled(dict.fromkeys(K._elements, -1))
     d = n * j
-    return _times((L.factored_generator_at(d), 0), _x_power(d))
+    return _times((L._generator_roots(d), 0), _x_power(d))
 
 
 def twisted_endo_piece_oracle(J, n: int, j: int) -> tuple[RationalPoly, int]:

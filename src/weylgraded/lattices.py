@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import inf
 from operator import sub
 from typing import Callable, Iterable, Mapping
@@ -111,12 +111,7 @@ class DSet:
         """Least element of Z>=0 xor exceptions."""
         E = self.exceptions._elements
         low = min(E, default=0)
-        if low < 0:
-            return low
-        t = 0
-        while t in E:
-            t += 1
-        return t
+        return low if low < 0 else next(t for t in count() if t not in E)
 
     def __str__(self) -> str:
         return f"Z>=0 xor {self.exceptions}"
@@ -280,19 +275,23 @@ class GradedLattice:
     @property
     def generators(self) -> dict[int, RationalPoly]:
         lo, hi = self._bounds()
-        return {m: self.generator_at(m) for m in range(lo, hi + 1)}
+        return {m: RationalPoly._of_roots(self._generator_roots(m)) for m in range(lo, hi + 1)}
 
     def generator_at(self, m: int) -> RationalPoly:
         return RationalPoly._of_roots(self.factored_generator_at(m))
 
     def factored_generator_at(self, m: int) -> dict[int, int]:
-        """The degree-m generator as a new root map {t: e}, zero exponents dropped.
+        """The degree-m generator as a new root map {t: e}, zero exponents dropped."""
+        _check_int(m, "lattice degrees must be integers")
+        return self._generator_roots(m)
+
+    def _generator_roots(self, m: int) -> dict[int, int]:
+        """factored_generator_at for an int m, unchecked.
 
         A's lines give (z+t) for m <= t < 0; each stored line t then sets or
         drops its entry, its value summed over the jumps at degrees <= m, which
         come first since the jumps are sorted.
         """
-        _check_int(m, "lattice degrees must be integers")
         exps = dict.fromkeys(range(m, 0), 1)
         for t, (v, jumps) in self._lines.items():
             for p, d in jumps:
@@ -383,7 +382,7 @@ class GradedLattice:
 
     def to_json(self) -> dict:
         lo, hi = self._bounds()
-        gens = {str(m): self.generator_at(m).to_json() for m in range(lo, hi + 1)}
+        gens = {str(m): g.to_json() for m, g in self.generators.items()}
         return {"lo": lo, "hi": hi, "gens": gens}
 
     @classmethod

@@ -568,7 +568,7 @@ class SkewElement:
         """
         _check_int(r, "y_power's exponent must be an integer")
         if r >= 0:
-            return cls({-r: RationalPoly.falling(r)})
+            return cls({-r: _ratio(_linear_coeffs(range(-1, -r - 1, -1)), _ONE)})
         return cls({-r: _ratio(_ONE, _linear_coeffs(range(-r)))})
 
     # structure -------------------------------------------------------------
