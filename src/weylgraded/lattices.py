@@ -13,19 +13,22 @@ A's are kept; line t of A is 1 for m <= t < 0 and 0 otherwise.  Along each
 line of an A-module the exponent is constant except for a possible single
 unit drop between degrees t and t+1; whether it drops decides whether the
 simple factor at t is Y(t) or X(t), which makes isomorphism testing and the
-involution functors completely mechanical.  A set of involutions edits its own lines in one pass,
-a shift relabels them, intersections and hom generators take maxima line by
-line, and no polynomial gcd is ever taken.  iota_lattice(J, s) writes the
-lines of iota_J(A)<s> in closed form, in one pass over J and the integers
-between 0 and -s: with u = t + s, a member t < 0 gives the constant line u,
-a member t >= 0 with u >= 0 a line that drops at u+1, a non-member t between
-0 and -s a line that drops at u+1 (s > 0) or the zero line (s < 0), and
-every other line is A's.  Every query is one linear pass
-per root line: two lines combine by a merge walk of their sorted jumps, the
-shortest window is one scan of the lines, and A's own lines, which are not
-stored, are read in closed form.  The generator at degree m is read in one
-loop over the stored lines, each summed over its jumps up to m and left at
-the first jump past m, on top of A's (z+t) for m <= t < 0.
+involution functors completely mechanical.  A set of involutions edits its
+own lines in one pass, a shift relabels them, an intersection takes the
+larger exponent line by line, and no polynomial gcd is ever taken.
+iota_lattice(J, s) writes the lines of iota_J(A)<s> in closed form, in one
+pass over J and the integers between 0 and -s: with u = t + s, a member t < 0
+gives the constant line u, a member t >= 0 with u >= 0 a line that drops at
+u+1, a non-member t between 0 and -s a line that drops at u+1 (s > 0) or the
+zero line (s < 0), and every other line is A's.  Every query is one pass per
+root line: an intersection merges the two sorted jump lists; hom generators
+and cokernel supports read the ratio g^Q/g^P off one walk per line, which
+sums the two jump lists by degree and yields the ratio's largest value and
+its values at t and t+1; the shortest window is one scan of the lines; and
+A's own lines, which are not stored, are read in closed form.  The generator
+at degree m is read in one loop over the stored lines, each summed over its
+jumps up to m and left at the first jump past m, on top of A's (z+t) for
+m <= t < 0.
 
 A lattice enters as the root maps {t: e}, products of the (z+t)^e with e < 0
 a denominator, of its generators on a window [lo, hi], continued by g_m = g_hi
@@ -37,10 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 from math import inf
-from operator import sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .zfin import FinSet, _as_finset, _check_int, _check_root_map, absorb_shift
 from .skew import RationalPoly
@@ -94,7 +96,7 @@ class SimpleLabel:
         return f"{self.kind}({self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DSet:
     """Isomorphism invariant of a rank-1 projective: its X-side factor set.
 
@@ -103,6 +105,18 @@ class DSet:
     """
 
     exceptions: FinSet
+
+    def __init__(self, exceptions: FinSet | Iterable[int]) -> None:
+        """TypeError unless exceptions is a FinSet or an iterable of ints (zfin._as_finset)."""
+        # a frozen dataclass refuses setattr; its field is set in __dict__
+        self.__dict__["exceptions"] = _as_finset(exceptions)
+
+    @classmethod
+    def _of(cls, exceptions: FinSet) -> "DSet":
+        """The DSet with these exceptions, which must already be a FinSet: no check."""
+        E = object.__new__(cls)
+        E.__dict__["exceptions"] = exceptions
+        return E
 
     def __contains__(self, j: int) -> bool:
         return (j >= 0) != (j in self.exceptions)
@@ -135,11 +149,6 @@ def _free_line(t: int) -> _Line:
     return (1, ((t + 1, -1),)) if t < 0 else (0, ())
 
 
-def _values(line: _Line) -> Iterable[int]:
-    """Every value the line takes, from left to right."""
-    return accumulate((d for _, d in line[1]), initial=line[0])
-
-
 _END = (inf, 0)  # past the last jump of a line
 
 
@@ -168,6 +177,21 @@ def _combine(op: Callable[[int, int], int], a: _Line, b: _Line) -> _Line:
             jumps.append((p, cur - prev))
             prev = cur
     return (start, tuple(jumps))
+
+
+def _drops_at(lines: Mapping[int, _Line], t: int) -> bool:
+    """Whether line t of these stored lines steps between degrees t and t+1.
+
+    A line that is not stored is A's, which drops exactly when t < 0.  The
+    jumps are sorted, so the first one past t decides.
+    """
+    line = lines.get(t)
+    if line is None:
+        return t < 0
+    for m, _ in line[1]:
+        if m > t:
+            return m == t + 1
+    return False
 
 
 def _canonical(lines: Mapping[int, _Line]) -> dict[int, _Line]:
@@ -329,16 +353,6 @@ class GradedLattice:
             lines[j] = (v, tuple(sorted((m, d) for m, d in steps.items() if d)))
         return self._with(lines)
 
-    def _drops_at(self, j: int) -> bool:
-        """Whether the exponent of (z+j) drops between degrees j and j+1.
-
-        A line that is not stored is A's, which drops exactly when j < 0.
-        """
-        line = self._lines.get(j)
-        if line is None:
-            return j < 0
-        return any(m == j + 1 for m, _ in line[1])
-
     def shifted(self, s: int) -> "GradedLattice":
         """Left multiplication by x^s: line t becomes line t+s, its jumps moved by s.
 
@@ -436,12 +450,12 @@ def is_A_module(L: GradedLattice) -> bool:
 def simple_factor(L: GradedLattice, j: int) -> SimpleLabel:
     """F_j(L): X(j) when the root line z=-j does not drop at j, else Y(j)."""
     _check_int(j, "simple factors are indexed by integers")
-    return SimpleLabel._of("Y" if L._drops_at(j) else "X", j)
+    return SimpleLabel._of("Y" if _drops_at(L._lines, j) else "X", j)
 
 
 def to_dset(J: FinSet | Iterable[int], shift: int = 0) -> DSet:
     """DSet of iota_J(A)<shift> by pure set arithmetic: (ray xor J) + shift."""
-    return DSet(absorb_shift(_as_finset(J), shift))
+    return DSet._of(absorb_shift(_as_finset(J), shift))
 
 
 def lattice_dset(L: GradedLattice) -> DSet:
@@ -449,12 +463,42 @@ def lattice_dset(L: GradedLattice) -> DSet:
 
     Its exceptions are the lines whose drop at t -> t+1 differs from A's.
     """
-    return DSet(FinSet._of(frozenset(t for t in L._lines if L._drops_at(t) != (t < 0))))
+    lines = L._lines
+    return DSet._of(FinSet._of(frozenset(t for t in lines if _drops_at(lines, t) != (t < 0))))
 
 
-def _ratios(P: GradedLattice, Q: GradedLattice) -> dict[int, _Line]:
-    """The exponent line of g^Q_m / g^P_m on every line where P or Q differs from A."""
-    return {t: _combine(sub, Q._line(t), P._line(t)) for t in P._lines.keys() | Q._lines.keys()}
+def _ratio_walk(P: GradedLattice, Q: GradedLattice) -> Iterator[tuple[int, int, int, int, bool]]:
+    """Line t of g^Q_m / g^P_m, for each t where P or Q differs from A, in one walk.
+
+    Yields (t, top, at, after, moves): the ratio's largest exponent of (z+t),
+    its exponents at degrees t and t+1, and whether it changes with m.  The
+    walk sums the two jump lists by degree and builds no line; equal lines give
+    the zero ratio at once.
+    """
+    p_lines, q_lines = P._lines, Q._lines
+    for t in p_lines.keys() | q_lines.keys():
+        a = q_lines.get(t) or _free_line(t)
+        b = p_lines.get(t) or _free_line(t)
+        if a == b:
+            yield t, 0, 0, 0, False
+            continue
+        (x, ja), (y, jb) = a, b
+        v = top = at = after = x - y
+        steps = dict(ja)
+        for p, d in jb:
+            steps[p] = steps.get(p, 0) - d
+        moves = False
+        for p in sorted(steps):
+            if d := steps[p]:
+                v += d
+                moves = True
+                if v > top:
+                    top = v
+                if p <= t + 1:
+                    after = v
+                    if p <= t:
+                        at = v
+        yield t, top, at, after, moves
 
 
 def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
@@ -463,8 +507,7 @@ def hom_generator(P: GradedLattice, Q: GradedLattice) -> RationalPoly:
     The degree-m constraint is q in (g^Q_m / g^P_m) k[z], so on each root line
     the exponent of q is the largest that the ratio takes.
     """
-    hom = {t: e for t, ratio in _ratios(P, Q).items() if (e := max(_values(ratio)))}
-    return RationalPoly._of_roots(hom)
+    return RationalPoly._of_roots({t: top for t, top, _, _, _ in _ratio_walk(P, Q) if top})
 
 
 def cokernel_support(P: GradedLattice, Q: GradedLattice) -> tuple[tuple[int, int], ...]:
@@ -478,23 +521,14 @@ def cokernel_support(P: GradedLattice, Q: GradedLattice) -> tuple[tuple[int, int
     (p_lo, p_hi), (q_lo, q_hi) = P._bounds(), Q._bounds()
     lo, hi = min(p_lo, q_lo), max(p_hi, q_hi)
     support: dict[int, int] = {}
-    for t, (v, jumps) in _ratios(P, Q).items():
-        if not jumps:
+    for t, top, at, after, moves in _ratio_walk(P, Q):
+        if not moves:
             continue
         if not lo - 2 <= t <= hi + 1:
             raise ValueError(
                 "cokernel is not integrally supported on the expected window; "
                 "inputs are outside the involution family"
             )
-        # the maximum and the values at t and t+1, in one walk of the line
-        top = at = after = v
-        for m, d in jumps:
-            v += d
-            top = max(top, v)
-            if m <= t:
-                at = v
-            if m <= t + 1:
-                after = v
         if count := 2 * top - at - after:
             support[-t] = count
     return tuple(sorted(support.items()))

@@ -24,7 +24,7 @@ from weylgraded.lattices import (
     simple_factor,
     to_dset,
 )
-from weylgraded.lattices import _combine, _free_line
+from weylgraded.lattices import _canonical, _combine, _drops_at, _free_line, _ratio_walk
 
 Z = RationalPoly.z()
 ONE = RationalPoly.one()
@@ -221,6 +221,39 @@ class TestCombine:
         assert _combine(sub, line, line) == (0, ())
 
 
+def _ratio_by_values(a, b, t, points=range(-6, 7)):
+    """(top, at, after, moves) of the line m -> a(m) - b(m), from its values at every m."""
+    values = [_value(a, m) - _value(b, m) for m in points]
+    return max(values), _value(a, t) - _value(b, t), _value(a, t + 1) - _value(b, t + 1), len(set(values)) > 1
+
+
+class TestRatioWalk:
+    def test_equals_the_pointwise_ratio(self):
+        # lines on a few points, so the two often share a jump and cancel there
+        rng = random.Random(28)
+        cancelled = still = 0
+        for _ in range(3000):
+            t = rng.randint(-4, 4)
+            a, b = _random_line(rng), _random_line(rng)
+            P, Q = (GradedLattice._of(_canonical({t: line})) for line in (b, a))
+            walked = {u: rest for u, *rest in _ratio_walk(P, Q)}
+            want = _ratio_by_values(a, b, t)
+            assert walked.get(t, [0, 0, 0, False]) == list(want), (a, b, t)
+            common = {p for p, _ in a[1]} & {p for p, _ in b[1]}
+            cancelled += bool(common - {p for p, _ in _combine(sub, a, b)[1]})
+            still += a != b and not want[3]
+        assert cancelled > 300 and still > 40
+
+    def test_drops_at_reads_the_step_at_t_plus_one(self):
+        rng = random.Random(29)
+        for _ in range(3000):
+            t = rng.randint(-4, 4)
+            line = _random_line(rng)
+            lines = _canonical({t: line})
+            want = any(m == t + 1 for m, _ in line[1]) if t in lines else t < 0
+            assert _drops_at(lines, t) == want, (line, t)
+
+
 class TestInvolute:
     def test_on_lines_of_A_equals_the_one_index_step(self):
         # line j of A is not stored, so involute reads it in closed form
@@ -307,6 +340,26 @@ class TestDSet:
     def test_membership(self):
         E = to_dset(fs(0, 4))
         assert 1 in E and 0 not in E and 4 not in E and -3 not in E
+
+    def test_iterable_of_ints_becomes_a_finset(self):
+        assert DSet([0, 2]) == DSet(FinSet([0, 2]))
+        assert isinstance(DSet([0, 2]).exceptions, FinSet)
+
+    @pytest.mark.parametrize("exceptions", [[1, True], [1, 2.5], [2.0]])
+    def test_exceptions_must_be_ints(self, exceptions):
+        with pytest.raises(TypeError):
+            DSet(exceptions)
+
+    def test_json_roundtrip(self):
+        E = DSet(fs(-3, 0, 4))
+        assert E.to_json() == {"exceptions": [-3, 0, 4]}
+        assert DSet.from_json(E.to_json()) == E
+
+    def test_trusted_dset_equals_checked(self):
+        for J in subsets(range(-2, 3)):
+            fast, checked = DSet._of(J), DSet(J)
+            assert fast == checked and hash(fast) == hash(checked)
+            assert vars(fast) == vars(checked) and str(fast) == str(checked)
 
 
 class TestHomGenerator:
@@ -448,7 +501,7 @@ class TestCanonicalWindow:
 
 def _ref_involute_at(L, j):
     """The involution at the single index j, as the old one-index step built it."""
-    step = (0, ((j + 1, 1),)) if L._drops_at(j) else (1, ((j + 1, -1),))
+    step = (0, ((j + 1, 1),)) if _drops_at(L._lines, j) else (1, ((j + 1, -1),))
     return L._with({j: _combine(add, L._line(j), step)})
 
 

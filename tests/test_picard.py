@@ -142,6 +142,11 @@ class TestActOnDSet:
     def test_omega_fixes_free_class(self):
         assert act_on_dset(omega(), DSet(FinSet())) == DSet(FinSet())
 
+    def test_dset_of_a_list(self):
+        # DSet takes its exceptions as a FinSet, so the action reads a list's elements
+        assert act_on_dset(identity(), DSet([1])) == DSet(fs(1))
+        assert act_on_dset(shift(2), DSet([-1, 3])) == DSet(fs(0, 5))
+
 
 class TestGenerativity:
     def test_shift_generative(self):
