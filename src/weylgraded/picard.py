@@ -231,7 +231,7 @@ def act_on_dset(F: PicElement, E: DSet) -> DSet:
     exc = E.exceptions._elements
     if F.a == -1:
         exc = frozenset(map(invert, exc))
-    return DSet._of(absorb_shift(FinSet._of(exc ^ F.J._elements), F.b))
+    return DSet(absorb_shift(FinSet._of(exc ^ F.J._elements), F.b))
 
 
 def coverage_witness(J: FinSet | list[int], n: int, window: int) -> dict[int, FinSet]:

@@ -312,10 +312,11 @@ def _lattice_reading(rng: random.Random) -> Cases:
         yield {"J": J, "s": s}, lattice_dset(iota_lattice(J, s)) == to_dset(J, s)
 
 
-@register("lattices", "Schanuel cokernel identity", "J, K in [-3,3], |J|, |K| <= 3")
+@register("lattices", "Schanuel cokernel identity", "J, K in [-3,3], |J|, |K| <= 3 or J, K = [0,3]")
 def _schanuel(rng: random.Random) -> Cases:
-    # a negative member writes a constant line (1, ()), which the window check meets
-    subs = _subsets(range(-3, 4), 3)
+    # a negative member writes a constant line (1, ()), which the window check meets;
+    # [0,3] itself keeps every J, K in [0,3] covered
+    subs = _subsets(range(-3, 4), 3) + [FinSet(range(4))]
     for J in subs:
         for K in subs:
             left = cokernel_support(iota_lattice(J | K), iota_lattice(K))

@@ -355,12 +355,6 @@ class TestDSet:
         assert E.to_json() == {"exceptions": [-3, 0, 4]}
         assert DSet.from_json(E.to_json()) == E
 
-    def test_trusted_dset_equals_checked(self):
-        for J in subsets(range(-2, 3)):
-            fast, checked = DSet._of(J), DSet(J)
-            assert fast == checked and hash(fast) == hash(checked)
-            assert vars(fast) == vars(checked) and str(fast) == str(checked)
-
 
 class TestHomGenerator:
     def test_endomorphisms_of_free(self):
