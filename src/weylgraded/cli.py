@@ -34,7 +34,7 @@ from .zfin import (
     necklace_count,
     necklace_enumerate,
 )
-from .picard import PicElement, _bounded_shift, compose, inverse, power
+from .picard import PicElement, compose, inverse, power
 from .classify import canonical_admissible, same_morita_class
 from . import gwa, skew
 from .lattices import (
@@ -164,8 +164,6 @@ def _parse_sum(text: str) -> ProjectiveSum:
             raise ExpressionError("empty summand; write {} for A", sc.pos)
         summands.append((sc.int_set(bare=True), sc.integer() if sc.accept("@") else 0))
     sc.end()
-    for J, s in summands:
-        _bounded_shift(s, f"summand {J}@{s} has a shift")
     return ProjectiveSum(tuple(summands))
 
 
@@ -343,7 +341,6 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_mod(args) -> int:
-    _bounded_shift(args.shift, f"--shift {args.shift} is")
     if args.cmd == "dset":
         E = to_dset(parse_int_set(args.J), args.shift)
         _emit(args, lambda: str(E), E.to_json)
@@ -352,7 +349,6 @@ def _cmd_mod(args) -> int:
         _emit(args, lambda: "\n".join(f"deg {m}: ({g}) x^{m} k[z]" for m, g in L.generators.items()),
               L.to_json)
     else:
-        _bounded_shift(args.shift2, f"--shift2 {args.shift2} is")
         P = iota_lattice(parse_int_set(args.J), args.shift)
         Q = iota_lattice(parse_int_set(args.J2), args.shift2)
         if args.cmd == "hom":

@@ -52,6 +52,9 @@ RationalPoly.root_map, and builds no f_J.
 Every entry point checks its pair once, by zfin._admissible (J any iterable of
 integers; TypeError for a non-int n, ValueError for n < 1 or J outside [0, n)),
 each piece degree j by zfin._check_int, and a window by zfin._check_positive.
+zfin._check_size refuses a set past zfin.POWER_MAX_SET_SIZE before it is
+built: fbar's n residues (complement), the n j roots of closed-form piece
+j > 0, and the n |j| roots of the oracle's x^{nj}; a pair itself takes any n.
 Every product it returns is built from its root map by RationalPoly._of_roots,
 which refuses one too long to print (skew.MAX_PRINTED_DIGITS) when it builds,
 multiplies nothing out until the coefficients are read, and skips from_roots'
@@ -62,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle
 
-from .zfin import FinSet, _admissible, _check_int, _check_positive
+from .zfin import FinSet, _admissible, _check_int, _check_positive, _check_size
 from .skew import RationalPoly
 from .lattices import iota_lattice
 
@@ -100,6 +103,7 @@ class RingPieces:
 
 
 def complement(J: FinSet, n: int) -> FinSet:
+    _check_size(n, "n = {} would build a residue set", n)
     return FinSet._of(frozenset(range(n)).difference(J._elements))
 
 
@@ -138,6 +142,7 @@ def _closed_form_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
         return {}, 0
     if j < 0:
         return dict.fromkeys(J, 1), -n * j
+    _check_size(n * j, "piece {} at n = {} would build a root set", j, n)
     # the t < nj whose residue is not in J, as a cycled mask over range(n * j)
     rest = compress(range(n * j), cycle([t not in J for t in range(n)]))
     return dict.fromkeys(chain(J, rest), 1), -n * j
@@ -152,6 +157,7 @@ def graded_piece_closed_form(J, n: int, j: int) -> tuple[RationalPoly, int]:
 
 def _oracle_roots(J: FinSet, n: int, j: int) -> tuple[dict[int, int], int]:
     """Piece j as ({root: exponent} of h, p), zero exponents dropped, read off M(j)."""
+    _check_size(n * abs(j), "the oracle's piece {} at n = {} would build a root set", j, n)
     steps = range(1, j + 1) if j > 0 else range(j + 1, 1)
     K = FinSet._of(frozenset(t + n * i for i in steps for t in J._elements))
     L = iota_lattice(K)
@@ -240,15 +246,14 @@ def _x_power(d: int) -> tuple[dict[int, int], int]:
 
 
 # verify_ring_closure refuses a check whose work passes this bound.  The work,
-# (2w+1)^2 (n*w)^2, is the cost of its (2w+1)^2 generator products taken densely
-# in D, each of degree up to n*w in z.  On root exponents a product costs about
-# n*w steps, so the check answers far inside the bound (2 CPUs, Python 3.11,
-# J = {0}, best of 7): (n, w) = (1, 40) takes 3 ms, (20, 10) 1.6 ms and
-# (1, 47), the largest window under the bound at n = 1, 4 ms.  At window 1 the
-# bound stops `ring verify` at n <= 1490, though verify_gwa_embedding, which it
-# runs after this check, takes x^n by repeated squaring, about 2 log2 n
-# root-map products.
-RING_CLOSURE_MAX_WORK = 2 * 10**7
+# (2w+1)^2 (|J| + (n - |J|) w), is what its pair loop does: about (2w+1)^2
+# _product_lands calls, each walking at most the |J| + (n - |J|) w roots of the
+# top piece.  Median of 7 in-process runs, 2 CPUs, Python 3.11: J = {0} at n = 1,
+# one root per call, is the slowest per unit, and its largest accepted window,
+# 499 (998001 units), takes 0.41 s, the slowest accepted `ring verify`; J = {},
+# n = 1, window 62 (968750 units) takes 0.02 s.  At window 1 the work is 9 n, so
+# n <= 111111, where `ring verify`, with the embedding's x^n, takes 0.2 s.
+RING_CLOSURE_MAX_WORK = 10**6
 
 
 def verify_ring_closure(J, n: int, window: int) -> bool:
@@ -259,16 +264,16 @@ def verify_ring_closure(J, n: int, window: int) -> bool:
     element of D is built.  Since each piece is a single cyclic module
     h y^p k[z], closure on the generators implies closure of all products.
     Raises ValueError, before any product is checked, when
-    (2 window + 1)^2 (n window)^2 passes RING_CLOSURE_MAX_WORK.
+    (2 window + 1)^2 (|J| + (n - |J|) window) passes RING_CLOSURE_MAX_WORK.
     """
     J = _admissible(J, n)
     _check_positive(window, "window must be a positive integer")
-    work = (2 * window + 1) ** 2 * (n * window) ** 2
+    work = (2 * window + 1) ** 2 * (len(J) + (n - len(J)) * window)
     if work > RING_CLOSURE_MAX_WORK:
         raise ValueError(
-            f"ring closure at n = {n}, window = {window} would take (2w+1)^2 (nw)^2 = "
-            f"{work} units of work, over the limit RING_CLOSURE_MAX_WORK = "
-            f"{RING_CLOSURE_MAX_WORK}"
+            f"ring closure at n = {n}, window = {window} would take (2w+1)^2 "
+            f"(|J| + (n-|J|) w) = {work} units of work, over the limit "
+            f"RING_CLOSURE_MAX_WORK = {RING_CLOSURE_MAX_WORK}"
         )
     # pieces[i] is piece i - w; k's range keeps the target index i + k - w in [0, 2w]
     w = window

@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .zfin import FinSet, _as_finset, _check_int, absorb_shift
-from .picard import PicElement, _bounded_shift, identity
+from .picard import PicElement, identity
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,8 @@ class ProjectiveSum:
     with s = 0 is kept as given.  So ``==`` compares absorbed forms:
     ``ProjectiveSum.of((FinSet(), 2)) == ProjectiveSum.of(FinSet([0, 1]))``.
     Absorbing builds a set of up to |J| + |s| members when the sum is built,
-    whatever is later asked of it; ``from_json``, which reads outside input,
-    refuses |s| over picard.POWER_MAX_SET_SIZE by ``picard._bounded_shift``,
-    as the CLI's parser does.
+    whatever is later asked of it, so absorb_shift refuses |s| over
+    zfin.POWER_MAX_SET_SIZE.
     """
 
     summands: tuple[tuple[FinSet, int], ...]
@@ -74,11 +73,7 @@ class ProjectiveSum:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "ProjectiveSum":
-        pairs = tuple((FinSet.from_json(d["J"]), d.get("shift", 0)) for d in data)
-        for _, s in pairs:
-            _check_int(s, "summand must be shifted by an integer")
-            _bounded_shift(s, f"summand shift {s} is")
-        return cls(pairs)
+        return cls(tuple((FinSet.from_json(d["J"]), d.get("shift", 0)) for d in data))
 
     def __str__(self) -> str:
         if not self.summands:

@@ -44,7 +44,7 @@ from itertools import count
 from math import inf
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .zfin import FinSet, _as_finset, _check_int, _check_root_map, absorb_shift
+from .zfin import FinSet, _as_finset, _check_int, _check_root_map, _check_shift, absorb_shift
 from .skew import RationalPoly
 
 
@@ -351,7 +351,7 @@ class GradedLattice:
 
         A's own line t moves onto A's line t+s except for t between 0 and -s.
         """
-        _check_int(s, "shift must be an integer")
+        _check_shift(s)
         lines = {}
         for t in self._lines.keys() | set(range(min(0, -s), max(0, -s))):
             v, jumps = self._line(t)
@@ -409,7 +409,7 @@ def iota_lattice(J: FinSet | Iterable[int], shift: int = 0) -> GradedLattice:
       t not in J, 0 <= t < -s: line u is (0, ()).
     A member t >= 0 with u < 0 lands on A's own line u, so it is not stored.
     """
-    _check_int(shift, "shift must be an integer")
+    _check_shift(shift)
     members = _as_finset(J)._elements
     lines = {}
     for t in members:

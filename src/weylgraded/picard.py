@@ -29,6 +29,7 @@ from .zfin import (
     _boundary_runs,
     _check_int,
     _check_positive,
+    _check_size,
     absorb_shift,
     affine_image,
 )
@@ -133,12 +134,6 @@ def inverse(F: PicElement) -> PicElement:
     return PicElement._of(-1, b, FinSet._of(frozenset(map((-1 - b).__sub__, F.J._elements))))
 
 
-# ``power`` refuses an involution set of more than this many elements, and
-# ``_bounded_shift`` a shift past it.  The set of F^k for even F = S^b iota_J can
-# hold up to |k| |J| elements, so a large k would exhaust memory instead of answering.
-POWER_MAX_SET_SIZE = 10**6
-
-
 def power(F: PicElement, k: int) -> PicElement:
     """F^k in time O(|J| log |J| + |K|), K the set of F^k, whatever k is.
 
@@ -150,15 +145,15 @@ def power(F: PicElement, k: int) -> PicElement:
     through the inverse.  Odd F has F^4 = e and iota_J has iota_J^2 = e, so
     their powers take at most three compositions.
 
-    Raises ValueError when the set of F^k has more than POWER_MAX_SET_SIZE
-    elements; an even F with b != 0 builds nothing before that check.
+    Raises ValueError, by zfin._check_size, when the set of F^k (up to |k| |J|
+    elements) passes zfin.POWER_MAX_SET_SIZE; an even F with b != 0 builds nothing before.
     """
     _check_int(k, "power's exponent k must be an integer")
     if F.a == -1 or F.b == 0:
         out = identity()
         for _ in range(k % (4 if F.a == -1 else 2)):
             out = compose(F, out)
-        _refuse_past_limit(len(out.J))
+        _check_size(len(out.J), "power would build an involution set")
         return out
     if k < 0:
         return power(inverse(F), -k)
@@ -169,28 +164,9 @@ def power(F: PicElement, k: int) -> PicElement:
         ends = affine_image(J, 1, -(k - 1) * b) ^ affine_image(J, 1, b)
     runs = _boundary_runs(ends, abs(b))
     # each run is range(a + n, c + n, n) with n dividing c - a; len() overflows past sys.maxsize
-    _refuse_past_limit(sum((r.stop - r.start) // r.step for r in runs))
+    size = sum((r.stop - r.start) // r.step for r in runs)
+    _check_size(size, "power would build an involution set")
     return PicElement._of(1, k * b, FinSet._of(frozenset(chain.from_iterable(runs))))
-
-
-def _refuse_past_limit(size: int) -> None:
-    if size > POWER_MAX_SET_SIZE:
-        raise ValueError(
-            f"power would build an involution set of {size} elements, over the "
-            f"limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
-        )
-
-
-def _bounded_shift(s: int, what: str) -> None:
-    """ValueError when |s| passes POWER_MAX_SET_SIZE.
-
-    iota_J A<s> is iota_K A with |K| <= |J| + |s|, so a shift builds work
-    linear in |s|; the bound on an involution set bounds it too.
-    """
-    if abs(s) > POWER_MAX_SET_SIZE:
-        raise ValueError(
-            f"{what} over the limit POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE} in absolute value"
-        )
 
 
 def sign_rank(F: PicElement) -> tuple[int, int]:

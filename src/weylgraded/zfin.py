@@ -20,7 +20,9 @@ integers and passes a FinSet through, and ``_check_root_map`` a root map as
 integers to integers.  ``_check_positive`` wants a modulus n, or a window, that
 is an integer of at least 1 (else ValueError).  ``_admissible`` checks J and n,
 that J lies inside [0, n), and returns J.  ``slice`` also wants its residue i
-in [0, n).
+in [0, n).  ``_check_size`` refuses a set past POWER_MAX_SET_SIZE (ValueError)
+before it is built, for a Picard power, a ring piece and, by ``_check_shift``
+with the int rule, every shift's |s| involution indices.
 """
 from __future__ import annotations
 
@@ -110,6 +112,25 @@ def _check_int(x: object, rule: str) -> None:
     """Refuse x with TypeError, as ``f"{rule}, got {x!r}"``, unless its type is exactly int."""
     if type(x) is not int:
         raise TypeError(f"{rule}, got {x!r}")
+
+
+# No set of involution indices or roots larger than this is built: it would exhaust memory.
+POWER_MAX_SET_SIZE = 10**6
+
+
+def _check_size(size: int, what: str, *args: object) -> None:
+    """ValueError past POWER_MAX_SET_SIZE, naming ``what.format(*args)``, built only then, and size."""
+    if size > POWER_MAX_SET_SIZE:
+        raise ValueError(
+            f"{what.format(*args)} of {size} elements, over the limit "
+            f"POWER_MAX_SET_SIZE = {POWER_MAX_SET_SIZE}"
+        )
+
+
+def _check_shift(s: object) -> None:
+    """A shift s: an int, by _check_int, whose |s| involution indices pass _check_size."""
+    _check_int(s, "shift must be an integer")
+    _check_size(abs(s), "shift {} would build an involution set", s)
 
 
 def _check_root_map(exps: Mapping[int, int]) -> None:
@@ -245,12 +266,13 @@ def shift_delta(s: int) -> FinSet:
 
     {0, ..., s-1} for s >= 0 and {s, ..., -1} for s < 0.
     """
+    _check_shift(s)
     return FinSet._of(frozenset(_delta_range(s)))
 
 
 def absorb_shift(J: FinSet, s: int) -> FinSet:
     """The K with iota_K A isomorphic to iota_J(A)<s>: (J + s) xor shift_delta(s)."""
-    _check_int(s, "shift must be an integer")
+    _check_shift(s)
     if not s:
         return J
     return FinSet._of(frozenset(map(s.__add__, J._elements)).symmetric_difference(_delta_range(s)))

@@ -157,7 +157,7 @@ class TestRunCommand:
         )
 
     def test_pic_pow_past_the_set_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 1000)
+        monkeypatch.setattr("weylgraded.zfin.POWER_MAX_SET_SIZE", 1000)
         assert run_command(["pic", "pow", "S*i{0}", "1000"]) == 0
         capsys.readouterr()
         assert run_command(["pic", "pow", "S*i{0}", "1001"]) == 1
@@ -286,10 +286,13 @@ class TestRunCommand:
         assert err == "error: J = {5} is not a subset of [0, 1)\n"
 
     def test_ring_verify_past_the_work_limit(self, capsys):
-        assert run_command(["ring", "verify", "--J", "0", "--n", "1", "--window", "80"]) == 1
+        assert run_command(["ring", "verify", "--J", "0", "--n", "1", "--window", "500"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "over the limit RING_CLOSURE_MAX_WORK = 20000000" in err
+        assert err == (
+            "error: ring closure at n = 1, window = 500 would take (2w+1)^2 (|J| + (n-|J|) w) "
+            "= 1002001 units of work, over the limit RING_CLOSURE_MAX_WORK = 1000000\n"
+        )
 
     def test_classify_table(self, capsys):
         assert run_command(["classify", "table", "--max-n", "3"]) == 0
@@ -413,22 +416,23 @@ class TestRunCommand:
     )
     @pytest.mark.parametrize("sign", [1, -1])
     def test_shift_past_the_set_limit(self, argv, what, sign, capsys, monkeypatch):
-        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 1000)
+        # zfin refuses the shift where its set would be built; ``what`` names the argument that carries it
+        monkeypatch.setattr("weylgraded.zfin.POWER_MAX_SET_SIZE", 1000)
         assert run_command([a.format(s=sign * 1000) for a in argv]) == 0
         capsys.readouterr()
         assert run_command([a.format(s=sign * 1001) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"error: {what.format(s=sign * 1001)} over the limit "
-            "POWER_MAX_SET_SIZE = 1000 in absolute value\n"
-        )
+            f"error: shift {sign * 1001} would build an involution set of 1001 elements, "
+            "over the limit POWER_MAX_SET_SIZE = 1000\n"
+        ), what.format(s=sign * 1001)
 
     def test_mod_lattice_shift_past_the_set_limit(self, capsys):
         assert run_command(["mod", "lattice", "--J", "0", "--shift", "-1000001"]) == 1
         assert capsys.readouterr().err == (
-            "error: --shift -1000001 is over the limit POWER_MAX_SET_SIZE = 1000000 "
-            "in absolute value\n"
+            "error: shift -1000001 would build an involution set of 1000001 elements, "
+            "over the limit POWER_MAX_SET_SIZE = 1000000\n"
         )
 
     def test_k0_normalize(self, capsys):

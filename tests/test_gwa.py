@@ -201,13 +201,17 @@ class TestRingStructure:
             verify_ring_closure(FinSet([0]), 1, -5)
 
     def test_closure_work_limit(self, monkeypatch):
-        with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 20000000"):
-            verify_ring_closure(fs(0), 1, 80)
-        monkeypatch.setattr(gwa, "RING_CLOSURE_MAX_WORK", 7**2 * 3**2)
-        assert verify_ring_closure(fs(0), 1, 3)
-        for n, window in [(1, 4), (2, 3)]:
-            with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 441"):
+        # (2w+1)^2 (|J| + (n-|J|) w): window 500 at n = 1 is 1002001 units, n = 111112 at window 1 is 1000008
+        for n, window in [(1, 500), (111112, 1)]:
+            with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 1000000$"):
                 verify_ring_closure(fs(0), n, window)
+        monkeypatch.setattr(gwa, "RING_CLOSURE_MAX_WORK", 7**2 * 4)
+        # J = {0}, n = 2, window 3 is 7^2 (1 + 1*3) = 196, the limit itself; the refused three are 225, 294 and 343
+        for J, n, window in [(fs(0), 2, 3), (fs(), 1, 3), (fs(0), 1, 6)]:
+            assert verify_ring_closure(J, n, window)
+        for J, n, window in [(fs(0), 1, 7), (fs(), 2, 3), (fs(0), 3, 3)]:
+            with pytest.raises(ValueError, match="RING_CLOSURE_MAX_WORK = 196$"):
+                verify_ring_closure(J, n, window)
 
 
 # Reference: the embedding check as dense products in D, on the fbar that

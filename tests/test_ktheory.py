@@ -68,12 +68,13 @@ class TestProjectiveSumOf:
             ProjectiveSum.from_json([{"J": [0, False], "shift": 0}])
 
     def test_json_shift_is_bounded(self, monkeypatch):
-        # a shift is absorbed when the sum is built, so JSON input bounds it as the CLI does
-        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 5)
+        # a shift is absorbed when the sum is built, which bounds JSON input as it does the CLI's
+        monkeypatch.setattr("weylgraded.zfin.POWER_MAX_SET_SIZE", 5)
         assert ProjectiveSum.from_json([{"J": [], "shift": 5}]) == ProjectiveSum.of(fs(0, 1, 2, 3, 4))
         assert ProjectiveSum.from_json([{"J": [], "shift": -5}]) == ProjectiveSum.of(fs(-5, -4, -3, -2, -1))
         for s in (6, -6):
-            with pytest.raises(ValueError, match=f"^summand shift {s} is over the limit POWER_MAX_SET_SIZE = 5"):
+            with pytest.raises(ValueError, match=f"^shift {s} would build an involution set of 6 elements, "
+                               "over the limit POWER_MAX_SET_SIZE = 5$"):
                 ProjectiveSum.from_json([{"J": [0], "shift": s}])
 
 

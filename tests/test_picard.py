@@ -190,7 +190,7 @@ class TestPower:
         assert power(F, 10**9) == PicElement(1, 10**9, fs(-(10**9) + 1, 1))
 
     def test_refuses_sets_past_the_limit(self, monkeypatch):
-        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 100)
+        monkeypatch.setattr("weylgraded.zfin.POWER_MAX_SET_SIZE", 100)
         F = compose(shift(1), iota(fs(0)))
         assert len(power(F, 100).J) == 100
         with pytest.raises(ValueError, match="over the limit POWER_MAX_SET_SIZE = 100"):
@@ -199,7 +199,7 @@ class TestPower:
             power(F, -101)
 
     def test_refusal_names_the_exact_size_of_the_power(self, monkeypatch):
-        monkeypatch.setattr("weylgraded.picard.POWER_MAX_SET_SIZE", 6)
+        monkeypatch.setattr("weylgraded.zfin.POWER_MAX_SET_SIZE", 6)
         rng = random.Random(5)
         refused = answered = 0
         for _ in range(600):

@@ -17,6 +17,7 @@ from weylgraded.zfin import (
     necklace_canonical,
     necklace_count,
     necklace_enumerate,
+    shift_delta,
     slice,
 )
 from weylgraded import gwa, picard, zfin
@@ -370,6 +371,7 @@ INT_TAKERS = {
     "verify_ring_closure window": ("window must be a positive integer", lambda w: gwa.verify_ring_closure([0], 1, w)),
     "coverage_witness window": ("window must be a positive integer", lambda w: picard.coverage_witness([0], 1, w)),
     "absorb_shift": ("shift must be an integer", lambda s: absorb_shift(fs(1), s)),
+    "shift_delta": ("shift must be an integer", shift_delta),
     "to_dset shift": ("shift must be an integer", lambda s: to_dset([1], s)),
     "iota_lattice shift": ("shift must be an integer", lambda s: iota_lattice([1], s)),
     "from_roots root": ("a root map's roots must be integers", lambda t: RationalPoly.from_roots({t: 1})),
@@ -404,6 +406,34 @@ INT_TAKERS = {
 WINDOW_TAKERS = {
     "verify_ring_closure": lambda w: gwa.verify_ring_closure([0], 1, w),
     "coverage_witness": lambda w: picard.coverage_witness([0], 1, w),
+}
+
+# Functions that build a set of |s| involution indices for a shift s, called with it;
+# each refuses |s| past zfin.POWER_MAX_SET_SIZE by zfin._check_shift, before the set is
+# built.  coverage_witness takes the shift as its modulus n, and shifts by n and -n.
+SHIFT_TAKERS = {
+    "absorb_shift": lambda s: absorb_shift(fs(1), s),
+    "shift_delta": shift_delta,
+    "to_dset": lambda s: to_dset([1], s),
+    "ProjectiveSum": lambda s: ProjectiveSum(((fs(1), s),)),
+    "ProjectiveSum.from_json": lambda s: ProjectiveSum.from_json([{"J": [1], "shift": s}]),
+    "act_on_dset": lambda s: picard.act_on_dset(picard.shift(s), DSet(FinSet())),
+    "iota_lattice": lambda s: iota_lattice([1], s),
+    "GradedLattice.shifted": lambda s: GradedLattice.free().shifted(s),
+    "coverage_witness": lambda s: picard.coverage_witness([0], abs(s), 1),
+}
+
+# The gwa builders, called with (n, j), and the size of the set each builds before
+# it is checked: n for fbar's residues, n j for closed-form piece j > 0 (j <= 0
+# builds only J), and n |j| for the oracle's piece j.
+GWA_SET_BUILDERS = {
+    "factors": (lambda n, j: gwa.factors([0], n), lambda n, j: n),
+    "present": (lambda n, j: gwa.present([0], n), lambda n, j: n),
+    "simplicity_root_test": (lambda n, j: gwa.simplicity_root_test([0], n), lambda n, j: n),
+    "verify_gwa_embedding": (lambda n, j: gwa.verify_gwa_embedding([0], n), lambda n, j: n),
+    "graded_piece_closed_form": (lambda n, j: gwa.graded_piece_closed_form([0], n, j), lambda n, j: n * max(j, 0)),
+    "ring_pieces": (lambda n, j: gwa.ring_pieces([0], n, min(j, 0), max(j, 0)), lambda n, j: n * max(j, 0)),
+    "twisted_endo_piece_oracle": (lambda n, j: gwa.twisted_endo_piece_oracle([0], n, j), lambda n, j: n * abs(j)),
 }
 
 
@@ -461,6 +491,40 @@ class TestInputRules:
     def test_window_must_be_positive(self, name, w):
         with pytest.raises(ValueError, match=f"^window must be a positive integer, got {w}$"):
             WINDOW_TAKERS[name](w)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", SHIFT_TAKERS)
+    def test_shift_past_the_set_limit(self, name, sign, monkeypatch):
+        monkeypatch.setattr(zfin, "POWER_MAX_SET_SIZE", 50)
+        SHIFT_TAKERS[name](sign * 50)
+        with pytest.raises(ValueError, match="^shift -?51 would build an involution set of 51 elements, "
+                           "over the limit POWER_MAX_SET_SIZE = 50$"):
+            SHIFT_TAKERS[name](sign * 51)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", SHIFT_TAKERS)
+    def test_shift_past_the_limit_is_refused_before_it_is_built(self, name, sign):
+        with pytest.raises(ValueError, match="over the limit POWER_MAX_SET_SIZE = 1000000$"):
+            SHIFT_TAKERS[name](sign * 10**9)
+
+    @pytest.mark.parametrize("name", GWA_SET_BUILDERS)
+    def test_gwa_sets_past_the_limit(self, name, monkeypatch):
+        monkeypatch.setattr(zfin, "POWER_MAX_SET_SIZE", 60)
+        call, size = GWA_SET_BUILDERS[name]
+        # (n, j) whose set is at the limit, then past it: at n itself and at n j with j > 1
+        for n, j in [(60, 1), (60, -1), (20, 3), (20, -3)]:
+            if size(n, j) <= 60:
+                call(n, j)
+        for n, j in [(61, 1), (61, -1), (31, 2), (31, -2), (10**9, 5)]:
+            if size(n, j) > 60:
+                with pytest.raises(ValueError, match=f"of {size(n, j)} elements, over the limit POWER_MAX_SET_SIZE = 60$"):
+                    call(n, j)
+
+    def test_pairs_and_negative_pieces_take_any_n(self):
+        # an admissible pair and its necklace class cost O(|J| log |J|), and a piece j <= 0 holds only J
+        assert necklace_canonical(AdmissiblePair(fs(3, 7), 10**12)).representative.J == fs(0, 4)
+        assert gwa.graded_piece_closed_form([0], 1, -(10**9)) == (RationalPoly.z(), 10**9)
+        assert gwa.ring_pieces([0], 1, -(10**7), -(10**7)).pieces == {-(10**7): (RationalPoly.z(), 10**7)}
 
     def test_a_finset_passes_through(self):
         J = fs(0, 2)
